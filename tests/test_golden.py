@@ -1,0 +1,92 @@
+"""Golden outputs: SHA-256 digests of seeded CLI runs written with --output.
+
+Each case runs `critmac.cli.main` in-process and hashes every file it
+writes (the report and, where asked, the per-slot trace).  The digests pin
+the simulator's traces and reports and the design solver's answers byte
+for byte, so a refactor that changes any output byte fails here.  The
+design cases sit at N = 3, theta = 0.1 with one eta per regime
+(infeasible, binding-corner, binding-interior, slack-interior).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from critmac.cli import main
+
+P10 = ["--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"]
+
+# case id -> (argv without --output/--trace-output, traced, exit code)
+CASES = {
+    "simulate-baseline": (["simulate", *P10, "--rounds", "30", "--seed", "5",
+                           "--format", "json"], True, 0),
+    "simulate-enhanced-b3": (["simulate", *P10, "--rounds", "30", "--seed", "5",
+                              "--enhanced", "--b", "3", "--format", "json"], True, 0),
+    "scenario-during-success": (["simulate", *P10, "--rounds", "12", "--seed", "3",
+                                 "--enhanced", "--scenario", "two-critical-during-success",
+                                 "--format", "csv"], True, 0),
+    "scenario-simultaneous-geometric": (["simulate", *P10, "--rounds", "12", "--seed", "8",
+                                         "--enhanced", "--scenario",
+                                         "two-critical-simultaneous", "--x-geometric", "8",
+                                         "--format", "csv"], True, 0),
+    "optimize-infeasible": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "0.1",
+                             "--format", "csv"], False, 4),
+    "optimize-corner": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "0.3",
+                         "--format", "csv"], False, 0),
+    "optimize-interior": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "1.0",
+                           "--format", "csv"], False, 0),
+    "optimize-slack": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "1.5",
+                        "--format", "csv"], False, 0),
+    "sweep-eta": (["sweep", "--axis", "eta", "--n", "3", "--theta", "0.1",
+                   "--from", "0.5", "--to", "1.3", "--step", "0.4", "--format", "csv"],
+                  False, 0),
+}
+
+# case id -> (report digest, trace digest or None)
+GOLDEN = {
+    "optimize-corner": (
+        "3f167715d0348dd7f857dc323fdab7974defd41f49c9929d5ca909f344ecf588", None),
+    "optimize-infeasible": (
+        "68b6d98259eea6c9397ea9788c1e3c3e9493503e205d4666e55aff4403a25cf3", None),
+    "optimize-interior": (
+        "614943dfab8f0f7931f13c849b0e9c5607437cb483e173feca93954c6b119301", None),
+    "optimize-slack": (
+        "bbd7456e30262ee5afb02fe4f47c104fbeb060655df2fb7d0c702ee8c0f9fdec", None),
+    "scenario-during-success": (
+        "1f03fcae55665ee714490aa93b0baedba44d4b4ff7a78d88a5eb596c786ca58a",
+        "173a900d5ffc5212f735dcdd2dd425e8c794c42a6e11865a364a67e04d04a317"),
+    "scenario-simultaneous-geometric": (
+        "dd351399c59bc3d16fe79431a83224863be964fc7e9b2664d0794e23e1670386",
+        "a239bb720276b3f47de7faf5a8afb44ea5045ae81544ffad21d66559dd85bde6"),
+    "simulate-baseline": (
+        "eb5c7caffdc8eebe94dfeb47d447d8c1352f44ede6e537ffadb827e80e14872c",
+        "db2415f40a92bdd7afa7f7d49e1ea734f4c30898d4bdd3ef6479bca74b76312f"),
+    "simulate-enhanced-b3": (
+        "10c900270d8ece1db14dbd2c6eebe50ca1a7512d768369ebdf101de108e609b2",
+        "c0416a3ef4eb098977973d6fbc50285e0e8e44f2f3e0142aca722772dc7b8ce4"),
+    "sweep-eta": (
+        "4d21d584d40435ce372a590f302aad4b7b42a60e572e12b0c1863214301eb0d2", None),
+}
+
+
+def run_case(case: str, directory) -> tuple[str, str | None]:
+    """Run one case into `directory`; returns the digests of its report and trace."""
+    argv, traced, code = CASES[case]
+    report = directory / f"{case}.out"
+    trace = directory / f"{case}.trace.csv"
+    extra = ["--output", str(report)]
+    if traced:
+        extra += ["--trace-output", str(trace)]
+    assert main(argv + extra) == code
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    return digest(report), digest(trace) if traced else None
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case, tmp_path):
+    assert run_case(case, tmp_path) == GOLDEN[case]
