@@ -38,10 +38,10 @@ from .protocol import (
     ProtocolParams,
     TrafficType,
     UserState,
-    enhanced_transmission_probability,
     rule_g,
     transmission_probability,
     two_critical_mode_trigger,
+    user_transmission_probability,
 )
 from .sim import (
     CriticalTrafficModel,
@@ -97,7 +97,6 @@ __all__ = [
     "critical_hitting_times",
     "delay_decomposition",
     "enhanced_critical_delay",
-    "enhanced_transmission_probability",
     "estimate_metrics_oracle",
     "evaluate_metrics",
     "maximize_utilization",
@@ -110,4 +109,5 @@ __all__ = [
     "sweep",
     "transmission_probability",
     "two_critical_mode_trigger",
+    "user_transmission_probability",
 ]

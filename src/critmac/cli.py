@@ -13,6 +13,7 @@ keys mirror the flag names; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,10 +38,7 @@ from .sim import (
     Scenario,
     SimConfig,
     run_experiment,
-    run_round,
     simulate_two_critical,
-    write_trace_header,
-    write_trace_rows,
 )
 
 EXIT_OK = 0
@@ -63,9 +61,17 @@ def _fmt_full(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """Strict JSON has no spelling for inf or nan, so non-finite floats become null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(dict(pairs), indent=2) + "\n"
+        doc = {k: _json_value(v) for k, v in pairs}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         head = ",".join(k for k, _ in pairs)
         row = ",".join(_fmt_full(v) for _, v in pairs)
@@ -76,7 +82,8 @@ def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
 
 def _render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        doc = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         out = [",".join(columns)]
         for row in rows:
@@ -166,15 +173,16 @@ def _sim_config(args) -> SimConfig:
     )
 
 
+def _trace_sink(path: str | None):
+    """The --trace-output file opened for writing, or None (as a context manager)."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def _cmd_simulate(args) -> int:
     cfg = _sim_config(args)
     if cfg.scenario is Scenario.SINGLE_CRITICAL:
-        sink = open(args.trace_output, "w") if args.trace_output else None
-        try:
+        with _trace_sink(args.trace_output) as sink:
             res = run_experiment(cfg, trace_sink=sink)
-        finally:
-            if sink:
-                sink.close()
         params = cfg.params
         t_c = contention_time(params)
         analysis = {
@@ -200,15 +208,14 @@ def _cmd_simulate(args) -> int:
               args.output)
         return EXIT_OK
 
-    summary = simulate_two_critical(cfg)
-    if args.trace_output:
-        with open(args.trace_output, "w") as sink:
-            write_trace_header(sink, cfg.params.n_users)
-            for report in summary.reports:
-                trace, _ = run_round(cfg, report.round_index)
-                write_trace_rows(sink, trace)
+    with _trace_sink(args.trace_output) as sink:
+        summary = simulate_two_critical(cfg, trace_sink=sink)
     valid = summary.valid_reports
-    entry_first = [max(r.g_entry_slots.values()) - r.arrival_slots[1] for r in valid]
+    entry_first = [
+        r.first_joint_g_slot - r.arrival_slots[1]
+        for r in valid
+        if r.first_joint_g_slot is not None
+    ]
     rows = [
         {
             "round": r.round_index,
@@ -234,8 +241,9 @@ def _cmd_simulate(args) -> int:
             ("scenario", cfg.scenario.value),
             ("valid_rounds", len(valid)),
             ("attempted_rounds", summary.attempted_rounds),
-            ("mean_slots_to_inference", sum(entry_first) / len(entry_first)),
-            ("max_slots_to_inference", max(entry_first)),
+            ("mean_slots_to_inference",
+             sum(entry_first) / len(entry_first) if entry_first else math.nan),
+            ("max_slots_to_inference", max(entry_first, default=math.nan)),
             ("violations", summary.violation_count),
         ]
         _emit(_render_pairs(pairs, args.format), args.output)
@@ -361,7 +369,12 @@ def main(argv: list[str] | None = None) -> int:
         except IndexError:
             print("error: --config needs a path", file=sys.stderr)
             return EXIT_BAD_ARGS
-        argv = argv[:1] + _config_tokens(cfg_path) + argv[1:]
+        try:
+            tokens = _config_tokens(cfg_path)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read config file {cfg_path}: {exc}", file=sys.stderr)
+            return EXIT_BAD_ARGS
+        argv = argv[:1] + tokens + argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,22 +6,26 @@ same as minimizing T_c, which does not depend on theta; the optimizer uses
 T_c as its internal objective so unconstrained solutions are bit-identical
 across fairness levels.
 
-The search is a coarse grid (step 0.01) over the restricted square followed
-by two local refinement passes (step divided by 10 each) around the
-incumbent.  The objective costs one small linear solve per point, so grid
-search beats gradient machinery here.  For binding interior solutions a
-final 1-D bisection along the local utilization gradient lands the solution
-on the constraint curve to |D_crit - eta| <= 0.005.  Ties within 1e-9 break
-toward smaller q, then smaller r.
+Every search is one routine, `_search`: a grid scan of a box followed by two
+local refinement passes (step divided by 10 each) around the incumbent.  It
+serves the whole square (coarse step 0.01) and each of the edges r = eps and
+q = eps, as a box with one side pinned to eps.  The objective costs one small
+linear solve per point, so grid search beats gradient machinery here.  For
+binding solutions a final 1-D bisection along the local utilization gradient
+lands the solution on the constraint curve to |D_crit - eta| <= 0.005.  Ties
+within 1e-9 break toward smaller q, then smaller r.  One memoizing evaluator
+per (N, theta) serves the unconstrained solve, the constrained solve and
+every eta of an eta sweep, so no (q, r) point is solved twice.
 
-D_crit is increasing in both q and r, which yields the regime structure:
-the constraint is slack above eta* = D_crit(q*, r*), binding with an
+The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
-small eta.  Below D_crit(eps, eps) the problem is infeasible.
+small eta.  D_crit is not monotone in q: along r = eps at N = 10,
+theta = 0.1 it is 0.436, 0.739 and 0.607 at q = 0.01, 0.15 and 0.50.  So
+feasibility is tested at every scanned point, and a problem is infeasible
+only when no scanned point is feasible.
 
-Grid evaluations are independent and could run in parallel; the argmax
-reduction iterates in a fixed order so results do not depend on evaluation
-order.
+The scans iterate in a fixed order, so results do not depend on the order
+in which points happen to be evaluated.
 """
 
 from __future__ import annotations
@@ -148,22 +152,28 @@ def _argmin_tc(
     return best
 
 
-def _grid_search(
+def _search(
     ev: _Evaluator,
-    eps: float,
+    q_box: tuple[float, float],
+    r_box: tuple[float, float],
+    step: float,
     feasible: Callable[[float, float], bool] | None,
 ) -> tuple[float, float] | None:
-    lo, hi = eps, 1.0 - eps
-    pts = _axis(lo, hi, _COARSE_STEP)
-    best = _argmin_tc(ev, pts, pts, feasible, None)
+    """Smallest-T_c feasible point of a box: a grid scan, then local refinement.
+
+    Each of the _REFINE_PASSES passes rescans the incumbent's neighbourhood
+    (clipped to the box) at a tenth of the previous step.  A box side with
+    equal ends pins that coordinate.  Returns None when no scanned point is
+    feasible.
+    """
+    best = _argmin_tc(ev, _axis(*q_box, step), _axis(*r_box, step), feasible, None)
     if best is None:
         return None
-    step = _COARSE_STEP
     for _ in range(_REFINE_PASSES):
         span, step = step, step / 10.0
         q0, r0, _ = best
-        qs = _axis(max(lo, q0 - span), min(hi, q0 + span), step)
-        rs = _axis(max(lo, r0 - span), min(hi, r0 + span), step)
+        qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
+        rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
         best = _argmin_tc(ev, qs, rs, feasible, best)
     return float(best[0]), float(best[1])
 
@@ -189,8 +199,8 @@ def _polish_to_constraint(
     one fine grid step; movement is tiny, so the utilization change is
     negligible while the constraint residual drops below tolerance.  Near
     the slack boundary the utilization gradient vanishes, in which case the
-    delay gradient (which never vanishes, D_crit being strictly increasing)
-    is used instead; at a tangency the two directions coincide.
+    delay gradient is used instead, and the incumbent is kept if that
+    vanishes too; at a tangency the two directions coincide.
     """
     lo, hi = eps, 1.0 - eps
     x = np.array([q, r])
@@ -234,49 +244,44 @@ def _polish_to_constraint(
     return float(p[0]), float(p[1])
 
 
-def _edge_candidate(
-    ev: _Evaluator, eps: float, eta: float, edge: str
+def _edge_search(
+    ev: _Evaluator,
+    eps: float,
+    eta: float,
+    edge: str,
+    feasible: Callable[[float, float], bool],
 ) -> tuple[float, float] | None:
     """Best feasible point on the r = eps (edge="r") or q = eps (edge="q") boundary.
 
     Small-eta optima sit on the r = eps edge inside a feasible sliver thinner
-    than the coarse grid step, so the edges get a dedicated 1-D search:
-    bisect the feasibility limit of the free coordinate (D_crit is strictly
-    increasing in it), then grid-refine the utilization along the feasible
-    segment.
+    than the coarse grid step, so each edge gets a search of its own: a box
+    with one side pinned to eps, scanned 100 steps across.  When the corner
+    (eps, eps) is feasible and the far end is not, the scan stops at a
+    crossing D_crit = eta found by bisection.  D_crit need not be monotone
+    along an edge (along r = eps at N = 10, theta = 0.1 it rises to 0.74
+    near q = 0.12, then falls to 0.61 near q = 0.5), so the crossing only
+    bounds the scanned range: every scanned point is tested for feasibility.
     """
 
-    def point(v: float) -> tuple[float, float]:
-        return (v, eps) if edge == "r" else (eps, v)
+    def d_at(v: float) -> float:
+        return ev.d_crit(v, eps) if edge == "r" else ev.d_crit(eps, v)
 
     lo, hi = eps, 1.0 - eps
-    if ev.d_crit(*point(lo)) > eta:
-        return None
-    if ev.d_crit(*point(hi)) <= eta:
-        v_max = hi
-    else:
+    v_max = hi
+    if d_at(lo) <= eta < d_at(hi):
         a, b = lo, hi
         for _ in range(60):
             mid = 0.5 * (a + b)
-            if ev.d_crit(*point(mid)) <= eta:
+            if d_at(mid) <= eta:
                 a = mid
             else:
                 b = mid
         v_max = a
     step = max((v_max - lo) / 100.0, 1e-6)
-    best = None
-    for v in _axis(lo, v_max, step):
-        t = ev.tc(*point(float(v)))
-        if best is None or t < best[1] - _TIE_TOL:
-            best = (float(v), t)
-    for _ in range(_REFINE_PASSES):
-        span, step = step, step / 10.0
-        v0 = best[0]
-        for v in _axis(max(lo, v0 - span), min(v_max, v0 + span), step):
-            t = ev.tc(*point(float(v)))
-            if t < best[1] - _TIE_TOL:
-                best = (float(v), t)
-    return point(best[0])
+    free, pinned = (lo, v_max), (eps, eps)
+    if edge == "r":
+        return _search(ev, free, pinned, step, feasible)
+    return _search(ev, pinned, free, step, feasible)
 
 
 def _pick_candidate(
@@ -297,50 +302,34 @@ def _pick_candidate(
 
 
 def _constrained_solution(
-    ev: _Evaluator,
-    prob: DesignProblem,
-    eta: float,
-    eta_star: float,
-    coarse_incumbent: tuple[float, float, float] | None = None,
+    ev: _Evaluator, eps: float, eta: float, eta_star: float
 ) -> DesignSolution:
-    """Constrained solve given that the unconstrained optimum is infeasible."""
-    eps = prob.epsilon
-    if ev.d_crit(eps, eps) > eta:
-        # D_crit is increasing in q and r, so (eps, eps) is its minimum.
-        return DesignSolution(
-            q_opt=eps,
-            r_opt=eps,
-            c_norm=ev.c_norm(eps, eps),
-            d_crit=ev.d_crit(eps, eps),
-            status=SolutionStatus.INFEASIBLE,
-            eta=eta,
-            eta_star=eta_star,
-        )
+    """Constrained solve given that the unconstrained optimum is infeasible.
+
+    The interior search and both edge searches test feasibility at every
+    point they scan.  When none of them finds a feasible point the problem
+    is infeasible, and the scanned point with the least D_crit is reported.
+    """
+    least: tuple[float, float, float] | None = None
 
     def feasible(q: float, r: float) -> bool:
-        return ev.d_crit(q, r) <= eta
+        nonlocal least
+        d = ev.d_crit(q, r)
+        if least is None or d < least[2]:
+            least = (q, r, d)
+        return d <= eta
 
-    if coarse_incumbent is None:
-        interior = _grid_search(ev, eps, feasible)
-    else:
-        best = coarse_incumbent
-        step = _COARSE_STEP
-        lo, hi = eps, 1.0 - eps
-        for _ in range(_REFINE_PASSES):
-            span, step = step, step / 10.0
-            q0, r0, _ = best
-            qs = _axis(max(lo, q0 - span), min(hi, q0 + span), step)
-            rs = _axis(max(lo, r0 - span), min(hi, r0 + span), step)
-            best = _argmin_tc(ev, qs, rs, feasible, best)
-        interior = (float(best[0]), float(best[1]))
-    q, r = _pick_candidate(
-        ev,
-        [
-            interior,
-            _edge_candidate(ev, eps, eta, "r"),
-            _edge_candidate(ev, eps, eta, "q"),
-        ],
-    )
+    box = (eps, 1.0 - eps)
+    candidates = [
+        _search(ev, box, box, _COARSE_STEP, feasible),
+        _edge_search(ev, eps, eta, "r", feasible),
+        _edge_search(ev, eps, eta, "q", feasible),
+    ]
+    if all(cand is None for cand in candidates):
+        q, r = float(least[0]), float(least[1])
+        return DesignSolution(q, r, ev.c_norm(q, r), least[2],
+                              SolutionStatus.INFEASIBLE, eta, eta_star)
+    q, r = _pick_candidate(ev, candidates)
     corner = r <= eps + 1.5 * _final_step()
     if corner:
         r = eps
@@ -358,10 +347,9 @@ def _constrained_solution(
     )
 
 
-def maximize_utilization(prob: DesignProblem) -> DesignSolution:
-    """Unconstrained maximizer of C_norm over the restricted square."""
-    ev = _Evaluator(prob.n_users, prob.theta)
-    q, r = _grid_search(ev, prob.epsilon, None)
+def _maximize(ev: _Evaluator, prob: DesignProblem) -> DesignSolution:
+    box = (prob.epsilon, 1.0 - prob.epsilon)
+    q, r = _search(ev, box, box, _COARSE_STEP, None)
     d = ev.d_crit(q, r)
     return DesignSolution(
         q_opt=q,
@@ -374,6 +362,20 @@ def maximize_utilization(prob: DesignProblem) -> DesignSolution:
     )
 
 
+def _solve(
+    ev: _Evaluator, eps: float, eta: float, unconstrained: DesignSolution
+) -> DesignSolution:
+    """Design solution at one eta, from the unconstrained optimum on the same evaluator."""
+    if unconstrained.d_crit <= eta:
+        return replace(unconstrained, eta=eta)
+    return _constrained_solution(ev, eps, eta, unconstrained.eta_star)
+
+
+def maximize_utilization(prob: DesignProblem) -> DesignSolution:
+    """Unconstrained maximizer of C_norm over the restricted square."""
+    return _maximize(_Evaluator(prob.n_users, prob.theta), prob)
+
+
 def critical_eta(prob: DesignProblem) -> float:
     """D_crit at the unconstrained optimum: the slack/binding threshold eta*."""
     return maximize_utilization(prob).d_crit
@@ -381,13 +383,8 @@ def critical_eta(prob: DesignProblem) -> float:
 
 def solve_design_problem(prob: DesignProblem) -> DesignSolution:
     """Solve the constrained design problem; Infeasible is a status, not an error."""
-    unconstrained = maximize_utilization(prob)
-    if math.isinf(prob.eta):
-        return unconstrained
-    if unconstrained.d_crit <= prob.eta:
-        return unconstrained
     ev = _Evaluator(prob.n_users, prob.theta)
-    return _constrained_solution(ev, prob, prob.eta, unconstrained.eta_star)
+    return _solve(ev, prob.epsilon, prob.eta, _maximize(ev, prob))
 
 
 def _solution_row(sol: DesignSolution) -> dict:
@@ -402,35 +399,13 @@ def _solution_row(sol: DesignSolution) -> dict:
 
 
 def _sweep_eta(prob: DesignProblem, etas: Iterable[float]) -> list[dict]:
-    """Eta sweep sharing one metric grid across all eta values.
-
-    The coarse-grid metric values do not depend on eta, so they are computed
-    once; each eta then reduces to a masked argmax plus local refinement.
-    """
+    """The design solution at each eta, all from one evaluator."""
     ev = _Evaluator(prob.n_users, prob.theta)
-    eps = prob.epsilon
-    pts = _axis(eps, 1.0 - eps, _COARSE_STEP)
-    tc_grid = np.array([[ev.tc(q, r) for r in pts] for q in pts])
-    d_grid = np.array([[ev.d_crit(q, r) for r in pts] for q in pts])
-    unconstrained = maximize_utilization(prob)
-    eta_star = unconstrained.eta_star
-    d_min = d_grid[0, 0]
-
-    rows = []
-    for eta in etas:
-        if unconstrained.d_crit <= eta:
-            sol = replace(unconstrained, eta=eta)
-        elif d_min > eta:
-            sol = DesignSolution(eps, eps, ev.c_norm(eps, eps), d_min,
-                                 SolutionStatus.INFEASIBLE, eta, eta_star)
-        else:
-            mask = d_grid <= eta
-            tc_masked = np.where(mask, tc_grid, np.inf)
-            i, j = np.unravel_index(np.argmin(tc_masked), tc_masked.shape)
-            incumbent = (float(pts[i]), float(pts[j]), float(tc_masked[i, j]))
-            sol = _constrained_solution(ev, prob, eta, eta_star, coarse_incumbent=incumbent)
-        rows.append({"eta": eta, **_solution_row(sol)})
-    return rows
+    unconstrained = _maximize(ev, prob)
+    return [
+        {"eta": eta, **_solution_row(_solve(ev, prob.epsilon, eta, unconstrained))}
+        for eta in etas
+    ]
 
 
 def sweep(

@@ -12,8 +12,9 @@ it until its critical traffic completes.
 Two extensions are implemented on top of the base family:
 
 * enhanced rules (normal users only): wait after a (success, failure)
-  pattern, wait after backoff_bound consecutive collisions, and optionally
-  wait for one slot right after finishing critical traffic;
+  pattern, wait after backoff_bound consecutive collisions, optionally
+  wait for one slot right after finishing critical traffic, and wait once
+  after an idle slot when a shared two-critical phase ended;
 * a two-critical-user mode: a critical user that infers the presence of a
   second critical user switches to the sharing rule ``rule_g`` until its
   critical traffic completes.
@@ -40,6 +41,15 @@ class Observation(Enum):
 class TrafficType(Enum):
     NORMAL = "normal"
     CRITICAL = "critical"
+
+
+# The members, bound once: attribute access on an Enum class costs about
+# 0.1 us on CPython 3.11, and the slot engine applies the rules below to
+# every user in every slot.
+IDLE, BUSY, SUCCESS, FAILURE = (
+    Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
+)
+NORMAL, CRITICAL = TrafficType.NORMAL, TrafficType.CRITICAL
 
 
 @dataclass(frozen=True)
@@ -117,43 +127,48 @@ class UserState:
 
 def transmission_probability(params: ProtocolParams, y: Observation, z: TrafficType) -> float:
     """Base decision rule f(y, z) of the protocol family."""
-    if z is TrafficType.CRITICAL:
+    if z is CRITICAL:
         return 1.0
-    if y is Observation.IDLE:
+    if y is IDLE:
         return params.q
-    if y is Observation.BUSY:
+    if y is BUSY:
         return 0.0
-    if y is Observation.SUCCESS:
+    if y is SUCCESS:
         return 1.0 - params.theta
     return params.r
 
 
-def enhanced_transmission_probability(
+def user_transmission_probability(
     params: ProtocolParams, cfg: EnhancementConfig, state: UserState
 ) -> float:
-    """Decision rule with the enhanced waiting rules layered on top.
+    """A user's transmission probability in the current slot, from its state.
 
-    Rules are checked in a fixed order; each applies to normal traffic only:
+    Critical traffic always transmits, or follows ``rule_g`` while the user
+    is in the two-critical mode.  When cfg.enabled is set, normal traffic
+    first checks the enhanced waiting rules, in a fixed order:
 
     1. wait after observing success then failure,
     2. wait after backoff_bound consecutive failures,
     3. wait for one slot after the user's own critical traffic completed
        (when suppress_after_critical is set),
-    4. otherwise fall back to the base rule.
+    4. wait after an idle slot while a wait is owed for a shared
+       (two-critical) phase that ended (``UserState.yield_after_idle``).
+
+    Otherwise the base rule f(last observation, normal) applies.
     """
-    if not cfg.enabled:
-        raise BadParams("enhanced_transmission_probability requires cfg.enabled")
-    if state.traffic is TrafficType.NORMAL:
-        if (
-            state.prev_observation is Observation.SUCCESS
-            and state.last_observation is Observation.FAILURE
-        ):
+    if state.traffic is CRITICAL:
+        return rule_g(state.g_observation) if state.two_crit_mode else 1.0
+    last = state.last_observation
+    if cfg.enabled:
+        if state.prev_observation is SUCCESS and last is FAILURE:
             return 0.0
         if state.consecutive_failures >= cfg.backoff_bound:
             return 0.0
-        if cfg.suppress_after_critical and state.prev_traffic is TrafficType.CRITICAL:
+        if cfg.suppress_after_critical and state.prev_traffic is CRITICAL:
             return 0.0
-    return transmission_probability(params, state.last_observation, state.traffic)
+        if state.yield_after_idle and last is IDLE:
+            return 0.0
+    return transmission_probability(params, last, NORMAL)
 
 
 _RULE_G = {
@@ -199,7 +214,7 @@ def two_critical_mode_trigger(
     user's critical phase (the caller enforces persistence via
     ``UserState.two_crit_mode``).
     """
-    if state.traffic is not TrafficType.CRITICAL:
+    if state.traffic is not CRITICAL:
         raise BadParams("two_critical_mode_trigger applies to critical users only")
     if state.two_crit_mode:
         return True
@@ -207,6 +222,6 @@ def two_critical_mode_trigger(
         return True
     w = history_window
     for i in range(1, len(w) - 1):
-        if w[i] is Observation.SUCCESS and w[i + 1] is Observation.FAILURE:
+        if w[i] is SUCCESS and w[i + 1] is FAILURE:
             return True
     return False

@@ -42,14 +42,19 @@ import numpy as np
 
 from .errors import BadParams, ScenarioUnsatisfiable
 from .protocol import (
+    BUSY,
+    CRITICAL,
+    FAILURE,
+    IDLE,
+    NORMAL,
+    SUCCESS,
     EnhancementConfig,
     Observation,
     ProtocolParams,
     TrafficType,
     UserState,
-    rule_g,
-    transmission_probability,
     two_critical_mode_trigger,
+    user_transmission_probability,
 )
 
 TC_START_MARGIN = 30
@@ -118,6 +123,11 @@ class SimConfig:
             raise BadParams("normal_phase_slots must be >= 1")
         if self.scenario in TWO_CRITICAL_SCENARIOS and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
+        if self.params.r == 1.0 and self.params.n_users >= 2 and not self.enhancement.enabled:
+            raise BadParams(
+                "r = 1 needs the enhanced rules: colliding users never back off, "
+                "so a critical phase with a collision never ends"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,8 +155,6 @@ class SlotTrace:
 class RoundStats:
     """Per-round raw material for the experiment-level estimators."""
 
-    success_runs: list[int] = field(default_factory=list)      # completed runs
-    truncated_run: int = 0                                     # run still open at phase end
     contention_lengths: list[int] = field(default_factory=list)
     contention_starts: list[int] = field(default_factory=list)  # slot of each period's idle slot
     normal_successes: int = 0
@@ -183,49 +191,28 @@ class SlotEngine:
         self.users = [UserState() for _ in range(params.n_users)]
         self.slot = 0
         self.events: list[tuple[int, str, int]] = []
-        self._base_prob = {
-            y: transmission_probability(params, y, TrafficType.NORMAL) for y in Observation
-        }
 
     def set_critical(self, user: int, packets: int) -> None:
         """Mark a user critical with `packets` slots of traffic, effective next slot."""
         u = self.users[user]
         if packets < 1:
             raise BadParams("critical traffic needs at least one packet")
-        if u.traffic is TrafficType.CRITICAL:
+        if u.traffic is CRITICAL:
             raise BadParams(f"user {user} is already critical")
-        u.traffic = TrafficType.CRITICAL
+        u.traffic = CRITICAL
         u.critical_remaining = packets
         u.critical_window = [u.last_observation]
         self.events.append((self.slot + 1, "critical_arrival", user))
-
-    def transmission_prob(self, i: int) -> float:
-        """Current-slot transmission probability of user i under the full rule stack."""
-        u = self.users[i]
-        if u.traffic is TrafficType.CRITICAL:
-            if u.two_crit_mode:
-                return rule_g(u.g_observation)
-            return 1.0
-        if self.enh.enabled:
-            if (
-                u.prev_observation is Observation.SUCCESS
-                and u.last_observation is Observation.FAILURE
-            ):
-                return 0.0
-            if u.consecutive_failures >= self.enh.backoff_bound:
-                return 0.0
-            if self.enh.suppress_after_critical and u.prev_traffic is TrafficType.CRITICAL:
-                return 0.0
-            if u.yield_after_idle and u.last_observation is Observation.IDLE:
-                return 0.0
-        return self._base_prob[u.last_observation]
 
     def step(self, phase: str = "normal") -> SlotRecord:
         self.slot += 1
         users = self.users
         n = len(users)
         draws = self.rng.random(n)
-        actions = tuple(bool(draws[i] < self.transmission_prob(i)) for i in range(n))
+        params, enh = self.params, self.enh
+        actions = tuple(
+            bool(d < user_transmission_probability(params, enh, u)) for d, u in zip(draws, users)
+        )
         k = sum(actions)
         traffic_now = tuple(u.traffic for u in users)
 
@@ -233,28 +220,28 @@ class SlotEngine:
         completed = []
         for i, u in enumerate(users):
             if actions[i]:
-                obs = Observation.SUCCESS if k == 1 else Observation.FAILURE
+                obs = SUCCESS if k == 1 else FAILURE
             else:
-                obs = Observation.IDLE if k == 0 else Observation.BUSY
+                obs = IDLE if k == 0 else BUSY
             observations.append(obs)
             u.prev_observation = u.last_observation
             u.last_observation = obs
             u.consecutive_failures = (
-                u.consecutive_failures + 1 if obs is Observation.FAILURE else 0
+                u.consecutive_failures + 1 if obs is FAILURE else 0
             )
             if u.two_crit_mode:
                 u.g_observation = obs
-            if u.traffic is TrafficType.CRITICAL:
+            if u.traffic is CRITICAL:
                 if self.two_critical_inference:
                     u.critical_window.append(obs)
-                if obs is Observation.SUCCESS:
+                if obs is SUCCESS:
                     u.critical_remaining -= 1
                     if u.critical_remaining == 0:
                         completed.append(i)
             if (
                 u.yield_after_idle
-                and u.traffic is TrafficType.NORMAL
-                and u.prev_observation is Observation.IDLE
+                and u.traffic is NORMAL
+                and u.prev_observation is IDLE
             ):
                 u.yield_after_idle = False  # the owed wait slot was just taken
 
@@ -264,23 +251,23 @@ class SlotEngine:
             u = users[i]
             if u.two_crit_mode:
                 u.yield_after_idle = True
-            u.traffic = TrafficType.NORMAL
+            u.traffic = NORMAL
             u.two_crit_mode = False
             u.critical_window = []
             self.events.append((self.slot, "completion", i))
 
         if self.two_critical_inference:
             for i, u in enumerate(users):
-                if u.traffic is not TrafficType.CRITICAL:
+                if u.traffic is not CRITICAL:
                     continue
                 if not u.two_crit_mode and two_critical_mode_trigger(u, self.enh, u.critical_window):
                     u.two_crit_mode = True
-                    u.g_observation = Observation.IDLE
+                    u.g_observation = IDLE
                     self.events.append((self.slot + 1, "g_entry", i))
                 elif (
                     u.two_crit_mode
-                    and u.prev_observation is Observation.SUCCESS
-                    and u.last_observation is Observation.IDLE
+                    and u.prev_observation is SUCCESS
+                    and u.last_observation is IDLE
                 ):
                     # alternation broke on an idle slot: the partner finished,
                     # so behave like a fresh critical arrival again
@@ -319,10 +306,6 @@ def _normal_phase_stats(success_flags: list[bool]) -> RoundStats:
         j = i
         while j < w and success_flags[j]:
             j += 1
-        if j < w:
-            stats.success_runs.append(j - i)
-        else:
-            stats.truncated_run = j - i
         k = j
         while k < w and not success_flags[k]:
             k += 1
@@ -390,28 +373,28 @@ def run_round(
             # inject only on an in-phase observation (critical_window holds the
             # pre-arrival slot plus one entry per critical-phase slot)
             in_phase = (
-                u_first.traffic is TrafficType.CRITICAL
+                u_first.traffic is CRITICAL
                 and len(u_first.critical_window) >= 2
             )
             if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
-                ready = in_phase and u_first.last_observation is Observation.SUCCESS
+                ready = in_phase and u_first.last_observation is SUCCESS
             else:  # during collision
-                ready = in_phase and u_first.last_observation is Observation.FAILURE
+                ready = in_phase and u_first.last_observation is FAILURE
             if ready:
                 engine.set_critical(second, lengths[1])
                 injected = True
-        any_critical = any(u.traffic is TrafficType.CRITICAL for u in engine.users)
+        any_critical = any(u.traffic is CRITICAL for u in engine.users)
         if not any_critical:
             break
         rec = engine.step("critical")
         stats.critical_phase_slots += 1
-        if rec.actions[first] and rec.observations[first] is Observation.FAILURE:
+        if rec.actions[first] and rec.observations[first] is FAILURE:
             stats.critical_collisions += 1
         if keep_trace:
             trace.records.append(rec)
         if stats.critical_phase_slots > _MAX_CRITICAL_SLOTS:
             raise RuntimeError("critical phase failed to terminate")
-        if two_crit and not injected and u_first.traffic is TrafficType.NORMAL:
+        if two_crit and not injected and u_first.traffic is NORMAL:
             break  # scenario condition never occurred before completion
 
     if two_crit and injected:
@@ -674,25 +657,32 @@ def _verify_two_critical_round(
     return report
 
 
-def simulate_two_critical(cfg: SimConfig, *, max_attempts: int | None = None) -> ScenarioSummary:
+def simulate_two_critical(
+    cfg: SimConfig, trace_sink: IO[str] | None = None
+) -> ScenarioSummary:
     """Run and verify two-critical rounds until cfg.rounds valid rounds accrue.
 
     A round is valid when the second critical event could be injected (the
     during-success / during-collision conditions are state-dependent, so a
     round may end before its condition occurs); invalid rounds are reported
-    but carry no verification.  Raises ScenarioUnsatisfiable when the
-    enhancement is disabled, since the inference rules rely on it.
+    but carry no verification.  At most 5 * cfg.rounds rounds are attempted.
+    Raises ScenarioUnsatisfiable when the enhancement is disabled, since the
+    inference rules rely on it.  With ``trace_sink`` set, every slot of
+    every attempted round is streamed to it in the documented trace format.
     """
     if cfg.scenario not in TWO_CRITICAL_SCENARIOS:
         raise BadParams(f"scenario {cfg.scenario} is not a two-critical scenario")
     if not cfg.enhancement.enabled:
         raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
-    limit = max_attempts if max_attempts is not None else 5 * cfg.rounds
+    if trace_sink is not None:
+        write_trace_header(trace_sink, cfg.params.n_users)
     reports: list[ScenarioRoundReport] = []
     valid = 0
     idx = 0
-    while valid < cfg.rounds and idx < limit:
+    while valid < cfg.rounds and idx < 5 * cfg.rounds:
         trace, _ = run_round(cfg, idx, keep_trace=True)
+        if trace_sink is not None:
+            write_trace_rows(trace_sink, trace)
         arrivals = {u for _, ev, u in trace.events if ev == "critical_arrival"}
         if len(arrivals) < 2:
             reports.append(ScenarioRoundReport(round_index=idx, injected=False))

@@ -8,7 +8,25 @@ import sys
 
 import pytest
 
+from critmac import Scenario, ScenarioRoundReport, ScenarioSummary, cli
+
 CLI = [sys.executable, "-m", "critmac.cli"]
+
+
+def strict_json(text):
+    """Parse JSON as RFC 8259 defines it: NaN and Infinity are rejected."""
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_one_line_error(proc, code):
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def run_cli(*args, check=True):
@@ -87,6 +105,13 @@ class TestOptimize:
         assert data["d_crit"] == pytest.approx(1.0, abs=0.005)
         assert data["eta_star"] == pytest.approx(1.531, abs=0.01)
 
+    def test_unconstrained_json_is_strict(self):
+        data = strict_json(
+            run_cli("optimize", "--n", "3", "--theta", "0.1", "--format", "json").stdout
+        )
+        assert data["eta"] is None
+        assert data["status"] == "slack-interior"
+
     def test_infeasible_exit_code(self):
         proc = run_cli(
             "optimize", "--n", "10", "--theta", "0.1", "--eta", "0.2", check=False
@@ -159,6 +184,45 @@ class TestSimulate:
         assert any(",critical," in line for line in lines[1:])
         assert any("critical" == line.split(",")[5] for line in lines[1:])
 
+    def test_single_round_json_is_strict(self):
+        rows = strict_json(
+            run_cli(
+                "simulate", "--n", "3", "--theta", "0.2", "--q", "0.3397", "--r", "0.4896",
+                "--rounds", "1", "--seed", "9", "--format", "json",
+            ).stdout
+        )
+        by_metric = {row["metric"]: row for row in rows}
+        assert by_metric["c_norm"]["se"] is None  # one round has no standard error
+        assert by_metric["d_crit"]["se"] is None
+
+    def test_r_one_needs_enhanced_rules(self):
+        proc = run_cli(
+            "simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "1",
+            "--rounds", "2", check=False,
+        )
+        assert_one_line_error(proc, 2)
+        assert "BadParams" in proc.stderr
+
+    def test_two_critical_summary_without_joint_entry(self, monkeypatch, capsys):
+        # a valid round in which one user never entered rule-g mode is a
+        # violation to report, not a crash of the summary
+        report = ScenarioRoundReport(
+            round_index=0, injected=True, arrival_slots=(101, 101), g_entry_slots={3: 107},
+            violations=["a critical user never entered rule-g mode"],
+        )
+        summary = ScenarioSummary(Scenario.TWO_CRITICAL_SIMULTANEOUS, 1, 1, [report])
+        monkeypatch.setattr(cli, "simulate_two_critical", lambda cfg, trace_sink=None: summary)
+        code = cli.main([
+            "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
+            "--rounds", "1", "--enhanced", "--scenario", "two-critical-simultaneous",
+            "--format", "json",
+        ])
+        assert code == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["violations"] == 1
+        assert data["mean_slots_to_inference"] is None
+        assert data["max_slots_to_inference"] is None
+
     def test_scenario_requires_enhancement(self):
         proc = run_cli(
             "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
@@ -203,6 +267,14 @@ class TestConfigFile:
             run_cli("analyze", "--config", str(cfg), "--theta", "0.5").stdout
         )
         assert data["t_s"] == 2.0
+
+    def test_missing_config_file(self, tmp_path):
+        proc = run_cli("analyze", "--config", str(tmp_path / "absent.conf"), check=False)
+        assert_one_line_error(proc, 2)
+
+    def test_unreadable_config_file(self, tmp_path):
+        proc = run_cli("analyze", "--config", str(tmp_path), check=False)  # a directory
+        assert_one_line_error(proc, 2)
 
     def test_output_file(self, tmp_path):
         out_path = tmp_path / "result.json"

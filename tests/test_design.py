@@ -106,7 +106,8 @@ class TestConstrainedSolve:
         assert sol.d_crit == pytest.approx(floor, abs=1e-12)
 
     def test_feasibility_of_solutions(self):
-        for eta in (0.6, 0.9, 1.2):
+        # 0.65 and 0.7 sit where D_crit along r = eps falls again after a peak
+        for eta in (0.6, 0.65, 0.7, 0.9, 1.2):
             sol = solve_design_problem(DesignProblem(10, 0.1, eta=eta))
             assert sol.d_crit <= eta + 0.005
             assert 0.01 <= sol.q_opt <= 0.99 and 0.01 <= sol.r_opt <= 0.99
@@ -117,6 +118,25 @@ class TestConstrainedSolve:
             for eta in (0.5, 0.8, 1.1, 1.4, 2.0)
         ]
         assert all(a <= b + 5e-4 for a, b in zip(cs, cs[1:]))
+
+    def test_feasible_edge_beyond_the_corner(self):
+        # at N=20, theta=0.05 the corner (eps, eps) has D_crit 0.738, but
+        # D_crit(q, eps) dips to 0.694 near q = 0.28: eta = 0.72 is feasible
+        prob = DesignProblem(20, 0.05, eta=0.72)
+        assert critical_delay(ProtocolParams(20, 0.05, 0.01, 0.01)) > prob.eta
+        sol = solve_design_problem(prob)
+        assert sol.status is SolutionStatus.BINDING_CORNER
+        assert sol.d_crit == pytest.approx(0.72, abs=0.005)
+        assert sol.d_crit <= 0.72 + 0.005
+
+    def test_infeasible_reports_least_delay_scanned(self):
+        # below that dip nothing fits; the reported point is the scanned one
+        # with the least D_crit, which here is not the corner
+        sol = solve_design_problem(DesignProblem(20, 0.05, eta=0.6))
+        assert sol.status is SolutionStatus.INFEASIBLE
+        corner = critical_delay(ProtocolParams(20, 0.05, 0.01, 0.01))
+        assert sol.d_crit < corner - 0.04
+        assert sol.d_crit == critical_delay(ProtocolParams(20, 0.05, sol.q_opt, sol.r_opt))
 
     def test_corner_exhaustion_oracle(self):
         # brute-force cross-check of the eta = 0.5 corner solution: dense scan
@@ -139,6 +159,53 @@ class TestConstrainedSolve:
             if d <= eta:
                 best = max(best, c)
         assert sol.c_norm >= best - 1e-6
+
+
+ETAS_N3 = [0.15, 0.55, 0.95, 1.35]  # infeasible, corner, interior, slack
+
+
+@pytest.fixture(scope="module")
+def counted_n3():
+    """The N=3 eta sweep and the per-eta solves, with every T_c/D_crit solve recorded."""
+    calls: list = []
+
+    def counted(fn):
+        def wrapper(params):
+            calls.append((fn.__name__, params.q, params.r))
+            return fn(params)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("contention_time", "critical_delay"):
+            mp.setattr(design, name, counted(getattr(design, name)))
+        rows = sweep(DesignProblem(3, 0.1), SweepAxis.ETA_RANGE, start=0.15, stop=1.35, step=0.4)
+        sweep_calls = list(calls)
+        solves = []
+        for eta in (row["eta"] for row in rows):
+            calls.clear()
+            solves.append((solve_design_problem(DesignProblem(3, 0.1, eta=eta)), list(calls)))
+    return rows, sweep_calls, solves
+
+
+class TestSharedEvaluator:
+    def test_sweep_solves_each_point_once(self, counted_n3):
+        _, calls, _ = counted_n3
+        assert calls and len(calls) == len(set(calls))
+
+    def test_optimize_solves_each_point_once(self, counted_n3):
+        _, _, solves = counted_n3
+        for _, calls in solves:
+            assert calls and len(calls) == len(set(calls))
+
+    def test_sweep_rows_equal_solves(self, counted_n3):
+        rows, _, solves = counted_n3
+        assert [row["eta"] for row in rows] == pytest.approx(ETAS_N3)
+        assert [row["status"] for row in rows] == [
+            "infeasible", "binding-corner", "binding-interior", "slack-interior"
+        ]
+        for row, (sol, _) in zip(rows, solves):
+            assert row == {"eta": sol.eta, **design._solution_row(sol)}
+            assert all(type(row[k]) is float for k in ("q_opt", "r_opt", "c_norm", "d_crit"))
 
 
 class TestSweeps:

@@ -14,10 +14,10 @@ from critmac import (
     ProtocolParams,
     TrafficType,
     UserState,
-    enhanced_transmission_probability,
     rule_g,
     transmission_probability,
     two_critical_mode_trigger,
+    user_transmission_probability,
 )
 
 I, B, S, F = Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
@@ -82,30 +82,47 @@ class TestEnhancedRule:
 
     def test_rule1_success_then_failure(self):
         state = UserState(prev_observation=S, last_observation=F, traffic=NORMAL)
-        assert enhanced_transmission_probability(params(), self.CFG, state) == 0.0
+        assert user_transmission_probability(params(), self.CFG, state) == 0.0
 
     def test_rule2_backoff_bound(self):
         state = UserState(last_observation=F, consecutive_failures=5, traffic=NORMAL)
-        assert enhanced_transmission_probability(params(), self.CFG, state) == 0.0
+        assert user_transmission_probability(params(), self.CFG, state) == 0.0
         state.consecutive_failures = 4
-        assert enhanced_transmission_probability(params(), self.CFG, state) == 0.479
+        assert user_transmission_probability(params(), self.CFG, state) == 0.479
 
     def test_rule3_after_critical(self):
         state = UserState(last_observation=S, traffic=NORMAL, prev_traffic=CRITICAL)
-        assert enhanced_transmission_probability(params(), self.CFG, state) == 0.0
+        assert user_transmission_probability(params(), self.CFG, state) == 0.0
         no_suppress = EnhancementConfig(enabled=True, backoff_bound=5,
                                         suppress_after_critical=False)
-        assert enhanced_transmission_probability(params(), no_suppress, state) == 0.9
+        assert user_transmission_probability(params(), no_suppress, state) == 0.9
 
     def test_rule4_fallback(self):
         state = UserState(last_observation=I, traffic=NORMAL)
-        assert enhanced_transmission_probability(params(), self.CFG, state) == 0.105
+        assert user_transmission_probability(params(), self.CFG, state) == 0.105
         crit = UserState(last_observation=F, consecutive_failures=9, traffic=CRITICAL)
-        assert enhanced_transmission_probability(params(), self.CFG, crit) == 1.0
+        assert user_transmission_probability(params(), self.CFG, crit) == 1.0
 
-    def test_requires_enabled(self):
-        with pytest.raises(BadParams):
-            enhanced_transmission_probability(params(), EnhancementConfig(), UserState())
+    def test_yield_after_idle(self):
+        state = UserState(last_observation=I, traffic=NORMAL, yield_after_idle=True)
+        assert user_transmission_probability(params(), self.CFG, state) == 0.0
+        state.last_observation = S
+        assert user_transmission_probability(params(), self.CFG, state) == 0.9
+
+    def test_rule_g_branch(self):
+        for y in Observation:
+            state = UserState(traffic=CRITICAL, two_crit_mode=True, g_observation=y)
+            assert user_transmission_probability(params(), self.CFG, state) == rule_g(y)
+
+    def test_disabled_config_gives_base_rule(self):
+        # every waiting rule's trigger is set, and none of them applies
+        state = UserState(prev_observation=S, last_observation=F, consecutive_failures=9,
+                          traffic=NORMAL, prev_traffic=CRITICAL, yield_after_idle=True)
+        for y in Observation:
+            state.last_observation = y
+            assert user_transmission_probability(params(), EnhancementConfig(), state) == (
+                transmission_probability(params(), y, NORMAL)
+            )
 
 
 class TestRuleG:

@@ -22,10 +22,10 @@ from critmac import (
     contention_time,
     critical_delay,
     enhanced_critical_delay,
-    enhanced_transmission_probability,
     run_experiment,
     run_round,
     transmission_probability,
+    user_transmission_probability,
 )
 from critmac.sim import _round_rng, write_trace_header, write_trace_rows
 
@@ -146,28 +146,37 @@ class TestEnhancedRules:
                         runs[u] = 0
 
     def test_engine_matches_rule_functions(self):
+        # each slot's actions are the engine's draws compared with the rule
+        # functions' probabilities for the users' states before the slot
         rng = np.random.default_rng(77)
-        enh = EnhancementConfig(enabled=True, backoff_bound=4)
-        engine = SlotEngine(P10, enh, _round_rng(0, 0))
-        baseline = SlotEngine(P10, EnhancementConfig(), _round_rng(0, 1))
         obs = list(Observation)
-        for _ in range(300):
-            state = UserState(
+
+        def random_state():
+            critical = rng.random() < 0.3
+            return UserState(
                 last_observation=obs[rng.integers(4)],
                 prev_observation=obs[rng.integers(4)],
                 consecutive_failures=int(rng.integers(0, 7)),
-                traffic=TrafficType.CRITICAL if rng.random() < 0.3 else TrafficType.NORMAL,
+                traffic=TrafficType.CRITICAL if critical else TrafficType.NORMAL,
                 prev_traffic=TrafficType.CRITICAL if rng.random() < 0.2 else TrafficType.NORMAL,
+                critical_remaining=5 if critical else 0,
+                two_crit_mode=bool(critical and rng.random() < 0.5),
+                g_observation=obs[rng.integers(4)],
+                yield_after_idle=bool(rng.random() < 0.3),
             )
-            engine.users[0] = state
-            assert engine.transmission_prob(0) == enhanced_transmission_probability(
-                P10, enh, state
-            )
-            baseline.users[0] = state
-            if state.traffic is TrafficType.NORMAL:
-                assert baseline.transmission_prob(0) == transmission_probability(
-                    P10, state.last_observation, state.traffic
-                )
+
+        for enh in (EnhancementConfig(enabled=True, backoff_bound=4), EnhancementConfig()):
+            engine = SlotEngine(P10, enh, _round_rng(0, 0))
+            draws = _round_rng(0, 0)  # the engine's stream, read alongside it
+            for _ in range(60):
+                engine.users = [random_state() for _ in range(P10.n_users)]
+                probs = [user_transmission_probability(P10, enh, u) for u in engine.users]
+                if not enh.enabled:
+                    for u, p in zip(engine.users, probs):
+                        if u.traffic is TrafficType.NORMAL:
+                            assert p == transmission_probability(P10, u.last_observation, u.traffic)
+                expected = tuple(bool(d < p) for d, p in zip(draws.random(P10.n_users), probs))
+                assert engine.step().actions == expected
 
 
 class TestPostCriticalHandover:
@@ -288,3 +297,11 @@ class TestConfigValidation:
                 params=ProtocolParams(1, 0.1, 0.3, 0.4),
                 scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS,
             )
+
+    def test_r_one_needs_enhanced_rules(self):
+        # with r = 1 and no backoff bound, colliding users collide forever
+        params = ProtocolParams(3, 0.1, 0.3, 1.0)
+        with pytest.raises(BadParams):
+            SimConfig(params=params)
+        SimConfig(params=params, enhancement=EnhancementConfig(enabled=True))
+        SimConfig(params=ProtocolParams(1, 0.1, 0.3, 1.0))
