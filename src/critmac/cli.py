@@ -3,11 +3,13 @@
 The CLI only orchestrates library calls and formats their results; every
 number it emits comes from a library operation.  Output formats: an aligned
 table with 4 decimal places, JSON at full precision, or CSV (the default
-for sweeps).  Exit codes: 0 success, 2 bad arguments, 3 numeric failure,
-4 infeasible design problem.
+for sweeps).  Exit codes: 0 success, 2 bad arguments (an unwritable output
+path included), 3 singular chain at boundary parameters, 4 infeasible
+design problem.
 
-A config file (--config) may supply defaults as flat key=value lines whose
-keys mirror the flag names; explicit flags override it.
+A config file (--config, before or after the subcommand) may supply
+defaults as flat key=value lines whose keys mirror the flag names; explicit
+flags override it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,7 @@ from .design import (
     sweep,
 )
 from .errors import BadParams, ScenarioUnsatisfiable, SingularSystem
-from .markov import (
-    contention_time,
-    critical_delay,
-    enhanced_critical_delay,
-)
+from .markov import enhanced_critical_delay, evaluate_metrics
 from .protocol import EnhancementConfig, ProtocolParams
 from .sim import (
     CriticalTrafficModel,
@@ -97,9 +95,18 @@ def _render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_output(path: str, flag: str):
+    """Open an output file for writing; a path that cannot be written is a bad argument."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BadParams(f"cannot write {flag} {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        with _open_output(output, "--output") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -110,16 +117,16 @@ def _params_from(args) -> ProtocolParams:
 
 def _cmd_analyze(args) -> int:
     params = _params_from(args)
-    t_c = contention_time(params)
+    metrics = evaluate_metrics(params)
     pairs: list[tuple[str, object]] = [
-        ("t_s", 1.0 / params.theta),
-        ("t_c", t_c),
-        ("c_norm", 1.0 / (params.theta * t_c + 1.0)),
-        ("d_crit", critical_delay(params)),
+        ("t_s", metrics.t_s),
+        ("t_c", metrics.t_c),
+        ("c_norm", metrics.c_norm),
+        ("d_crit", metrics.d_crit),
     ]
     if args.enhanced:
         pairs.append(("d_crit_enhanced", enhanced_critical_delay(params)))
-    pairs.append(("f_norm", params.theta))
+    pairs.append(("f_norm", metrics.f_norm))
     _emit(_render_pairs(pairs, args.format), args.output)
     return EXIT_OK
 
@@ -175,32 +182,22 @@ def _sim_config(args) -> SimConfig:
 
 def _trace_sink(path: str | None):
     """The --trace-output file opened for writing, or None (as a context manager)."""
-    return open(path, "w") if path else contextlib.nullcontext()
+    return _open_output(path, "--trace-output") if path else contextlib.nullcontext()
 
 
 def _cmd_simulate(args) -> int:
     cfg = _sim_config(args)
     if cfg.scenario is Scenario.SINGLE_CRITICAL:
+        # the analysis column first: parameters it rejects fail before any round runs
+        analysis = evaluate_metrics(cfg.params, enhanced=cfg.enhancement.enabled)
         with _trace_sink(args.trace_output) as sink:
             res = run_experiment(cfg, trace_sink=sink)
-        params = cfg.params
-        t_c = contention_time(params)
-        analysis = {
-            "t_s": 1.0 / params.theta,
-            "t_c": t_c,
-            "c_norm": 1.0 / (params.theta * t_c + 1.0),
-            "d_crit": (
-                enhanced_critical_delay(params)
-                if cfg.enhancement.enabled
-                else critical_delay(params)
-            ),
-        }
         rows = [
-            {"metric": "t_s", "analysis": analysis["t_s"], "simulation": res.t_s, "se": res.t_s_se},
-            {"metric": "t_c", "analysis": analysis["t_c"], "simulation": res.t_c, "se": res.t_c_se},
-            {"metric": "c_norm", "analysis": analysis["c_norm"], "simulation": res.c_norm,
+            {"metric": "t_s", "analysis": analysis.t_s, "simulation": res.t_s, "se": res.t_s_se},
+            {"metric": "t_c", "analysis": analysis.t_c, "simulation": res.t_c, "se": res.t_c_se},
+            {"metric": "c_norm", "analysis": analysis.c_norm, "simulation": res.c_norm,
              "se": res.c_norm_se},
-            {"metric": "d_crit", "analysis": analysis["d_crit"], "simulation": res.d_crit,
+            {"metric": "d_crit", "analysis": analysis.d_crit, "simulation": res.d_crit,
              "se": res.d_crit_se},
             {"metric": "max_d_crit", "analysis": "", "simulation": res.max_d_crit, "se": ""},
         ]
@@ -361,7 +358,6 @@ def _config_tokens(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config defaults go right after the subcommand so flags override them
     if "--config" in argv:
         i = argv.index("--config")
         try:
@@ -374,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config file {cfg_path}: {exc}", file=sys.stderr)
             return EXIT_BAD_ARGS
+        # with --config and its path taken out, the subcommand name comes first
+        # (wherever --config stood); the file's flags go right after it, so
+        # explicit flags, parsed later, override them
+        argv = argv[:i] + argv[i + 2:]
         argv = argv[:1] + tokens + argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -424,12 +424,21 @@ def sweep(
     problem along the respective axis.  NHAT_RANGE solves the problem for an
     estimated user count nhat and evaluates the resulting protocol with the
     true n_users, flagging delay-constraint violations.
+
+    A given step must be positive, and a whole number on the N_RANGE and
+    NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
     """
+    counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
+    if step is None:
+        step = 1 if counts_users else 0.01
+    elif not step > 0 or (counts_users and not float(step).is_integer()):
+        kind = "a positive whole number" if counts_users else "positive"
+        raise BadParams(f"{axis.value} sweep step must be {kind}, got {step!r}")
+
     if axis is SweepAxis.QR_GRID:
-        grid_step = step if step is not None else 0.01
         lo = start if start is not None else prob.epsilon
         hi = stop if stop is not None else 1.0 - prob.epsilon
-        pts = _axis(lo, hi, grid_step)
+        pts = _axis(lo, hi, step)
         rows = []
         for q in pts:
             for r in pts:
@@ -447,26 +456,26 @@ def sweep(
         raise BadParams(f"{axis.value} sweep requires start and stop")
 
     if axis is SweepAxis.N_RANGE:
-        ns = range(int(start), int(stop) + 1, int(step) if step else 1)
+        ns = range(int(start), int(stop) + 1, int(step))
         return [
             {"n": n, **_solution_row(solve_design_problem(replace(prob, n_users=n)))}
             for n in ns
         ]
 
     if axis is SweepAxis.THETA_RANGE:
-        thetas = _axis(start, stop, step if step else 0.01)
+        thetas = _axis(start, stop, step)
         return [
             {"theta": float(t), **_solution_row(solve_design_problem(replace(prob, theta=float(t))))}
             for t in thetas
         ]
 
     if axis is SweepAxis.ETA_RANGE:
-        etas = [float(e) for e in _axis(start, stop, step if step else 0.01)]
+        etas = [float(e) for e in _axis(start, stop, step)]
         return _sweep_eta(prob, etas)
 
     if axis is SweepAxis.NHAT_RANGE:
         rows = []
-        for nhat in range(int(start), int(stop) + 1, int(step) if step else 1):
+        for nhat in range(int(start), int(stop) + 1, int(step)):
             sol = solve_design_problem(replace(prob, n_users=nhat))
             true_params = ProtocolParams(prob.n_users, prob.theta, sol.q_opt, sol.r_opt)
             c = channel_utilization(true_params)

@@ -6,10 +6,11 @@ class BadParams(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """Raised when a linear solve hits a pivot below tolerance.
+    """Raised when a Markov chain has no unique answer.
 
-    Reachable only at boundary protocol parameters (q or r in {0, 1});
-    interior parameters always yield well-conditioned systems.
+    Reachable only at boundary protocol parameters (q or r in {0, 1}); the
+    cases are listed in the critmac.markov module docstring.  Interior
+    parameters always yield a finite answer.
     """
 
 

@@ -19,10 +19,23 @@ by conditioning on the outcome (l, a) of the last normal-phase slot: l other
 transmitters and own action a (T/W).  d(l, a) is the conditional expected
 collision count and v(l, a) the stationary probability of that outcome.
 
-All linear systems are dense and tiny (dimension <= N + 1), solved by LU
-elimination with partial pivoting; a pivot below 1e-12 raises
-SingularSystem, which can occur only at boundary parameters (q, r in
-{0, 1}).
+All linear systems are dense and tiny (dimension <= N + 1) and are solved
+with numpy.linalg.solve.  SingularSystem is raised exactly where a chain has
+no unique answer:
+
+* T_c and D_crit (plain and enhanced) at boundary q or r (0 or 1): an idle
+  or colliding population that never transmits, or colliders that never
+  back off, never reach a success;
+* the hitting times m at r = 1, where 1 - r^k = 0 on the diagonal of
+  I - Q_crit;
+* a stationary distribution of a matrix with more than one absorbing
+  state (the normal chain at r = 1 with N >= 3).  The normal chain at
+  N = 2, r = 1 has the single absorbing state 2 and keeps its unique
+  answer.
+
+Interior points near the boundary are well posed and return the large
+finite value; a LinAlgError or a non-finite solution still raises
+SingularSystem rather than returning garbage.
 """
 
 from __future__ import annotations
@@ -30,12 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import BadParams, SingularSystem
 from .protocol import ProtocolParams
 
-_PIVOT_TOL = 1e-12
 _ROW_SUM_TOL = 1e-12
 
 ACTION_TRANSMIT = "T"
@@ -105,11 +116,14 @@ class DelayDecomposition:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense LU solve with an explicit pivot-magnitude check."""
-    lu, piv = lu_factor(a, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < _PIVOT_TOL:
-        raise SingularSystem("linear system is singular to working tolerance")
-    return lu_solve((lu, piv), b, check_finite=False)
+    """Dense solve of a x = b; an exactly singular or overflowing system raises."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"linear system is singular: {exc}") from None
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("linear system has no finite solution")
+    return x
 
 
 _COMB_CACHE: dict[int, np.ndarray] = {0: np.ones(1)}
@@ -210,9 +224,17 @@ def stationary_distribution(m: TransitionMatrix) -> np.ndarray:
 
     Solved as a linear system with the normalization constraint replacing
     one redundant balance equation (last column of P - I set to ones), which
-    is deterministic and avoids eigen-iteration.
+    is deterministic and avoids eigen-iteration.  Every absorbing state
+    carries a stationary distribution of its own, so a matrix with more than
+    one has no unique answer and raises SingularSystem.
     """
     n = m.dim
+    absorbing = int(np.count_nonzero(np.diag(m.entries) == 1.0))
+    if absorbing > 1:
+        raise SingularSystem(
+            f"chain has {absorbing} absorbing states, so its stationary distribution "
+            "is not unique"
+        )
     a = m.entries - np.eye(n)
     a[:, -1] = 1.0
     b = np.zeros(n)
@@ -226,9 +248,11 @@ def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
 
     Computed as (I - Q_crit)^(-1) e for the transient block of the
     critical-phase chain; requires r < 1 (at r = 1 colliders never back
-    off and the system is singular).
+    off: 1 - r^k = 0 on the diagonal, and SingularSystem is raised).
     """
     _require_analysis_params(params)
+    if params.r == 1.0:
+        raise SingularSystem("r = 1: colliding users never back off, so no hitting time is finite")
     n = params.n_users
     p = build_critical_matrix(params).entries
     q_block = p[1:, 1:]

@@ -223,6 +223,18 @@ class TestSimulate:
         assert data["mean_slots_to_inference"] is None
         assert data["max_slots_to_inference"] is None
 
+    def test_single_user_fails_before_any_round(self, monkeypatch, capsys):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("rounds ran before the analysis column was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_rounds)
+        code = cli.main([
+            "simulate", "--n", "1", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+            "--rounds", "100000",
+        ])
+        assert code == 2
+        assert "BadParams" in capsys.readouterr().err
+
     def test_scenario_requires_enhancement(self):
         proc = run_cli(
             "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
@@ -255,6 +267,22 @@ class TestSweep:
         args = ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1", "--step", "0.25"]
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize(
+        "axis,step",
+        [("qr", "0"), ("qr", "-0.2"), ("n", "0.5"), ("nhat", "0.5"), ("n", "0"),
+         ("eta", "0"), ("eta", "-0.1"), ("theta", "0")],
+    )
+    def test_step_must_be_positive(self, axis, step, capsys):
+        code = cli.main([
+            "sweep", "--axis", axis, "--n", "3", "--theta", "0.1", "--eta", "1",
+            "--from", "0.5" if axis in ("eta", "theta") else "3",
+            "--to", "0.52" if axis in ("eta", "theta") else "4",
+            "--step", step,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams") and len(err.splitlines()) == 1
+
 
 class TestConfigFile:
     def test_config_defaults_and_override(self, tmp_path):
@@ -268,12 +296,33 @@ class TestConfigFile:
         )
         assert data["t_s"] == 2.0
 
+    def test_config_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("n=3\ntheta=0.1\nq=0.3\nr=0.4\nformat=json\n")
+        after = strict_json(run_cli("analyze", "--config", str(cfg)).stdout)
+        assert strict_json(run_cli("--config", str(cfg), "analyze").stdout) == after
+        data = strict_json(run_cli("--config", str(cfg), "analyze", "--theta", "0.5").stdout)
+        assert data["t_s"] == 2.0
+
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("analyze", "--config", str(tmp_path / "absent.conf"), check=False)
         assert_one_line_error(proc, 2)
 
     def test_unreadable_config_file(self, tmp_path):
         proc = run_cli("analyze", "--config", str(tmp_path), check=False)  # a directory
+        assert_one_line_error(proc, 2)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4", "--output"],
+            ["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+             "--rounds", "2", "--trace-output"],
+        ],
+        ids=["output", "trace-output"],
+    )
+    def test_output_path_in_missing_directory(self, tmp_path, args):
+        proc = run_cli(*args, str(tmp_path / "missing" / "x.out"), check=False)
         assert_one_line_error(proc, 2)
 
     def test_output_file(self, tmp_path):
@@ -283,3 +332,12 @@ class TestConfigFile:
             "--format", "json", "--output", str(out_path),
         )
         assert json.loads(out_path.read_text())["t_s"] == 5.0
+
+
+def test_cli_import_leaves_scipy_out():
+    code = (
+        "import sys, critmac.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

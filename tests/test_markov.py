@@ -117,6 +117,38 @@ class TestContentionTime:
             contention_time(ProtocolParams(10, 0.1, q, r))
 
 
+class TestSingularCases:
+    """SingularSystem marks exactly the chains that have no unique answer."""
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_hitting_times_at_r_one(self, n):
+        with pytest.raises(SingularSystem):
+            critical_hitting_times(ProtocolParams(n, 0.1, 0.3, 1.0))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stationary_with_several_absorbing_states(self, n):
+        # at r = 1 every collision state k >= 2 of the normal chain is absorbing
+        with pytest.raises(SingularSystem):
+            stationary_distribution(build_normal_matrix(ProtocolParams(n, 0.1, 0.3, 1.0)))
+
+    def test_stationary_with_one_absorbing_state(self):
+        w = stationary_distribution(build_normal_matrix(ProtocolParams(2, 0.1, 0.3, 1.0)))
+        assert w.tolist() == [0.0, 0.0, 1.0]
+
+    def test_contention_time_near_r_one_is_finite(self):
+        near = contention_time(ProtocolParams(10, 0.1, 0.1, 1 - 1e-13))
+        nearish = contention_time(ProtocolParams(10, 0.1, 0.1, 1 - 1e-10))
+        assert np.isfinite(near) and near > nearish
+
+    @pytest.mark.parametrize(
+        "n,q,r", [(10, 1e-13, 0.4), (10, 0.1, 1 - 1e-13), (50, 0.1, 1 - 1e-12)]
+    )
+    def test_interior_points_near_the_boundary_are_finite(self, n, q, r):
+        p = ProtocolParams(n, 0.1, q, r)
+        for metric in (contention_time, critical_delay, enhanced_critical_delay):
+            assert np.isfinite(metric(p))
+
+
 class TestChannelUtilization:
     @pytest.mark.parametrize(
         "n,theta", [(10, 0.1), (10, 0.5), (3, 0.2)]
