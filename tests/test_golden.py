@@ -5,7 +5,11 @@ writes (the report and, where asked, the per-slot trace).  The digests pin
 the simulator's traces and reports and the design solver's answers byte
 for byte, so a refactor that changes any output byte fails here.  The
 design cases sit at N = 3, theta = 0.1 with one eta per regime
-(infeasible, binding-corner, binding-interior, slack-interior).
+(infeasible, binding-corner, binding-interior, slack-interior), plus an
+unconstrained N = 50 solve, the N = 10 eta = 0.65 solve whose optimum sits
+past the D_crit peak along r = eps, and a (q, r) grid that mixes interior
+points, boundary points (SingularSystem) and out-of-range points
+(BadParams).
 """
 
 from __future__ import annotations
@@ -37,11 +41,21 @@ CASES = {
                          "--format", "csv"], False, 0),
     "optimize-interior": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "1.0",
                            "--format", "csv"], False, 0),
+    "optimize-n10-eta065": (
+        "e37382b5f979b932232c2ebbdbe6b98aca2c31528d0616d2e1f55660a60cf008", None),
+    "optimize-n50": (
+        "40a3ae6cd0e4c1ebcbe923d7d5e3416df2a8ebe007d2c55c063ab5235d871339", None),
     "optimize-slack": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "1.5",
                         "--format", "csv"], False, 0),
     "sweep-eta": (["sweep", "--axis", "eta", "--n", "3", "--theta", "0.1",
                    "--from", "0.5", "--to", "1.3", "--step", "0.4", "--format", "csv"],
                   False, 0),
+    "optimize-n10-eta065": (["optimize", "--n", "10", "--theta", "0.1", "--eta", "0.65",
+                             "--format", "csv"], False, 0),
+    "optimize-n50": (["optimize", "--n", "50", "--theta", "0.1", "--format", "csv"], False, 0),
+    "sweep-qr-boundary": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
+                           "--from", "-0.25", "--to", "1", "--step", "0.25", "--format", "csv"],
+                          False, 0),
 }
 
 # case id -> (report digest, trace digest or None)
@@ -52,6 +66,10 @@ GOLDEN = {
         "68b6d98259eea6c9397ea9788c1e3c3e9493503e205d4666e55aff4403a25cf3", None),
     "optimize-interior": (
         "614943dfab8f0f7931f13c849b0e9c5607437cb483e173feca93954c6b119301", None),
+    "optimize-n10-eta065": (
+        "e37382b5f979b932232c2ebbdbe6b98aca2c31528d0616d2e1f55660a60cf008", None),
+    "optimize-n50": (
+        "40a3ae6cd0e4c1ebcbe923d7d5e3416df2a8ebe007d2c55c063ab5235d871339", None),
     "optimize-slack": (
         "bbd7456e30262ee5afb02fe4f47c104fbeb060655df2fb7d0c702ee8c0f9fdec", None),
     "scenario-during-success": (
@@ -68,6 +86,8 @@ GOLDEN = {
         "c0416a3ef4eb098977973d6fbc50285e0e8e44f2f3e0142aca722772dc7b8ce4"),
     "sweep-eta": (
         "4d21d584d40435ce372a590f302aad4b7b42a60e572e12b0c1863214301eb0d2", None),
+    "sweep-qr-boundary": (
+        "23b4b6a78770a514460bf8d43cd985834ae1874d98b3e20489ec43e4a9b9460d", None),
 }
 
 
