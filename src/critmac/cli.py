@@ -358,11 +358,14 @@ def _config_tokens(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            cfg_path = argv[i + 1]
-        except IndexError:
+    i = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if i is not None:
+        # spelled --config PATH (two tokens) or --config=PATH (one)
+        _, eq, cfg_path = argv[i].partition("=")
+        end = i + 1
+        if not eq and i + 1 < len(argv):
+            cfg_path, end = argv[i + 1], i + 2
+        if not cfg_path:
             print("error: --config needs a path", file=sys.stderr)
             return EXIT_BAD_ARGS
         try:
@@ -373,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         # with --config and its path taken out, the subcommand name comes first
         # (wherever --config stood); the file's flags go right after it, so
         # explicit flags, parsed later, override them
-        argv = argv[:i] + argv[i + 2:]
+        argv = argv[:i] + argv[end:]
         argv = argv[:1] + tokens + argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)

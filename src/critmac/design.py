@@ -9,13 +9,17 @@ across fairness levels.
 Every search is one routine, `_search`: a grid scan of a box followed by two
 local refinement passes (step divided by 10 each) around the incumbent.  It
 serves the whole square (coarse step 0.01) and each of the edges r = eps and
-q = eps, as a box with one side pinned to eps.  The objective costs one small
-linear solve per point, so grid search beats gradient machinery here.  For
-binding solutions a final 1-D bisection along the local utilization gradient
-lands the solution on the constraint curve to |D_crit - eta| <= 0.005.  Ties
-within 1e-9 break toward smaller q, then smaller r.  One memoizing evaluator
-per (N, theta) serves the unconstrained solve, the constrained solve and
-every eta of an eta sweep, so no (q, r) point is solved twice.
+q = eps, as a box with one side pinned to eps.  Each scan first solves
+every grid point it lacks in stacks (`markov.contention_times`, and
+`markov.critical_delays` when a feasibility test applies), then walks the
+grid over the stored values, so grid search beats gradient machinery here.
+For binding solutions a final 1-D bisection along the local utilization
+gradient lands the solution on the constraint curve to
+|D_crit - eta| <= 0.005; it, the edge bisections and the polish solve one
+point at a time.  Ties within 1e-9 break toward smaller q, then smaller r.
+One memoizing evaluator per (N, theta) serves the unconstrained solve, the
+constrained solve and every eta of an eta sweep, so no (q, r) point is
+solved twice.
 
 The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
@@ -41,7 +45,9 @@ from .errors import BadParams, SingularSystem
 from .markov import (
     channel_utilization,
     contention_time,
+    contention_times,
     critical_delay,
+    critical_delays,
 )
 from .protocol import ProtocolParams
 
@@ -100,7 +106,12 @@ class DesignSolution:
 
 
 class _Evaluator:
-    """Memoized metric evaluation for one (N, theta)."""
+    """Memoized metric evaluation for one (N, theta).
+
+    `fill` solves the points of a grid in stacks; `tc` and `d_crit` read the
+    memo and solve a point they do not find on its own, which also gives
+    the error of a point the stacks leave NaN.
+    """
 
     def __init__(self, n_users: int, theta: float):
         self.n_users = n_users
@@ -110,6 +121,21 @@ class _Evaluator:
 
     def params(self, q: float, r: float) -> ProtocolParams:
         return ProtocolParams(self.n_users, self.theta, q, r)
+
+    def fill(self, qs: list[float], rs: list[float], delay: bool) -> None:
+        """Solve T_c, and D_crit when `delay`, at every point of qs x rs not yet known."""
+        grid = [(q, r) for q in qs for r in rs]
+        self._fill(self._tc, contention_times, grid)
+        if delay:
+            self._fill(self._d, critical_delays, grid)
+
+    def _fill(self, memo: dict, solve_points, grid: list[tuple[float, float]]) -> None:
+        todo = [key for key in dict.fromkeys(grid) if key not in memo]
+        if not todo:
+            return
+        qs, rs = zip(*todo)
+        values = solve_points(self.n_users, self.theta, qs, rs).tolist()
+        memo.update((key, v) for key, v in zip(todo, values) if not math.isnan(v))
 
     def tc(self, q: float, r: float) -> float:
         key = (q, r)
@@ -135,12 +161,14 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _argmin_tc(
     ev: _Evaluator,
-    qs: Iterable[float],
-    rs: Iterable[float],
+    qs: np.ndarray,
+    rs: np.ndarray,
     feasible: Callable[[float, float], bool] | None,
     incumbent: tuple[float, float, float] | None,
 ) -> tuple[float, float, float] | None:
     """Scan a grid for the smallest T_c; strict-improvement keeps ties at small (q, r)."""
+    qs, rs = qs.tolist(), rs.tolist()
+    ev.fill(qs, rs, delay=feasible is not None)
     best = incumbent
     for q in qs:
         for r in rs:
@@ -426,7 +454,9 @@ def sweep(
     true n_users, flagging delay-constraint violations.
 
     A given step must be positive, and a whole number on the N_RANGE and
-    NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
+    NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).  start and
+    stop must be finite with start <= stop (on QR_GRID after they default
+    to eps and 1 - eps).
     """
     counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
     if step is None:
@@ -436,24 +466,28 @@ def sweep(
         raise BadParams(f"{axis.value} sweep step must be {kind}, got {step!r}")
 
     if axis is SweepAxis.QR_GRID:
-        lo = start if start is not None else prob.epsilon
-        hi = stop if stop is not None else 1.0 - prob.epsilon
-        pts = _axis(lo, hi, step)
+        start = start if start is not None else prob.epsilon
+        stop = stop if stop is not None else 1.0 - prob.epsilon
+    elif start is None or stop is None:
+        raise BadParams(f"{axis.value} sweep requires start and stop")
+    if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+        raise BadParams(f"{axis.value} sweep needs finite start <= stop, got {start!r} and {stop!r}")
+
+    if axis is SweepAxis.QR_GRID:
+        pts = _axis(start, stop, step).tolist()
+        ev = _Evaluator(prob.n_users, prob.theta)
+        ev.fill(pts, pts, delay=True)
         rows = []
         for q in pts:
             for r in pts:
-                row = {"q": float(q), "r": float(r), "c_norm": None, "d_crit": None, "error": ""}
+                row = {"q": q, "r": r, "c_norm": None, "d_crit": None, "error": ""}
                 try:
-                    params = ProtocolParams(prob.n_users, prob.theta, float(q), float(r))
-                    row["c_norm"] = channel_utilization(params)
-                    row["d_crit"] = critical_delay(params)
+                    row["c_norm"] = ev.c_norm(q, r)
+                    row["d_crit"] = ev.d_crit(q, r)
                 except (SingularSystem, BadParams) as exc:
                     row["error"] = type(exc).__name__
                 rows.append(row)
         return rows
-
-    if start is None or stop is None:
-        raise BadParams(f"{axis.value} sweep requires start and stop")
 
     if axis is SweepAxis.N_RANGE:
         ns = range(int(start), int(stop) + 1, int(step))

@@ -19,9 +19,13 @@ by conditioning on the outcome (l, a) of the last normal-phase slot: l other
 transmitters and own action a (T/W).  d(l, a) is the conditional expected
 collision count and v(l, a) the stationary probability of that outcome.
 
-All linear systems are dense and tiny (dimension <= N + 1) and are solved
-with numpy.linalg.solve.  SingularSystem is raised exactly where a chain has
-no unique answer:
+All linear systems are dense and small (dimension <= N + 1) and are solved
+with numpy.linalg.solve, on stacks of matrices: `contention_times` and
+`critical_delays` build the chains of many (q, r) points of one (N, theta)
+as (points, dim, dim) arrays of about _STACK_ELEMENTS floats and solve each
+system once per stack.  The one-point functions are the same code on a
+stack of one, so both give the same bits at every point.  SingularSystem is
+raised exactly where a chain has no unique answer:
 
 * T_c and D_crit (plain and enhanced) at boundary q or r (0 or 1): an idle
   or colliding population that never transmits, or colliders that never
@@ -35,7 +39,10 @@ no unique answer:
 
 Interior points near the boundary are well posed and return the large
 finite value; a LinAlgError or a non-finite solution still raises
-SingularSystem rather than returning garbage.
+SingularSystem rather than returning garbage.  The stacked functions never
+raise for a point: they return NaN where the one-point function would
+raise (and for every point of a stack holding an exactly singular system),
+so a caller asks the one-point function for that point's error.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ from .errors import BadParams, SingularSystem
 from .protocol import ProtocolParams
 
 _ROW_SUM_TOL = 1e-12
+# float64 entries per stacked (points, dim, dim) array: 1 MB
+_STACK_ELEMENTS = 2 ** 17
 
 ACTION_TRANSMIT = "T"
 ACTION_WAIT = "W"
@@ -71,10 +80,7 @@ class TransitionMatrix:
             raise BadParams(f"transition matrix must be square, got shape {e.shape}")
         if len(self.states) != e.shape[0]:
             raise BadParams("state labels do not match matrix dimension")
-        if np.any(e < -0.0) or np.any(e > 1.0 + 1e-15):
-            raise BadParams("transition probabilities must lie in [0, 1]")
-        if np.max(np.abs(e.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise BadParams("rows of a transition matrix must sum to 1")
+        _check_stochastic(e)
 
     @property
     def dim(self) -> int:
@@ -112,18 +118,42 @@ class DelayDecomposition:
 
     def delay(self) -> float:
         """Contract the tables: sum of v(l, a) * d(l, a)."""
-        return float(sum(self.v_table[key] * self.d_table[key] for key in self.v_table))
+        return float(_contract(self.v_table, self.d_table))
+
+
+def _contract(v_table: dict, d_table: dict):
+    """Sum of v(l, a) * d(l, a), added in v's key order (floats or per-point arrays)."""
+    return sum(v_table[key] * d_table[key] for key in v_table)
+
+
+def _check_stochastic(entries: np.ndarray) -> None:
+    """Entries in [0, 1] and rows summing to 1, for one matrix or a stack of them."""
+    if np.any(entries < -0.0) or np.any(entries > 1.0 + 1e-15):
+        raise BadParams("transition probabilities must lie in [0, 1]")
+    if np.max(np.abs(entries.sum(axis=-1) - 1.0)) > _ROW_SUM_TOL:
+        raise BadParams("rows of a transition matrix must sum to 1")
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve of a x = b; an exactly singular or overflowing system raises."""
+    """Solve a[i] x[i] = b for every system of the stack a.
+
+    An exactly singular system raises SingularSystem for the whole stack; a
+    system whose solution is not finite gets NaN in every entry of it.
+    """
+    rhs = np.broadcast_to(b[:, None], (*a.shape[:-1], 1))
     try:
-        x = np.linalg.solve(a, b)
+        x = np.linalg.solve(a, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"linear system is singular: {exc}") from None
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("linear system has no finite solution")
+    x[~np.all(np.isfinite(x), axis=-1)] = np.nan
     return x
+
+
+def _single(x: np.ndarray) -> np.ndarray:
+    """The answer of a stack of one system; a solution that is not finite raises."""
+    if np.isnan(x).any():
+        raise SingularSystem("linear system has no finite solution")
+    return x[0]
 
 
 _COMB_CACHE: dict[int, np.ndarray] = {0: np.ones(1)}
@@ -141,10 +171,21 @@ def _comb_row(n: int) -> np.ndarray:
     return _COMB_CACHE[n]
 
 
-def binomial_pmf(n: int, p: float) -> np.ndarray:
-    """The Binomial(n, p) probability row over 0..n successes."""
+def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """p^j and (1 - p)^j for j = 0..n, one row per entry of p."""
     j = np.arange(n + 1)
-    return _comb_row(n) * np.power(p, j) * np.power(1.0 - p, n - j)
+    p = np.asarray(p, dtype=float)[..., None]
+    return np.power(p, j), np.power(1.0 - p, j)
+
+
+def _binomial(k: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Binomial(k, p) rows from the powers of p: C(k, j) p^j (1 - p)^(k - j), j = 0..k."""
+    return _comb_row(k) * up[..., : k + 1] * down[..., k::-1]
+
+
+def binomial_pmf(n: int, p) -> np.ndarray:
+    """The Binomial(n, p) probability row over 0..n successes, one row per entry of p."""
+    return _binomial(n, *_powers(n, p))
 
 
 def _require_analysis_params(params: ProtocolParams) -> None:
@@ -161,6 +202,28 @@ def _require_interior(params: ProtocolParams) -> None:
         )
 
 
+def _normal_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """Normal-phase chains of the points (qs[i], rs[i]), as a (points, N+1, N+1) stack."""
+    p = np.zeros((len(qs), n + 1, n + 1))
+    p[:, 0, :] = binomial_pmf(n, qs)
+    p[:, 1, 0] = theta
+    p[:, 1, 1] = 1.0 - theta
+    up, down = _powers(n, rs)
+    for k in range(2, n + 1):
+        p[:, k, : k + 1] = _binomial(k, up, down)
+    return p
+
+
+def _critical_stack(n: int, rs: np.ndarray) -> np.ndarray:
+    """Critical-phase chains of the retransmission probabilities rs, as a (points, N, N) stack."""
+    p = np.zeros((len(rs), n, n))
+    p[:, 0, 0] = 1.0
+    up, down = _powers(n - 1, rs)
+    for k in range(1, n):
+        p[:, k, : k + 1] = _binomial(k, up, down)
+    return p
+
+
 def build_normal_matrix(params: ProtocolParams) -> TransitionMatrix:
     """Normal-phase chain over states 0..N (simultaneous transmissions).
 
@@ -171,12 +234,7 @@ def build_normal_matrix(params: ProtocolParams) -> TransitionMatrix:
     """
     _require_analysis_params(params)
     n = params.n_users
-    p = np.zeros((n + 1, n + 1))
-    p[0, :] = binomial_pmf(n, params.q)
-    p[1, 0] = params.theta
-    p[1, 1] = 1.0 - params.theta
-    for k in range(2, n + 1):
-        p[k, : k + 1] = binomial_pmf(k, params.r)
+    p = _normal_stack(n, params.theta, [params.q], [params.r])[0]
     return TransitionMatrix(p, tuple(range(n + 1)))
 
 
@@ -189,11 +247,16 @@ def build_critical_matrix(params: ProtocolParams) -> TransitionMatrix:
     """
     _require_analysis_params(params)
     n = params.n_users
-    p = np.zeros((n, n))
-    p[0, 0] = 1.0
-    for k in range(1, n):
-        p[k, : k + 1] = binomial_pmf(k, params.r)
-    return TransitionMatrix(p, tuple(range(n)))
+    return TransitionMatrix(_critical_stack(n, [params.r])[0], tuple(range(n)))
+
+
+def _contention_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """T_c at each point of a stack: entry 0 of (I - Q_norm)^-1 e."""
+    p = _normal_stack(n, theta, qs, rs)
+    _check_stochastic(p)
+    a = np.delete(np.delete(p, 1, axis=1), 1, axis=2)  # Q_norm: state 1 removed
+    np.subtract(np.eye(n), a, out=a)
+    return _solve(a, np.ones(n))[:, 0]
 
 
 def contention_time(params: ProtocolParams) -> float:
@@ -206,17 +269,28 @@ def contention_time(params: ProtocolParams) -> float:
     column 1.
     """
     _require_interior(params)
-    n = params.n_users
-    p = build_normal_matrix(params).entries
-    keep = [0] + list(range(2, n + 1))
-    q_block = p[np.ix_(keep, keep)]
-    x = _solve(np.eye(n) - q_block, np.ones(n))
-    return float(x[0])
+    return float(_single(_contention_stack(params.n_users, params.theta, [params.q], [params.r])))
 
 
 def channel_utilization(params: ProtocolParams) -> float:
     """Normal-phase utilization C_norm = 1 / (theta * T_c + 1)."""
     return 1.0 / (params.theta * contention_time(params) + 1.0)
+
+
+def _stationary_solve(p: np.ndarray) -> np.ndarray:
+    """Stationary distribution of each matrix of a stack; see stationary_distribution."""
+    absorbing = np.count_nonzero(np.diagonal(p, axis1=-2, axis2=-1) == 1.0, axis=-1).max()
+    if absorbing > 1:
+        raise SingularSystem(
+            f"chain has {absorbing} absorbing states, so its stationary distribution "
+            "is not unique"
+        )
+    n = p.shape[-1]
+    a = p - np.eye(n)
+    a[..., -1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return _solve(np.swapaxes(a, -1, -2), b)
 
 
 def stationary_distribution(m: TransitionMatrix) -> np.ndarray:
@@ -228,19 +302,13 @@ def stationary_distribution(m: TransitionMatrix) -> np.ndarray:
     carries a stationary distribution of its own, so a matrix with more than
     one has no unique answer and raises SingularSystem.
     """
-    n = m.dim
-    absorbing = int(np.count_nonzero(np.diag(m.entries) == 1.0))
-    if absorbing > 1:
-        raise SingularSystem(
-            f"chain has {absorbing} absorbing states, so its stationary distribution "
-            "is not unique"
-        )
-    a = m.entries - np.eye(n)
-    a[:, -1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    w = _solve(a.T, b)
-    return w
+    return _single(_stationary_solve(m.entries[None]))
+
+
+def _hitting_solve(p: np.ndarray) -> np.ndarray:
+    """Hitting times m of each critical chain of a stack: (I - Q_crit)^-1 e."""
+    n = p.shape[-1]
+    return _solve(np.eye(n - 1) - p[:, 1:, 1:], np.ones(n - 1))
 
 
 def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
@@ -253,10 +321,31 @@ def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
     _require_analysis_params(params)
     if params.r == 1.0:
         raise SingularSystem("r = 1: colliding users never back off, so no hitting time is finite")
-    n = params.n_users
     p = build_critical_matrix(params).entries
-    q_block = p[1:, 1:]
-    return _solve(np.eye(n - 1) - q_block, np.ones(n - 1))
+    return _single(_hitting_solve(p[None]))
+
+
+def _delay_tables(
+    n: int, theta: float, qs: np.ndarray, m: np.ndarray, w: np.ndarray
+) -> tuple[dict, dict]:
+    """d(l, a) and v(l, a) of every point of a stack, each entry an array over the points.
+
+    m is the (points, N-1) stack of hitting times and w the (points, N+1)
+    stack of stationary distributions; see delay_decomposition.
+    """
+    d: dict[tuple[int, str], np.ndarray] = {}
+    d[(0, ACTION_TRANSMIT)] = np.zeros(len(qs))
+    d[(0, ACTION_WAIT)] = np.sum(binomial_pmf(n - 1, qs)[:, 1:] * m, axis=-1)
+    d[(1, ACTION_TRANSMIT)] = m[:, 0] - 1.0
+    d[(1, ACTION_WAIT)] = (1.0 - theta) * m[:, 0]
+    for l in range(2, n):
+        d[(l, ACTION_TRANSMIT)] = d[(l, ACTION_WAIT)] = m[:, l - 1] - 1.0
+
+    v: dict[tuple[int, str], np.ndarray] = {}
+    for l in range(n):
+        v[(l, ACTION_TRANSMIT)] = (l + 1) / n * w[:, l + 1]
+        v[(l, ACTION_WAIT)] = (n - l) / n * w[:, l]
+    return d, v
 
 
 def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDecomposition:
@@ -281,22 +370,13 @@ def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDeco
     if len(w_norm) != n + 1:
         raise BadParams(f"w_norm must have length n_users + 1 = {n + 1}, got {len(w_norm)}")
     m = critical_hitting_times(params)
-    theta, q = params.theta, params.q
-
-    d: dict[tuple[int, str], float] = {}
-    d[(0, ACTION_TRANSMIT)] = 0.0
-    d[(0, ACTION_WAIT)] = float(np.sum(binomial_pmf(n - 1, q)[1:] * m))
-    d[(1, ACTION_TRANSMIT)] = float(m[0] - 1.0)
-    d[(1, ACTION_WAIT)] = float((1.0 - theta) * m[0])
-    for l in range(2, n):
-        d[(l, ACTION_TRANSMIT)] = float(m[l - 1] - 1.0)
-        d[(l, ACTION_WAIT)] = float(m[l - 1] - 1.0)
-
-    v: dict[tuple[int, str], float] = {}
-    for l in range(n):
-        v[(l, ACTION_TRANSMIT)] = (l + 1) / n * float(w_norm[l + 1])
-        v[(l, ACTION_WAIT)] = (n - l) / n * float(w_norm[l])
-    return DelayDecomposition(d_table=d, v_table=v, m_vector=m)
+    d, v = _delay_tables(n, params.theta, np.array([params.q]), m[None],
+                         np.asarray(w_norm, dtype=float)[None])
+    return DelayDecomposition(
+        d_table={key: float(val[0]) for key, val in d.items()},
+        v_table={key: float(val[0]) for key, val in v.items()},
+        m_vector=m,
+    )
 
 
 def critical_delay(params: ProtocolParams) -> float:
@@ -308,6 +388,59 @@ def critical_delay(params: ProtocolParams) -> float:
     _require_interior(params)
     w = stationary_distribution(build_normal_matrix(params))
     return delay_decomposition(params, w).delay()
+
+
+def _delay_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """D_crit at each point of a stack, as critical_delay computes it point by point."""
+    p = _normal_stack(n, theta, qs, rs)
+    _check_stochastic(p)
+    w = _stationary_solve(p)
+    c = _critical_stack(n, rs)
+    _check_stochastic(c)
+    m = _hitting_solve(c)
+    d, v = _delay_tables(n, theta, qs, m, w)
+    return _contract(v, d)
+
+
+def _by_stacks(solve_stack, n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """solve_stack over the interior points of (qs, rs), one stack of points at a time.
+
+    Points with q or r outside (0, 1), and every point of a stack that
+    raises, are left NaN.
+    """
+    _require_analysis_params(ProtocolParams(n_users, theta, 0.0, 0.0))  # N and theta checks
+    qs = np.asarray(qs, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    out = np.full(len(qs), np.nan)
+    inside = np.flatnonzero((qs > 0.0) & (qs < 1.0) & (rs > 0.0) & (rs < 1.0))
+    size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
+    for start in range(0, len(inside), size):
+        idx = inside[start : start + size]
+        try:
+            out[idx] = solve_stack(n_users, theta, qs[idx], rs[idx])
+        except (BadParams, SingularSystem):
+            pass  # each of these points is left to the one-point function
+    return out
+
+
+def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """T_c at every point (qs[i], rs[i]) of one (N, theta), solved in stacks.
+
+    Each value has the bits contention_time gives at that point.  NaN marks
+    a point where contention_time raises (q or r not strictly inside (0, 1),
+    or no finite solution) and every point of a stack holding an exactly
+    singular system; contention_time gives such a point's answer.
+    """
+    return _by_stacks(_contention_stack, n_users, theta, qs, rs)
+
+
+def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """D_crit at every point (qs[i], rs[i]) of one (N, theta), solved in stacks.
+
+    Each value has the bits critical_delay gives at that point; NaN marks
+    points as in contention_times, and critical_delay answers them.
+    """
+    return _by_stacks(_delay_stack, n_users, theta, qs, rs)
 
 
 def enhanced_critical_delay(params: ProtocolParams) -> float:

@@ -283,6 +283,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: BadParams") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "axis,start,stop",
+        [("qr", "0.9", "0.1"), ("n", "12", "8"), ("nhat", "12", "8"),
+         ("theta", "0.5", "0.2"), ("eta", "1.4", "0.9"),
+         ("qr", "nan", "0.5"), ("qr", "0.1", "inf"), ("n", "3", "inf"), ("eta", "nan", "1")],
+    )
+    def test_reversed_or_unbounded_range_is_rejected(self, axis, start, stop, capsys):
+        code = cli.main([
+            "sweep", "--axis", axis, "--n", "3", "--theta", "0.1", "--eta", "1",
+            "--from", start, "--to", stop,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: BadParams") and len(captured.err.splitlines()) == 1
+
+    def test_reversed_qr_range_against_the_default_stop(self, capsys):
+        # --from alone above the default stop 1 - epsilon is reversed too
+        code = cli.main(["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1", "--from", "0.995"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: BadParams")
+
 
 class TestConfigFile:
     def test_config_defaults_and_override(self, tmp_path):
@@ -303,6 +325,21 @@ class TestConfigFile:
         assert strict_json(run_cli("--config", str(cfg), "analyze").stdout) == after
         data = strict_json(run_cli("--config", str(cfg), "analyze", "--theta", "0.5").stdout)
         assert data["t_s"] == 2.0
+
+    def test_config_with_equals_sign(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("n=3\ntheta=0.1\nq=0.3\nr=0.4\nformat=json\n")
+        separate = strict_json(run_cli("analyze", "--config", str(cfg)).stdout)
+        # the format= line takes effect: the output is JSON, not a table
+        assert strict_json(run_cli("analyze", f"--config={cfg}").stdout) == separate
+        assert strict_json(run_cli(f"--config={cfg}", "analyze").stdout) == separate
+        data = strict_json(run_cli("analyze", f"--config={cfg}", "--theta", "0.5").stdout)
+        assert data["t_s"] == 2.0
+
+    @pytest.mark.parametrize("spelling", [["--config="], ["--config"]])
+    def test_config_without_path(self, spelling):
+        proc = run_cli("analyze", *spelling, check=False)
+        assert_one_line_error(proc, 2)
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("analyze", "--config", str(tmp_path / "absent.conf"), check=False)

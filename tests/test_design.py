@@ -166,18 +166,30 @@ ETAS_N3 = [0.15, 0.55, 0.95, 1.35]  # infeasible, corner, interior, slack
 
 @pytest.fixture(scope="module")
 def counted_n3():
-    """The N=3 eta sweep and the per-eta solves, with every T_c/D_crit solve recorded."""
+    """The N=3 eta sweep and the per-eta solves, with every T_c/D_crit solve recorded.
+
+    A point counts once per metric, whether a stacked fill or a one-point
+    call solves it.
+    """
     calls: list = []
 
-    def counted(fn):
+    def counted(fn, metric):
         def wrapper(params):
-            calls.append((fn.__name__, params.q, params.r))
+            calls.append((metric, params.q, params.r))
             return fn(params)
         return wrapper
 
+    def counted_stacks(fn, metric):
+        def wrapper(n_users, theta, qs, rs):
+            calls.extend((metric, float(q), float(r)) for q, r in zip(qs, rs))
+            return fn(n_users, theta, qs, rs)
+        return wrapper
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("contention_time", "critical_delay"):
-            mp.setattr(design, name, counted(getattr(design, name)))
+        for metric, one, stacked in (("t_c", "contention_time", "contention_times"),
+                                     ("d_crit", "critical_delay", "critical_delays")):
+            mp.setattr(design, one, counted(getattr(design, one), metric))
+            mp.setattr(design, stacked, counted_stacks(getattr(design, stacked), metric))
         rows = sweep(DesignProblem(3, 0.1), SweepAxis.ETA_RANGE, start=0.15, stop=1.35, step=0.4)
         sweep_calls = list(calls)
         solves = []
@@ -191,6 +203,8 @@ class TestSharedEvaluator:
     def test_sweep_solves_each_point_once(self, counted_n3):
         _, calls, _ = counted_n3
         assert calls and len(calls) == len(set(calls))
+        # the coarse 99 x 99 grid goes through the stacked fill
+        assert len(calls) > 99 * 99
 
     def test_optimize_solves_each_point_once(self, counted_n3):
         _, _, solves = counted_n3

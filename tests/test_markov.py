@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import critmac.markov as markov
 from critmac import (
     BadParams,
     ProtocolParams,
@@ -284,3 +286,92 @@ class TestEvaluateMetrics:
         assert evaluate_metrics(p, enhanced=True).d_crit == pytest.approx(
             enhanced_critical_delay(p), abs=1e-12
         )
+
+
+# (q, r) strictly inside (0, 1), extremes included, and a moderate range
+# where every chain is well posed
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+MODERATE = st.floats(1e-3, 1.0 - 1e-3)
+POINT_METRICS = ((markov.contention_times, contention_time),
+                 (markov.critical_delays, critical_delay))
+
+
+def point_batches(coordinate):
+    return st.tuples(
+        st.integers(2, 60),
+        st.floats(1e-3, 1.0),
+        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+    )
+
+
+def one_point(metric, n, theta, q, r):
+    """The one-point result, or None where the one-point function raises."""
+    try:
+        return metric(ProtocolParams(n, theta, q, r))
+    except (SingularSystem, BadParams):
+        return None
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestStackedEvaluation:
+    """contention_times/critical_delays against the one-point functions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_batches(UNIT))
+    def test_stacks_equal_one_point_bit_for_bit(self, batch):
+        n, theta, points = batch
+        qs, rs = zip(*points)
+        for stacked, single in POINT_METRICS:
+            got = stacked(n, theta, qs, rs)
+            want = [one_point(single, n, theta, q, r) for q, r in points]
+            for value, expected in zip(got, want):
+                if expected is None:
+                    assert np.isnan(value)
+                elif not np.isnan(value):  # a stack with a singular system is left NaN
+                    assert bits([value]) == bits([expected])
+            if None not in want:
+                assert bits(got) == bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_batches(MODERATE), st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_result_independent_of_order_and_stack_size(self, batch, rng, per_stack):
+        n, theta, points = batch
+        order = list(range(len(points)))
+        rng.shuffle(order)
+        qs, rs = zip(*points)
+        for stacked, _ in POINT_METRICS:
+            whole = stacked(n, theta, qs, rs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(markov, "_STACK_ELEMENTS", per_stack * (n + 1) ** 2)
+                shuffled = stacked(n, theta, [qs[i] for i in order], [rs[i] for i in order])
+            assert bits(shuffled) == bits(whole[order])
+            assert not np.isnan(whole).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_batches(MODERATE),
+           st.lists(st.tuples(st.sampled_from([0.0, 1.0]), MODERATE, st.booleans()),
+                    min_size=1, max_size=4),
+           st.randoms(use_true_random=False))
+    def test_singular_only_at_boundary_points(self, batch, edges, rng):
+        n, theta, points = batch
+        boundary = [(b, m) if q_side else (m, b) for b, m, q_side in edges]
+        mixed = points + boundary
+        rng.shuffle(mixed)
+        qs, rs = zip(*mixed)
+        on_edge = [pt in boundary for pt in mixed]
+        for stacked, single in POINT_METRICS:
+            got = stacked(n, theta, qs, rs)
+            assert np.isnan(got).tolist() == on_edge
+            for (q, r), value, edge in zip(mixed, got, on_edge):
+                if edge:
+                    with pytest.raises(SingularSystem):
+                        single(ProtocolParams(n, theta, q, r))
+                else:
+                    assert bits([value]) == bits([single(ProtocolParams(n, theta, q, r))])
+
+    def test_rejects_single_user(self):
+        with pytest.raises(BadParams):
+            markov.contention_times(1, 0.1, [0.5], [0.5])
