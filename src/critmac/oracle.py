@@ -27,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams
-from .protocol import ProtocolParams
+from .protocol import ProtocolParams, channel_feedback, normal_rule_table
 
 _BATCH = 1 << 17
 _WARMUP_SLOTS = 300
-
-_IDLE, _BUSY, _SUCCESS, _FAILURE = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -64,31 +62,16 @@ def _contention_lengths(params: ProtocolParams, size: int, rng: np.random.Genera
     return length
 
 
-def _obs_table(params: ProtocolParams) -> np.ndarray:
-    return np.array(
-        [params.q, 0.0, 1.0 - params.theta, params.r], dtype=np.float32
-    )
-
-
-def _step_observations(tx: np.ndarray) -> np.ndarray:
-    k = tx.sum(axis=1, keepdims=True)
-    return np.where(
-        tx,
-        np.where(k == 1, _SUCCESS, _FAILURE),
-        np.where(k == 0, _IDLE, _BUSY),
-    ).astype(np.int8)
-
-
 def _critical_collision_counts(
     params: ProtocolParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Warm up the N-user slot process, inject one critical user, count its failures."""
     n = params.n_users
-    table = _obs_table(params)
+    table = normal_rule_table(params).astype(np.float32)
     obs = np.zeros((size, n), dtype=np.int8)
     for _ in range(_WARMUP_SLOTS):
         tx = rng.random((size, n), dtype=np.float32) < table[obs]
-        obs = _step_observations(tx)
+        obs = channel_feedback(tx)
     crit = rng.integers(0, n, size)
     fails = np.zeros(size, dtype=np.int64)
     idx = np.arange(size)
@@ -97,10 +80,10 @@ def _critical_collision_counts(
         p = table[sub]
         p[np.arange(idx.size), crit[idx]] = 1.0
         tx = rng.random(sub.shape, dtype=np.float32) < p
-        k = tx.sum(axis=1)
-        succ = k == 1  # the critical user always transmits, so k==1 is its success
+        k = tx.sum(axis=1, keepdims=True)
+        succ = k[:, 0] == 1  # the critical user always transmits, so k==1 is its success
         fails[idx[~succ]] += 1
-        obs[idx] = _step_observations(tx)
+        obs[idx] = channel_feedback(tx, k)
         idx = idx[~succ]
     return fails
 

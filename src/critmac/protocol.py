@@ -18,13 +18,24 @@ Two extensions are implemented on top of the base family:
 * a two-critical-user mode: a critical user that infers the presence of a
   second critical user switches to the sharing rule ``rule_g`` until its
   critical traffic completes.
+
+The rules exist once, as array lookups over :class:`UserArrays` (the state
+of many users in many rounds, observations as integer codes):
+:func:`transmission_probabilities` and :func:`two_critical_mode_triggers`.
+The one-user functions (:func:`user_transmission_probability`,
+:func:`two_critical_mode_trigger`, :func:`rule_g`,
+:func:`transmission_probability`) are their one-element case.
+:func:`channel_feedback` is the collision channel that the slot engine and
+the oracle share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .errors import BadParams
 
@@ -43,13 +54,15 @@ class TrafficType(Enum):
     CRITICAL = "critical"
 
 
-# The members, bound once: attribute access on an Enum class costs about
-# 0.1 us on CPython 3.11, and the slot engine applies the rules below to
-# every user in every slot.
 IDLE, BUSY, SUCCESS, FAILURE = (
     Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
 )
 NORMAL, CRITICAL = TrafficType.NORMAL, TrafficType.CRITICAL
+
+# Observations as integer codes: OBSERVATIONS[code] is the member.
+IDLE_CODE, BUSY_CODE, SUCCESS_CODE, FAILURE_CODE = 0, 1, 2, 3
+OBSERVATIONS = (IDLE, BUSY, SUCCESS, FAILURE)
+OBSERVATION_CODE = {obs: code for code, obs in enumerate(OBSERVATIONS)}
 
 
 @dataclass(frozen=True)
@@ -125,27 +138,109 @@ class UserState:
     critical_window: list[Observation] = field(default_factory=list)
 
 
+@dataclass
+class UserArrays:
+    """The state of many users as arrays of one shape, e.g. (rounds, users).
+
+    The fields mirror :class:`UserState`, with observations as integer codes
+    and traffic as a critical flag.  ``critical_window`` is replaced by two
+    flags that the slot engine keeps up to date: ``in_phase`` (the user has
+    observed at least one slot of its critical phase, counted from the
+    arrival or from a return to the plain critical rule) and
+    ``success_failure`` (within that span it observed its own success
+    followed by a failure).
+    """
+
+    last: np.ndarray
+    prev: np.ndarray
+    failures: np.ndarray
+    critical: np.ndarray
+    prev_critical: np.ndarray
+    remaining: np.ndarray
+    g_mode: np.ndarray
+    g_observation: np.ndarray
+    yield_after_idle: np.ndarray
+    in_phase: np.ndarray
+    success_failure: np.ndarray
+
+    @classmethod
+    def initial(cls, shape: tuple[int, ...]) -> "UserArrays":
+        """Users that start a round: normal traffic, idle observations."""
+        codes = {"last", "prev", "g_observation"}  # int8 observation codes
+        counts = {"failures", "remaining"}  # int64; the rest are flags
+        return cls(**{
+            f.name: np.zeros(
+                shape, np.int8 if f.name in codes else np.int64 if f.name in counts else bool
+            )
+            for f in fields(cls)
+        })
+
+    @classmethod
+    def of(cls, state: UserState) -> "UserArrays":
+        """One user's state as arrays of shape (1,)."""
+        window = state.critical_window
+        return cls(
+            last=np.array([OBSERVATION_CODE[state.last_observation]], dtype=np.int8),
+            prev=np.array([OBSERVATION_CODE[state.prev_observation]], dtype=np.int8),
+            failures=np.array([state.consecutive_failures]),
+            critical=np.array([state.traffic is CRITICAL]),
+            prev_critical=np.array([state.prev_traffic is CRITICAL]),
+            remaining=np.array([state.critical_remaining]),
+            g_mode=np.array([state.two_crit_mode]),
+            g_observation=np.array([OBSERVATION_CODE[state.g_observation]], dtype=np.int8),
+            yield_after_idle=np.array([state.yield_after_idle]),
+            in_phase=np.array([len(window) >= 2]),
+            success_failure=np.array([any(
+                a is SUCCESS and b is FAILURE for a, b in zip(window[1:], window[2:])
+            )]),
+        )
+
+    def take(self, keep: np.ndarray) -> "UserArrays":
+        """The rows selected by `keep` (a mask or index array over the first axis)."""
+        return UserArrays(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
+
+
+def channel_feedback(tx: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Collision-channel observation codes for transmit flags of shape (rows, users).
+
+    No transmitter: everyone observes idle; one: it observes success and
+    everyone else busy; several: the transmitters observe failure and the
+    rest busy.  ``k`` is the per-row transmitter count, shaped (rows, 1),
+    when the caller already has it.
+    """
+    if k is None:
+        k = tx.sum(axis=1, keepdims=True)
+    t = tx.view(np.int8)
+    # a transmitter: SUCCESS_CODE (2) + 1 if anyone else transmitted;
+    # a listener: IDLE_CODE (0) + 1 if anyone transmitted
+    return (t << 1) + (k > t).view(np.int8)
+
+
+def normal_rule_table(params: ProtocolParams) -> np.ndarray:
+    """The base rule f(y, normal) by observation code y."""
+    return np.array([params.q, 0.0, 1.0 - params.theta, params.r])
+
+
+# rule_g by observation code: transmit after idle or busy, wait after an own
+# success, retransmit with probability 1/2 after a collision
+_RULE_G = np.array([1.0, 1.0, 0.0, 0.5])
+
+
 def transmission_probability(params: ProtocolParams, y: Observation, z: TrafficType) -> float:
     """Base decision rule f(y, z) of the protocol family."""
     if z is CRITICAL:
         return 1.0
-    if y is IDLE:
-        return params.q
-    if y is BUSY:
-        return 0.0
-    if y is SUCCESS:
-        return 1.0 - params.theta
-    return params.r
+    return float(normal_rule_table(params)[OBSERVATION_CODE[y]])
 
 
-def user_transmission_probability(
-    params: ProtocolParams, cfg: EnhancementConfig, state: UserState
-) -> float:
-    """A user's transmission probability in the current slot, from its state.
+def transmission_probabilities(
+    params: ProtocolParams, cfg: EnhancementConfig, users: UserArrays
+) -> np.ndarray:
+    """Every user's transmission probability in the current slot, from its state.
 
     Critical traffic always transmits, or follows ``rule_g`` while the user
     is in the two-critical mode.  When cfg.enabled is set, normal traffic
-    first checks the enhanced waiting rules, in a fixed order:
+    first checks the enhanced waiting rules:
 
     1. wait after observing success then failure,
     2. wait after backoff_bound consecutive failures,
@@ -156,27 +251,26 @@ def user_transmission_probability(
 
     Otherwise the base rule f(last observation, normal) applies.
     """
-    if state.traffic is CRITICAL:
-        return rule_g(state.g_observation) if state.two_crit_mode else 1.0
-    last = state.last_observation
+    last = users.last
+    p = normal_rule_table(params).take(last)
     if cfg.enabled:
-        if state.prev_observation is SUCCESS and last is FAILURE:
-            return 0.0
-        if state.consecutive_failures >= cfg.backoff_bound:
-            return 0.0
-        if cfg.suppress_after_critical and state.prev_traffic is CRITICAL:
-            return 0.0
-        if state.yield_after_idle and last is IDLE:
-            return 0.0
-    return transmission_probability(params, last, NORMAL)
+        wait = users.failures >= cfg.backoff_bound
+        wait |= (last == FAILURE_CODE) & (users.prev == SUCCESS_CODE)
+        if cfg.suppress_after_critical:
+            wait |= users.prev_critical
+        wait |= users.yield_after_idle & (last == IDLE_CODE)
+        p[wait] = 0.0
+    critical = users.critical
+    if critical.any():
+        p = np.where(critical, np.where(users.g_mode, _RULE_G.take(users.g_observation), 1.0), p)
+    return p
 
 
-_RULE_G = {
-    Observation.IDLE: 1.0,
-    Observation.BUSY: 1.0,
-    Observation.SUCCESS: 0.0,
-    Observation.FAILURE: 0.5,
-}
+def user_transmission_probability(
+    params: ProtocolParams, cfg: EnhancementConfig, state: UserState
+) -> float:
+    """One user's transmission probability: :func:`transmission_probabilities` for one."""
+    return float(transmission_probabilities(params, cfg, UserArrays.of(state))[0])
 
 
 def rule_g(y: Observation) -> float:
@@ -186,7 +280,12 @@ def rule_g(y: Observation) -> float:
     probability 1/2 after a collision.  Once one of the two users succeeds,
     this rule makes their actions alternate (T, W)/(W, T) deterministically.
     """
-    return _RULE_G[y]
+    return float(_RULE_G[OBSERVATION_CODE[y]])
+
+
+def two_critical_mode_triggers(cfg: EnhancementConfig, users: UserArrays) -> np.ndarray:
+    """Which critical users infer a second critical user; see :func:`two_critical_mode_trigger`."""
+    return (users.failures >= cfg.backoff_bound + 1) | users.success_failure
 
 
 def two_critical_mode_trigger(
@@ -218,10 +317,5 @@ def two_critical_mode_trigger(
         raise BadParams("two_critical_mode_trigger applies to critical users only")
     if state.two_crit_mode:
         return True
-    if state.consecutive_failures >= cfg.backoff_bound + 1:
-        return True
-    w = history_window
-    for i in range(1, len(w) - 1):
-        if w[i] is SUCCESS and w[i + 1] is FAILURE:
-            return True
-    return False
+    users = UserArrays.of(replace(state, critical_window=list(history_window)))
+    return bool(two_critical_mode_triggers(cfg, users)[0])

@@ -4,14 +4,32 @@ Each round simulates a normal phase of fixed length (all users carrying
 normal traffic, initial observation idle) followed by a critical phase in
 which one user (or two, in the two-critical scenarios) receives critical
 traffic and the round runs until that traffic completes.  Per-slot feedback
-follows the collision-channel rules: no transmitter -> everyone observes
-idle; one transmitter -> it observes success, everyone else busy; several ->
-transmitters observe failure, the rest busy.
+follows the collision-channel rules (:func:`protocol.channel_feedback`): no
+transmitter -> everyone observes idle; one transmitter -> it observes
+success, everyone else busy; several -> transmitters observe failure, the
+rest busy.
+
+Engine: :class:`SlotEngine` steps a batch of rounds in lockstep.  The state
+of every user of every round is a set of ``(rounds, users)`` arrays
+(:class:`protocol.UserArrays`: observation codes, failure counts, critical
+flags and remaining packets, the rule-g memory and the wait owed after a
+shared phase), and one slot is one array rule lookup, one comparison with
+the slot's uniforms, the feedback from each round's transmitter count, and
+masked state updates.  Every round takes one slot per step from its start
+until it ends, so the rounds still running are always at the same slot.
+The round structure (normal phase, the simultaneous scenario's
+collision-free boundary, critical arrivals and the second injection, the
+scenario tail) is applied between steps, to each round separately.  Rounds
+run in batches of as many rounds as fit ``markov._STACK_ELEMENTS`` uniforms
+(2^17 float64), so memory does not grow with the number of rounds.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
-user, traffic lengths, then one uniform per user per slot).  Rounds are
-therefore reproducible independently and in any order.
+user, traffic lengths, then one uniform per user per slot).  The uniforms
+are drawn as ``rng.random((rows, users))`` blocks, which equal that many
+successive ``rng.random(users)`` calls bit for bit; a round that outlasts
+its block draws the next block from its own stream.  Rounds are therefore
+reproducible independently, in any order and in any batch.
 
 Metric estimation from the normal phase:
 
@@ -35,31 +53,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO
+from typing import IO, Sequence
 
 import math
 import numpy as np
 
+from . import markov
 from .errors import BadParams, ScenarioUnsatisfiable
 from .protocol import (
-    BUSY,
     CRITICAL,
-    FAILURE,
-    IDLE,
+    FAILURE_CODE,
+    IDLE_CODE,
     NORMAL,
-    SUCCESS,
+    OBSERVATIONS,
+    SUCCESS_CODE,
     EnhancementConfig,
     Observation,
     ProtocolParams,
     TrafficType,
-    UserState,
-    two_critical_mode_trigger,
-    user_transmission_probability,
+    UserArrays,
+    channel_feedback,
+    transmission_probabilities,
+    two_critical_mode_triggers,
 )
 
 TC_START_MARGIN = 30
 _MAX_CRITICAL_SLOTS = 100_000
 _SCENARIO_TAIL_SLOTS = 3
+_GUARD_SLOTS = 1000
+# rows drawn per round beyond its expected length, and per extra block
+_EXTRA_ROWS = 16
+# a geometric mean above _MAX_CRITICAL_SLOTS / _GEOMETRIC_TAIL would exceed
+# the cap with probability above exp(-_GEOMETRIC_TAIL) per length drawn
+_GEOMETRIC_TAIL = 20
 
 
 class Scenario(Enum):
@@ -83,6 +109,9 @@ class CriticalTrafficModel:
     Under a non-intrusive protocol the delay metrics do not depend on X, so
     the default Fixed(20) only sets trace lengths; Geometric(mean) is
     offered for more realistic traces.  Realized lengths are always >= 1.
+    A critical phase is capped at _MAX_CRITICAL_SLOTS slots, so a fixed
+    length above the cap, or a geometric mean above cap / _GEOMETRIC_TAIL,
+    is rejected.
     """
 
     kind: str
@@ -92,12 +121,23 @@ class CriticalTrafficModel:
     def fixed(length: int) -> "CriticalTrafficModel":
         if length < 1:
             raise BadParams("fixed critical-traffic length must be >= 1")
+        if length > _MAX_CRITICAL_SLOTS:
+            raise BadParams(
+                f"fixed critical-traffic length {length} exceeds the "
+                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+            )
         return CriticalTrafficModel("fixed", float(length))
 
     @staticmethod
     def geometric(mean: float) -> "CriticalTrafficModel":
-        if mean < 1.0:
+        if not mean >= 1.0:
             raise BadParams("geometric critical-traffic mean must be >= 1")
+        if mean * _GEOMETRIC_TAIL > _MAX_CRITICAL_SLOTS:
+            raise BadParams(
+                f"geometric critical-traffic mean {mean} exceeds "
+                f"{_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL}: its lengths would overrun the "
+                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+            )
         return CriticalTrafficModel("geometric", float(mean))
 
     def draw(self, rng: np.random.Generator) -> int:
@@ -121,13 +161,33 @@ class SimConfig:
             raise BadParams("rounds must be >= 1")
         if self.normal_phase_slots < 1:
             raise BadParams("normal_phase_slots must be >= 1")
-        if self.scenario in TWO_CRITICAL_SCENARIOS and self.params.n_users < 2:
+        two_crit = self.scenario in TWO_CRITICAL_SCENARIOS
+        if two_crit and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
         if self.params.r == 1.0 and self.params.n_users >= 2 and not self.enhancement.enabled:
             raise BadParams(
                 "r = 1 needs the enhanced rules: colliding users never back off, "
                 "so a critical phase with a collision never ends"
             )
+        if two_crit and self.traffic_model.kind == "fixed" and (
+            2 * self.traffic_model.value > _MAX_CRITICAL_SLOTS
+        ):
+            raise BadParams(
+                f"two critical lengths of {int(self.traffic_model.value)} slots exceed the "
+                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+            )
+
+
+def _expected_slots(cfg: SimConfig) -> int:
+    """Slots a round is expected to last, plus a margin: its first block of uniforms."""
+    critical_users = 2 if cfg.scenario in TWO_CRITICAL_SCENARIOS else 1
+    critical_slots = critical_users * math.ceil(cfg.traffic_model.value)
+    return cfg.normal_phase_slots + critical_slots + _EXTRA_ROWS
+
+
+def _batch_rounds(cfg: SimConfig) -> int:
+    """Rounds per batch: as many as fit their first blocks of uniforms in the stack budget."""
+    return max(1, markov._STACK_ELEMENTS // (_expected_slots(cfg) * cfg.params.n_users))
 
 
 @dataclass(frozen=True)
@@ -143,12 +203,55 @@ class SlotRecord:
         return sum(self.actions)
 
 
-@dataclass
+# packed per-user cell of a trace: action << 3 | observation code << 1 | critical
+def _pack(tx: np.ndarray, obs: np.ndarray, critical: np.ndarray) -> np.ndarray:
+    return (tx.astype(np.uint8) << 3) | (obs.astype(np.uint8) << 1) | critical
+
+
+@dataclass(eq=False)
 class SlotTrace:
+    """One round's slots as arrays: row t is slot t + 1.
+
+    ``cells`` packs each user's action, observation code and traffic per
+    slot (see :func:`_pack`); ``critical_phase`` marks the critical-phase
+    slots.  :attr:`records` gives the same slots as :class:`SlotRecord`s.
+    """
+
     round_index: int
-    records: list[SlotRecord] = field(default_factory=list)
+    cells: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.uint8))
+    critical_phase: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
     # (slot, event, user); events: critical_arrival, g_entry, g_revert, completion
     events: list[tuple[int, str, int]] = field(default_factory=list)
+
+    @property
+    def actions(self) -> np.ndarray:
+        return (self.cells >> 3).astype(bool)
+
+    @property
+    def observations(self) -> np.ndarray:
+        return (self.cells >> 1) & 3
+
+    @property
+    def records(self) -> list[SlotRecord]:
+        kinds = (NORMAL, CRITICAL)
+        return [
+            SlotRecord(
+                slot=t,
+                phase="critical" if crit else "normal",
+                actions=tuple(acts),
+                observations=tuple(OBSERVATIONS[o] for o in obs),
+                traffic=tuple(kinds[z] for z in traffic),
+            )
+            for t, (crit, acts, obs, traffic) in enumerate(
+                zip(
+                    self.critical_phase.tolist(),
+                    self.actions.tolist(),
+                    self.observations.tolist(),
+                    (self.cells & 1).tolist(),
+                ),
+                1,
+            )
+        ]
 
 
 @dataclass
@@ -166,244 +269,353 @@ class RoundStats:
 
 
 class SlotEngine:
-    """Steps N users through slots, maintaining each user's protocol state.
+    """Steps a batch of rounds in lockstep, one slot of every running round per step.
 
-    The engine owns the per-user states and the feedback bookkeeping; round
-    structure (phase lengths, critical arrivals) is driven from outside via
-    :meth:`set_critical` and :meth:`step`.  Two-critical inference (mode
-    switching to ``rule_g``) runs only when ``two_critical_inference`` is
-    set, which the scenario runner enables; single-critical experiments
-    never evaluate those triggers.
+    ``rngs`` are the rounds' generators, positioned after their per-round
+    draws; the engine draws their uniforms in blocks, the first of
+    ``rows`` slots.  ``rounds`` holds the batch positions of the rounds
+    still running and ``users`` their state, row for row; :meth:`keep`
+    drops rounds that ended.  Round structure (phase lengths, critical
+    arrivals) is driven from outside via :meth:`set_critical` and
+    :meth:`step`.  Two-critical inference (mode switching to ``rule_g``)
+    runs only when ``two_critical_inference`` is set, which the scenario
+    runner enables; single-critical experiments never evaluate those
+    triggers.
     """
 
     def __init__(
         self,
         params: ProtocolParams,
         enhancement: EnhancementConfig,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        rows: int,
         *,
         two_critical_inference: bool = False,
     ):
         self.params = params
         self.enh = enhancement
-        self.rng = rng
+        self.rngs = list(rngs)
         self.two_critical_inference = two_critical_inference
-        self.users = [UserState() for _ in range(params.n_users)]
+        self.rounds = np.arange(len(self.rngs))
+        self.users = UserArrays.initial((len(self.rngs), params.n_users))
         self.slot = 0
-        self.events: list[tuple[int, str, int]] = []
+        self.events: list[list[tuple[int, str, int]]] = [[] for _ in self.rngs]
+        self._rows = rows
+        self._block = np.empty((len(self.rngs), 0, params.n_users))
+        self._block_start = 0
+        self._block_rows: np.ndarray | None = None  # block row of each running round
 
-    def set_critical(self, user: int, packets: int) -> None:
-        """Mark a user critical with `packets` slots of traffic, effective next slot."""
-        u = self.users[user]
-        if packets < 1:
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep running only the rounds where `mask` (over the running rounds) is set."""
+        self.rounds = self.rounds[mask]
+        self.users = self.users.take(mask)
+        rows = np.arange(len(mask)) if self._block_rows is None else self._block_rows
+        self._block_rows = rows[mask]
+
+    def set_critical(self, at: np.ndarray, users: np.ndarray, packets: np.ndarray) -> None:
+        """Give user users[j] of running round at[j] critical traffic, effective next slot."""
+        s = self.users
+        if np.any(packets < 1):
             raise BadParams("critical traffic needs at least one packet")
-        if u.traffic is CRITICAL:
-            raise BadParams(f"user {user} is already critical")
-        u.traffic = CRITICAL
-        u.critical_remaining = packets
-        u.critical_window = [u.last_observation]
-        self.events.append((self.slot + 1, "critical_arrival", user))
+        if np.any(s.critical[at, users]):
+            raise BadParams("a user that is already critical received critical traffic")
+        s.critical[at, users] = True
+        s.remaining[at, users] = packets
+        s.in_phase[at, users] = False
+        s.success_failure[at, users] = False
+        for j, u in zip(self.rounds[at].tolist(), users.tolist()):
+            self.events[j].append((self.slot + 1, "critical_arrival", u))
 
-    def step(self, phase: str = "normal") -> SlotRecord:
+    def _uniforms(self) -> np.ndarray:
+        row = self.slot - self._block_start
+        if row >= self._block.shape[1]:
+            n = self.params.n_users
+            left = self._rows - self.slot
+            rows = left if left > 0 else _EXTRA_ROWS
+            rows = max(1, min(rows, markov._STACK_ELEMENTS // (len(self.rounds) * n)))
+            self._block = np.empty((len(self.rounds), rows, n))
+            for j, r in enumerate(self.rounds.tolist()):
+                self.rngs[r].random(out=self._block[j])
+            self._block_start, self._block_rows, row = self.slot, None, 0
+        if self._block_rows is None:
+            return self._block[:, row]
+        return self._block[self._block_rows, row]
+
+    def step(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every running round one slot; returns (actions, observations, transmitters)."""
+        s = self.users
+        tx = self._uniforms() < transmission_probabilities(self.params, self.enh, s)
+        k = tx.sum(axis=1)
+        obs = channel_feedback(tx, k[:, None])
         self.slot += 1
-        users = self.users
-        n = len(users)
-        draws = self.rng.random(n)
-        params, enh = self.params, self.enh
-        actions = tuple(
-            bool(d < user_transmission_probability(params, enh, u)) for d, u in zip(draws, users)
-        )
-        k = sum(actions)
-        traffic_now = tuple(u.traffic for u in users)
 
-        observations = []
-        completed = []
-        for i, u in enumerate(users):
-            if actions[i]:
-                obs = SUCCESS if k == 1 else FAILURE
-            else:
-                obs = IDLE if k == 0 else BUSY
-            observations.append(obs)
-            u.prev_observation = u.last_observation
-            u.last_observation = obs
-            u.consecutive_failures = (
-                u.consecutive_failures + 1 if obs is FAILURE else 0
-            )
-            if u.two_crit_mode:
-                u.g_observation = obs
-            if u.traffic is CRITICAL:
-                if self.two_critical_inference:
-                    u.critical_window.append(obs)
-                if obs is SUCCESS:
-                    u.critical_remaining -= 1
-                    if u.critical_remaining == 0:
-                        completed.append(i)
-            if (
-                u.yield_after_idle
-                and u.traffic is NORMAL
-                and u.prev_observation is IDLE
-            ):
-                u.yield_after_idle = False  # the owed wait slot was just taken
+        s.prev, s.last = s.last, obs
+        failure = obs == FAILURE_CODE
+        s.failures = (s.failures + 1) * failure
+        critical = s.critical
+        np.copyto(s.prev_critical, critical)
+        if s.yield_after_idle.any():
+            s.yield_after_idle &= critical | (s.prev != IDLE_CODE)
+        if not critical.any():
+            return tx, obs, k
 
-        for u in users:
-            u.prev_traffic = u.traffic
-        for i in completed:
-            u = users[i]
-            if u.two_crit_mode:
-                u.yield_after_idle = True
-            u.traffic = NORMAL
-            u.two_crit_mode = False
-            u.critical_window = []
-            self.events.append((self.slot, "completion", i))
-
+        # only critical users are in g-mode
+        s.g_observation = np.where(s.g_mode, obs, s.g_observation)
         if self.two_critical_inference:
-            for i, u in enumerate(users):
-                if u.traffic is not CRITICAL:
-                    continue
-                if not u.two_crit_mode and two_critical_mode_trigger(u, self.enh, u.critical_window):
-                    u.two_crit_mode = True
-                    u.g_observation = IDLE
-                    self.events.append((self.slot + 1, "g_entry", i))
-                elif (
-                    u.two_crit_mode
-                    and u.prev_observation is SUCCESS
-                    and u.last_observation is IDLE
-                ):
-                    # alternation broke on an idle slot: the partner finished,
-                    # so behave like a fresh critical arrival again
-                    u.two_crit_mode = False
-                    u.consecutive_failures = 0
-                    u.critical_window = [u.last_observation]
-                    self.events.append((self.slot + 1, "g_revert", i))
+            s.success_failure |= critical & s.in_phase & (s.prev == SUCCESS_CODE) & failure
+            s.in_phase |= critical
+        served = critical & (obs == SUCCESS_CODE)
+        s.remaining -= served
+        done = served & (s.remaining == 0)
+        if done.any():
+            s.yield_after_idle |= done & s.g_mode
+            keep = ~done
+            critical &= keep
+            s.g_mode &= keep
+            for r, u in zip(*np.nonzero(done)):
+                self.events[self.rounds[r]].append((self.slot, "completion", int(u)))
 
-        return SlotRecord(
-            slot=self.slot,
-            phase=phase,
-            actions=actions,
-            observations=tuple(observations),
-            traffic=traffic_now,
-        )
+        if self.two_critical_inference and critical.any():
+            g_mode = s.g_mode
+            enter = critical & ~g_mode & two_critical_mode_triggers(self.enh, s)
+            revert = (
+                critical & g_mode & (s.prev == SUCCESS_CODE) & (s.last == IDLE_CODE)
+            )
+            switch = enter | revert
+            if switch.any():
+                # alternation broke on an idle slot: the partner finished, so
+                # a reverting user behaves like a fresh critical arrival again
+                s.g_mode = g_mode ^ switch
+                s.g_observation[enter] = IDLE_CODE
+                s.failures[revert] = 0
+                s.in_phase &= ~revert
+                s.success_failure &= ~revert
+                for r, u in zip(*np.nonzero(switch)):
+                    kind = "g_entry" if enter[r, u] else "g_revert"
+                    self.events[self.rounds[r]].append((self.slot + 1, kind, int(u)))
+        return tx, obs, k
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, round_index))))
 
 
-def _normal_phase_stats(success_flags: list[bool]) -> RoundStats:
-    """Segment the normal phase into runs and contention periods."""
-    stats = RoundStats()
-    w = len(success_flags)
-    stats.normal_slots = w
-    stats.normal_successes = sum(success_flags)
-    stats.ts_trials = sum(success_flags[:-1])
-    stats.ts_stops = sum(
-        1 for t in range(w - 1) if success_flags[t] and not success_flags[t + 1]
+# stages of a round after its normal phase
+_GUARD, _CRITICAL, _TAIL = 0, 1, 2
+
+
+@dataclass
+class _Batch:
+    """A batch of rounds run in lockstep, by position in the batch."""
+
+    indices: list[int]
+    flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
+    critical_slots: np.ndarray    # critical-phase slots per round
+    collisions: np.ndarray        # the first critical user's failures in its critical phase
+    events: list[list[tuple[int, str, int]]]
+    cells: np.ndarray | None      # (slots, rounds, users) packed trace cells, when kept
+    critical_phase: np.ndarray | None  # (slots, rounds)
+    slots: np.ndarray             # slots each round ran
+
+    def trace(self, j: int) -> SlotTrace:
+        if self.cells is None:
+            return SlotTrace(round_index=self.indices[j], events=self.events[j])
+        end = self.slots[j]
+        return SlotTrace(
+            round_index=self.indices[j],
+            cells=self.cells[:end, j],
+            critical_phase=self.critical_phase[:end, j],
+            events=self.events[j],
+        )
+
+
+def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Batch:
+    """Run the rounds `indices` in lockstep: a normal phase, then the scenario's critical phase."""
+    params, scenario = cfg.params, cfg.scenario
+    n, w = params.n_users, cfg.normal_phase_slots
+    two_crit = scenario in TWO_CRITICAL_SCENARIOS
+    simultaneous = scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS
+    if two_crit and not cfg.enhancement.enabled:
+        raise ScenarioUnsatisfiable("two-critical scenarios require the enhanced rules")
+
+    rngs = [_round_rng(cfg.seed, i) for i in indices]
+    size = len(rngs)
+    first = np.empty(size, dtype=np.intp)
+    second = np.empty(size, dtype=np.intp)
+    lengths = np.empty((size, 2), dtype=np.int64)
+    for j, rng in enumerate(rngs):
+        first[j] = rng.integers(n)
+        if two_crit:
+            second[j] = (first[j] + 1 + rng.integers(n - 1)) % n
+            lengths[j] = cfg.traffic_model.draw(rng), cfg.traffic_model.draw(rng)
+        else:
+            lengths[j, 0] = cfg.traffic_model.draw(rng)
+
+    engine = SlotEngine(
+        params, cfg.enhancement, rngs, _expected_slots(cfg), two_critical_inference=two_crit
     )
-    i = 0
-    while i < w and not success_flags[i]:
-        i += 1  # leading contention has no preceding run: not a contention period
-    while i < w:
-        j = i
-        while j < w and success_flags[j]:
-            j += 1
-        k = j
-        while k < w and not success_flags[k]:
-            k += 1
-        if j < w and k < w:
-            stats.contention_lengths.append(k - j)
-            stats.contention_starts.append(j + 1)  # slots are 1-based
-        i = k
-    return stats
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (rounds, cells, critical)
+    flags = np.empty((size, w), dtype=bool)
+    for t in range(w):
+        tx, obs, k = engine.step()
+        flags[:, t] = k == 1
+        if keep_trace:
+            steps.append((engine.rounds, _pack(tx, obs, engine.users.prev_critical), False))
+
+    stage = np.full(size, _CRITICAL)
+    if simultaneous:
+        # start from a collision-free boundary so both users carry zero
+        # failure counts into the phase (the canonical simultaneous case)
+        stage[k >= 2] = _GUARD
+    # the first critical user's observation that lets the second one arrive
+    trigger = SUCCESS_CODE if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS else FAILURE_CODE
+    injected = np.zeros(size, dtype=bool)
+    stage_slots = np.zeros(size, dtype=np.int64)  # slots run in the current stage
+    collisions = np.zeros(size, dtype=np.int64)
+    critical_slots = np.zeros(size, dtype=np.int64)
+    slots = np.full(size, w, dtype=np.int64)
+
+    def arrive(at: np.ndarray) -> None:
+        """The round structure's critical arrivals, at running rounds `at`."""
+        pos = engine.rounds[at]
+        engine.set_critical(at, first[pos], lengths[pos, 0])
+        if simultaneous:
+            engine.set_critical(at, second[pos], lengths[pos, 1])
+            injected[pos] = True
+
+    arrive(np.flatnonzero(stage == _CRITICAL))
+    last_k = k
+    while True:
+        pos = engine.rounds
+        users = engine.users
+        at = np.arange(len(pos))
+        st = stage[pos]
+        if simultaneous:
+            ready = (st == _GUARD) & (last_k < 2)
+            if ready.any():
+                arrive(np.flatnonzero(ready))
+                stage[pos[ready]] = _CRITICAL
+                stage_slots[pos[ready]] = 0
+                st = stage[pos]
+        elif two_crit:
+            # inject only on an in-phase observation of the first critical user
+            f = first[pos]
+            ready = (
+                (st == _CRITICAL)
+                & ~injected[pos]
+                & users.critical[at, f]
+                & users.in_phase[at, f]
+                & (users.last[at, f] == trigger)
+            )
+            if ready.any():
+                sel = np.flatnonzero(ready)
+                engine.set_critical(sel, second[pos[sel]], lengths[pos[sel], 1])
+                injected[pos[sel]] = True
+        over = (st == _CRITICAL) & ~users.critical.any(axis=1)
+        if two_crit:
+            tail = over & injected[pos]
+            stage[pos[tail]] = _TAIL
+            stage_slots[pos[tail]] = 0
+            over &= ~tail
+            over |= (stage[pos] == _TAIL) & (stage_slots[pos] == _SCENARIO_TAIL_SLOTS)
+        if over.any():
+            slots[pos[over]] = engine.slot
+            engine.keep(~over)
+            last_k = last_k[~over]
+            pos = engine.rounds
+            if not len(pos):
+                break
+            at = np.arange(len(pos))
+        st = stage[pos]
+
+        tx, obs, k = engine.step()
+        last_k = k
+        stage_slots[pos] += 1
+        in_critical = st == _CRITICAL
+        if keep_trace:
+            steps.append((pos, _pack(tx, obs, engine.users.prev_critical), in_critical))
+        crit_pos = pos[in_critical]
+        critical_slots[crit_pos] += 1
+        f = first[pos]
+        collisions[crit_pos] += (tx[at, f] & (obs[at, f] == FAILURE_CODE))[in_critical]
+        if critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS:
+            raise RuntimeError("critical phase failed to terminate")
+        if simultaneous and stage_slots[pos[st == _GUARD]].max(initial=0) > _GUARD_SLOTS:
+            raise RuntimeError("no collision-free boundary found")
+
+    cells = critical_phase = None
+    if keep_trace:
+        cells = np.zeros((len(steps), size, n), dtype=np.uint8)
+        critical_phase = np.zeros((len(steps), size), dtype=bool)
+        for t, (pos, packed, crit) in enumerate(steps):
+            cells[t, pos] = packed
+            critical_phase[t, pos] = crit
+    return _Batch(
+        indices=list(indices),
+        flags=flags,
+        critical_slots=critical_slots,
+        collisions=collisions,
+        events=engine.events,
+        cells=cells,
+        critical_phase=critical_phase,
+        slots=slots,
+    )
+
+
+@dataclass
+class _PhaseStats:
+    """Normal-phase statistics of a batch of rounds (see the module docstring)."""
+
+    successes: np.ndarray
+    trials: np.ndarray
+    stops: np.ndarray
+    period_length: np.ndarray
+    period_start: np.ndarray  # 1-based slot of the period's initial idle slot
+
+
+def _normal_phase_stats(flags: np.ndarray) -> _PhaseStats:
+    """Segment each round's normal phase (a row of success flags) into runs and contention periods.
+
+    A contention period starts in the slot after a success and lasts until
+    the next success; a leading contention has no preceding run, and a
+    trailing one no end, so neither counts.
+    """
+    w = flags.shape[1]
+    stop = flags[:, :-1] & ~flags[:, 1:]
+    resume = ~flags[:, :-1] & flags[:, 1:]
+    rb, jb = np.nonzero(stop)
+    re, ke = np.nonzero(resume)
+    # the first resume after each stop, if one follows in the same round
+    nxt = np.searchsorted(re * w + ke, rb * w + jb)
+    ended = nxt < len(re)
+    rb, jb, nxt = rb[ended], jb[ended], nxt[ended]
+    closed = re[nxt] == rb
+    return _PhaseStats(
+        successes=flags.sum(axis=1),
+        trials=flags[:, :-1].sum(axis=1),
+        stops=stop.sum(axis=1),
+        period_length=(ke[nxt] - jb)[closed],
+        period_start=jb[closed] + 2,
+    )
 
 
 def run_round(
     cfg: SimConfig, round_index: int, *, keep_trace: bool = True
 ) -> tuple[SlotTrace, RoundStats]:
     """Simulate one round: a normal phase, then the scenario's critical phase."""
-    rng = _round_rng(cfg.seed, round_index)
-    n = cfg.params.n_users
-    two_crit = cfg.scenario in TWO_CRITICAL_SCENARIOS
-    if two_crit and not cfg.enhancement.enabled:
-        raise ScenarioUnsatisfiable("two-critical scenarios require the enhanced rules")
-
-    first = int(rng.integers(n))
-    if two_crit:
-        second = int((first + 1 + rng.integers(n - 1)) % n)
-        lengths = (cfg.traffic_model.draw(rng), cfg.traffic_model.draw(rng))
-    else:
-        second = -1
-        lengths = (cfg.traffic_model.draw(rng),)
-
-    engine = SlotEngine(
-        cfg.params, cfg.enhancement, rng, two_critical_inference=two_crit
+    batch = _run_batch(cfg, [round_index], keep_trace)
+    ph = _normal_phase_stats(batch.flags)
+    stats = RoundStats(
+        contention_lengths=ph.period_length.tolist(),
+        contention_starts=ph.period_start.tolist(),
+        normal_successes=int(ph.successes[0]),
+        normal_slots=cfg.normal_phase_slots,
+        ts_trials=int(ph.trials[0]),
+        ts_stops=int(ph.stops[0]),
+        critical_collisions=int(batch.collisions[0]),
+        critical_phase_slots=int(batch.critical_slots[0]),
     )
-    trace = SlotTrace(round_index=round_index)
-    success_flags = []
-    last_transmitters = 0
-    for _ in range(cfg.normal_phase_slots):
-        rec = engine.step("normal")
-        success_flags.append(rec.transmitters == 1)
-        last_transmitters = rec.transmitters
-        if keep_trace:
-            trace.records.append(rec)
-    stats = _normal_phase_stats(success_flags)
-
-    if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
-        # start from a collision-free boundary so both users carry zero
-        # failure counts into the phase (the canonical simultaneous case)
-        guard = 0
-        while last_transmitters >= 2:
-            rec = engine.step("normal")
-            last_transmitters = rec.transmitters
-            if keep_trace:
-                trace.records.append(rec)
-            guard += 1
-            if guard > 1000:
-                raise RuntimeError("no collision-free boundary found")
-
-    engine.set_critical(first, lengths[0])
-    injected = False
-    if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
-        engine.set_critical(second, lengths[1])
-        injected = True
-
-    u_first = engine.users[first]
-    while True:
-        if two_crit and not injected:
-            # inject only on an in-phase observation (critical_window holds the
-            # pre-arrival slot plus one entry per critical-phase slot)
-            in_phase = (
-                u_first.traffic is CRITICAL
-                and len(u_first.critical_window) >= 2
-            )
-            if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
-                ready = in_phase and u_first.last_observation is SUCCESS
-            else:  # during collision
-                ready = in_phase and u_first.last_observation is FAILURE
-            if ready:
-                engine.set_critical(second, lengths[1])
-                injected = True
-        any_critical = any(u.traffic is CRITICAL for u in engine.users)
-        if not any_critical:
-            break
-        rec = engine.step("critical")
-        stats.critical_phase_slots += 1
-        if rec.actions[first] and rec.observations[first] is FAILURE:
-            stats.critical_collisions += 1
-        if keep_trace:
-            trace.records.append(rec)
-        if stats.critical_phase_slots > _MAX_CRITICAL_SLOTS:
-            raise RuntimeError("critical phase failed to terminate")
-        if two_crit and not injected and u_first.traffic is NORMAL:
-            break  # scenario condition never occurred before completion
-
-    if two_crit and injected:
-        for _ in range(_SCENARIO_TAIL_SLOTS):
-            rec = engine.step("normal")
-            if keep_trace:
-                trace.records.append(rec)
-    trace.events = engine.events
-    return trace, stats
+    return batch.trace(0), stats
 
 
 @dataclass(frozen=True)
@@ -436,26 +648,28 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
     the documented trace format (see :func:`write_trace_header`).
     """
     trials = stops = 0
-    tc_samples: list[int] = []
-    all_periods: list[int] = []
+    tc_samples: list[np.ndarray] = []
+    all_periods: list[np.ndarray] = []
     fractions = np.empty(cfg.rounds)
     collisions = np.empty(cfg.rounds)
     margin = cfg.normal_phase_slots - TC_START_MARGIN
     keep_trace = trace_sink is not None
     if keep_trace:
         write_trace_header(trace_sink, cfg.params.n_users)
-    for idx in range(cfg.rounds):
-        trace, st = run_round(cfg, idx, keep_trace=keep_trace)
+    size = _batch_rounds(cfg)
+    for start in range(0, cfg.rounds, size):
+        indices = range(start, min(start + size, cfg.rounds))
+        batch = _run_batch(cfg, indices, keep_trace)
         if keep_trace:
-            write_trace_rows(trace_sink, trace)
-        trials += st.ts_trials
-        stops += st.ts_stops
-        all_periods.extend(st.contention_lengths)
-        tc_samples.extend(
-            ln for ln, s in zip(st.contention_lengths, st.contention_starts) if s <= margin
-        )
-        fractions[idx] = st.normal_successes / st.normal_slots
-        collisions[idx] = st.critical_collisions
+            for j in range(len(indices)):
+                write_trace_rows(trace_sink, batch.trace(j))
+        ph = _normal_phase_stats(batch.flags)
+        trials += int(ph.trials.sum())
+        stops += int(ph.stops.sum())
+        all_periods.append(ph.period_length)
+        tc_samples.append(ph.period_length[ph.period_start <= margin])
+        fractions[indices.start:indices.stop] = ph.successes / cfg.normal_phase_slots
+        collisions[indices.start:indices.stop] = batch.collisions
 
     # T_s = trials/stops inverts the estimated run-stop probability; its SE
     # follows from the binomial variance of the stop count by the delta method.
@@ -466,9 +680,9 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
         if trials and stops
         else math.inf
     )
-    if not tc_samples and all_periods:
-        tc_samples = all_periods  # phase too short for the start margin
-    tc_arr = np.asarray(tc_samples, dtype=float)
+    tc_arr = np.concatenate(tc_samples).astype(float)
+    if not len(tc_arr):
+        tc_arr = np.concatenate(all_periods).astype(float)  # phase too short for the start margin
     t_c, t_c_se = _mean_se(tc_arr) if len(tc_arr) else (math.nan, math.inf)
     c_norm, c_norm_se = _mean_se(fractions)
     d_crit, d_crit_se = _mean_se(collisions)
@@ -488,12 +702,15 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
 
 # --- trace export -----------------------------------------------------------
 
-_OBS_CODE = {
-    Observation.IDLE: "idle",
-    Observation.BUSY: "busy",
-    Observation.SUCCESS: "success",
-    Observation.FAILURE: "failure",
-}
+# a packed cell (see _pack) as its three trace columns, then "," or a newline
+_CELLS = [
+    f"{'T' if code >> 3 else 'W'},{OBSERVATIONS[(code >> 1) & 3].value},"
+    f"{(CRITICAL if code & 1 else NORMAL).value}"
+    for code in range(16)
+]
+_CELLS_INNER = np.array([c + "," for c in _CELLS], dtype=object)
+_CELLS_LAST = np.array([c + "\n" for c in _CELLS], dtype=object)
+_PHASES = ("normal", "critical")
 
 
 def trace_columns(n_users: int) -> list[str]:
@@ -508,11 +725,15 @@ def write_trace_header(sink: IO[str], n_users: int) -> None:
 
 
 def write_trace_rows(sink: IO[str], trace: SlotTrace) -> None:
-    for rec in trace.records:
-        fields = [str(trace.round_index), str(rec.slot), rec.phase]
-        for act, obs, z in zip(rec.actions, rec.observations, rec.traffic):
-            fields += ["T" if act else "W", _OBS_CODE[obs], z.value]
-        sink.write(",".join(fields) + "\n")
+    cells = trace.cells
+    rows = np.empty((len(cells), cells.shape[1] + 1), dtype=object)
+    rows[:, 0] = [
+        f"{trace.round_index},{t},{_PHASES[crit]},"
+        for t, crit in enumerate(trace.critical_phase.tolist(), 1)
+    ]
+    rows[:, 1:-1] = _CELLS_INNER[cells[:, :-1]]
+    rows[:, -1] = _CELLS_LAST[cells[:, -1]]
+    sink.write("".join(rows.ravel().tolist()))
 
 
 # --- two-critical scenarios --------------------------------------------------
@@ -576,7 +797,11 @@ def _verify_two_critical_round(
     report.completion_order = [u for _, u in completions]
     report.completion_slots = [s for s, _ in completions]
     a2 = arrivals[u2]
-    rec_at = {rec.slot: rec for rec in trace.records}
+    # slot s is row s - 1 of the trace
+    actions = trace.actions
+    acts = actions.tolist()
+    transmitters = actions.sum(axis=1).tolist()
+    last_slot = len(acts)
 
     if u1 not in entries or u2 not in entries:
         report.violations.append("a critical user never entered rule-g mode")
@@ -590,12 +815,13 @@ def _verify_two_critical_round(
     if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
         # entry exactly one slot after the consecutive-collision count first
         # reaches b + 1 (failure runs may have begun before the arrival)
+        failures = (trace.observations == FAILURE_CODE).T.tolist()
         for u in (u1, u2):
             count, hit = 0, None
-            for rec in trace.records:
-                count = count + 1 if rec.observations[u] is Observation.FAILURE else 0
+            for s, failed in enumerate(failures[u], 1):
+                count = count + 1 if failed else 0
                 if count == b + 1:
-                    hit = rec.slot
+                    hit = s
                     break
             if hit is None or entries[u] != hit + 1:
                 report.violations.append(
@@ -611,11 +837,10 @@ def _verify_two_critical_round(
 
     # collisions between the two criticals while both are critical
     first_completion = completions[0][0]
-    both_critical = range(a2, first_completion + 1)
     n_coll = sum(
         1
-        for s in both_critical
-        if s in rec_at and rec_at[s].actions[u1] and rec_at[s].actions[u2]
+        for s in range(max(a2, 1), min(first_completion, last_slot) + 1)
+        if acts[s - 1][u1] and acts[s - 1][u2]
     )
     report.critical_collisions = n_coll
     if n_coll < 1:
@@ -624,19 +849,18 @@ def _verify_two_critical_round(
     # first solo success by a critical user once both run rule_g
     shared = None
     for s in range(joint, first_completion + 1):
-        rec = rec_at[s]
-        if rec.transmitters == 1 and (rec.actions[u1] or rec.actions[u2]):
+        if transmitters[s - 1] == 1 and (acts[s - 1][u1] or acts[s - 1][u2]):
             shared = s
             break
     report.first_shared_success_slot = shared
     if shared is None:
         report.violations.append("no critical success after both entered rule-g")
         return report
-    expect = u1 if rec_at[shared].actions[u1] else u2
+    expect = u1 if acts[shared - 1][u1] else u2
     for s in range(shared, first_completion + 1):
-        rec = rec_at[s]
+        row = acts[s - 1]
         other = u2 if expect == u1 else u1
-        if not (rec.actions[expect] and not rec.actions[other] and rec.transmitters == 1):
+        if not (row[expect] and not row[other] and transmitters[s - 1] == 1):
             report.violations.append(f"alternation broken at slot {s}")
             break
         expect = other
@@ -644,15 +868,11 @@ def _verify_two_critical_round(
     finisher = completions[0][1]
     survivor = u2 if finisher == u1 else u1
     s1, s2, s3 = first_completion + 1, first_completion + 2, first_completion + 3
-    if not (
-        s1 in rec_at
-        and rec_at[s1].actions[survivor]
-        and rec_at[s1].transmitters == 1
-    ):
+    if not (s1 <= last_slot and acts[s1 - 1][survivor] and transmitters[s1 - 1] == 1):
         report.violations.append("survivor did not take the slot after the first completion")
-    if not (s2 in rec_at and rec_at[s2].transmitters == 0):
+    if not (s2 <= last_slot and transmitters[s2 - 1] == 0):
         report.violations.append("no idle slot after the handover success")
-    if s3 in rec_at and rec_at[s3].actions[finisher]:
+    if s3 <= last_slot and acts[s3 - 1][finisher]:
         report.violations.append("finished user transmitted in the slot after the idle slot")
     return report
 
@@ -669,6 +889,11 @@ def simulate_two_critical(
     Raises ScenarioUnsatisfiable when the enhancement is disabled, since the
     inference rules rely on it.  With ``trace_sink`` set, every slot of
     every attempted round is streamed to it in the documented trace format.
+
+    Rounds run in batches: the first holds as many rounds as are asked
+    for, each later one twice the number still missing scaled by the share
+    of valid rounds so far.  Rounds of a batch past the one that completes
+    the count are discarded unreported.
     """
     if cfg.scenario not in TWO_CRITICAL_SCENARIOS:
         raise BadParams(f"scenario {cfg.scenario} is not a two-critical scenario")
@@ -679,19 +904,27 @@ def simulate_two_critical(
     reports: list[ScenarioRoundReport] = []
     valid = 0
     idx = 0
-    while valid < cfg.rounds and idx < 5 * cfg.rounds:
-        trace, _ = run_round(cfg, idx, keep_trace=True)
-        if trace_sink is not None:
-            write_trace_rows(trace_sink, trace)
-        arrivals = {u for _, ev, u in trace.events if ev == "critical_arrival"}
-        if len(arrivals) < 2:
-            reports.append(ScenarioRoundReport(round_index=idx, injected=False))
-        else:
-            first = next(u for s, ev, u in sorted(trace.events) if ev == "critical_arrival")
-            second = next(u for u in arrivals if u != first)
-            reports.append(_verify_two_critical_round(cfg, trace, (first, second)))
-            valid += 1
-        idx += 1
+    limit = 5 * cfg.rounds
+    while valid < cfg.rounds and idx < limit:
+        missing = cfg.rounds - valid
+        size = math.ceil(2 * missing * idx / max(valid, 1)) if idx else missing
+        size = max(1, min(size, _batch_rounds(cfg), limit - idx))
+        batch = _run_batch(cfg, range(idx, idx + size), keep_trace=True)
+        for j in range(size):
+            if valid == cfg.rounds:
+                break
+            trace = batch.trace(j)
+            if trace_sink is not None:
+                write_trace_rows(trace_sink, trace)
+            arrivals = {u for _, ev, u in trace.events if ev == "critical_arrival"}
+            if len(arrivals) < 2:
+                reports.append(ScenarioRoundReport(round_index=idx, injected=False))
+            else:
+                first = next(u for s, ev, u in sorted(trace.events) if ev == "critical_arrival")
+                second = next(u for u in arrivals if u != first)
+                reports.append(_verify_two_critical_round(cfg, trace, (first, second)))
+                valid += 1
+            idx += 1
     if valid < cfg.rounds:
         raise ScenarioUnsatisfiable(
             f"only {valid} of {cfg.rounds} rounds admitted the scenario injection"

@@ -1,0 +1,262 @@
+"""Reference slot engine for the property tests: one user at a time.
+
+This is the simulator's earlier per-user engine, kept only as a test
+oracle for the array engine in `critmac.sim`.  Each user carries a
+`UserState`; every slot loops over the users in Python, applies the rule
+stack written out as scalar branches, and keeps the two-critical
+inference window as a list of observations.  `run_round` drives one round
+through the same structure and draw order as the simulator (critical user,
+traffic lengths, then one uniform per user per slot), so a round's
+`SlotRecord`s, events and `RoundStats` must match the array engine's
+exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from critmac.errors import BadParams, ScenarioUnsatisfiable
+from critmac.protocol import (
+    BUSY,
+    CRITICAL,
+    FAILURE,
+    IDLE,
+    NORMAL,
+    SUCCESS,
+    EnhancementConfig,
+    ProtocolParams,
+    UserState,
+)
+from critmac.sim import (
+    _MAX_CRITICAL_SLOTS,
+    _SCENARIO_TAIL_SLOTS,
+    TWO_CRITICAL_SCENARIOS,
+    RoundStats,
+    Scenario,
+    SimConfig,
+    SlotRecord,
+    _round_rng,
+)
+
+_RULE_G = {IDLE: 1.0, BUSY: 1.0, SUCCESS: 0.0, FAILURE: 0.5}
+
+
+def probability(params: ProtocolParams, cfg: EnhancementConfig, u: UserState) -> float:
+    """The rule stack, one user, as scalar branches."""
+    if u.traffic is CRITICAL:
+        return _RULE_G[u.g_observation] if u.two_crit_mode else 1.0
+    last = u.last_observation
+    if cfg.enabled:
+        if u.prev_observation is SUCCESS and last is FAILURE:
+            return 0.0
+        if u.consecutive_failures >= cfg.backoff_bound:
+            return 0.0
+        if cfg.suppress_after_critical and u.prev_traffic is CRITICAL:
+            return 0.0
+        if u.yield_after_idle and last is IDLE:
+            return 0.0
+    if last is IDLE:
+        return params.q
+    if last is BUSY:
+        return 0.0
+    if last is SUCCESS:
+        return 1.0 - params.theta
+    return params.r
+
+
+def triggered(u: UserState, cfg: EnhancementConfig) -> bool:
+    """Two-critical inference from the user's failure run and observation window."""
+    if u.consecutive_failures >= cfg.backoff_bound + 1:
+        return True
+    w = u.critical_window
+    return any(w[i] is SUCCESS and w[i + 1] is FAILURE for i in range(1, len(w) - 1))
+
+
+class ReferenceEngine:
+    """Steps N users through slots of one round, one `UserState` each."""
+
+    def __init__(self, params, enhancement, rng, *, two_critical_inference=False):
+        self.params = params
+        self.enh = enhancement
+        self.rng = rng
+        self.two_critical_inference = two_critical_inference
+        self.users = [UserState() for _ in range(params.n_users)]
+        self.slot = 0
+        self.events: list[tuple[int, str, int]] = []
+
+    def set_critical(self, user: int, packets: int) -> None:
+        u = self.users[user]
+        if packets < 1:
+            raise BadParams("critical traffic needs at least one packet")
+        if u.traffic is CRITICAL:
+            raise BadParams(f"user {user} is already critical")
+        u.traffic = CRITICAL
+        u.critical_remaining = packets
+        u.critical_window = [u.last_observation]
+        self.events.append((self.slot + 1, "critical_arrival", user))
+
+    def step(self, phase: str = "normal") -> SlotRecord:
+        self.slot += 1
+        users = self.users
+        draws = self.rng.random(len(users))
+        actions = tuple(
+            bool(d < probability(self.params, self.enh, u)) for d, u in zip(draws, users)
+        )
+        k = sum(actions)
+        traffic_now = tuple(u.traffic for u in users)
+
+        observations = []
+        completed = []
+        for i, u in enumerate(users):
+            if actions[i]:
+                obs = SUCCESS if k == 1 else FAILURE
+            else:
+                obs = IDLE if k == 0 else BUSY
+            observations.append(obs)
+            u.prev_observation = u.last_observation
+            u.last_observation = obs
+            u.consecutive_failures = u.consecutive_failures + 1 if obs is FAILURE else 0
+            if u.two_crit_mode:
+                u.g_observation = obs
+            if u.traffic is CRITICAL:
+                if self.two_critical_inference:
+                    u.critical_window.append(obs)
+                if obs is SUCCESS:
+                    u.critical_remaining -= 1
+                    if u.critical_remaining == 0:
+                        completed.append(i)
+            if u.yield_after_idle and u.traffic is NORMAL and u.prev_observation is IDLE:
+                u.yield_after_idle = False
+
+        for u in users:
+            u.prev_traffic = u.traffic
+        for i in completed:
+            u = users[i]
+            if u.two_crit_mode:
+                u.yield_after_idle = True
+            u.traffic = NORMAL
+            u.two_crit_mode = False
+            u.critical_window = []
+            self.events.append((self.slot, "completion", i))
+
+        if self.two_critical_inference:
+            for i, u in enumerate(users):
+                if u.traffic is not CRITICAL:
+                    continue
+                if not u.two_crit_mode and triggered(u, self.enh):
+                    u.two_crit_mode = True
+                    u.g_observation = IDLE
+                    self.events.append((self.slot + 1, "g_entry", i))
+                elif (
+                    u.two_crit_mode
+                    and u.prev_observation is SUCCESS
+                    and u.last_observation is IDLE
+                ):
+                    u.two_crit_mode = False
+                    u.consecutive_failures = 0
+                    u.critical_window = [u.last_observation]
+                    self.events.append((self.slot + 1, "g_revert", i))
+
+        return SlotRecord(
+            slot=self.slot,
+            phase=phase,
+            actions=actions,
+            observations=tuple(observations),
+            traffic=traffic_now,
+        )
+
+
+def normal_phase_stats(success_flags: list[bool]) -> RoundStats:
+    stats = RoundStats()
+    w = len(success_flags)
+    stats.normal_slots = w
+    stats.normal_successes = sum(success_flags)
+    stats.ts_trials = sum(success_flags[:-1])
+    stats.ts_stops = sum(1 for t in range(w - 1) if success_flags[t] and not success_flags[t + 1])
+    i = 0
+    while i < w and not success_flags[i]:
+        i += 1
+    while i < w:
+        j = i
+        while j < w and success_flags[j]:
+            j += 1
+        k = j
+        while k < w and not success_flags[k]:
+            k += 1
+        if j < w and k < w:
+            stats.contention_lengths.append(k - j)
+            stats.contention_starts.append(j + 1)
+        i = k
+    return stats
+
+
+def run_round(cfg: SimConfig, round_index: int):
+    """One round: (records, events, RoundStats)."""
+    rng = _round_rng(cfg.seed, round_index)
+    n = cfg.params.n_users
+    two_crit = cfg.scenario in TWO_CRITICAL_SCENARIOS
+    if two_crit and not cfg.enhancement.enabled:
+        raise ScenarioUnsatisfiable("two-critical scenarios require the enhanced rules")
+
+    first = int(rng.integers(n))
+    if two_crit:
+        second = int((first + 1 + rng.integers(n - 1)) % n)
+        lengths = (cfg.traffic_model.draw(rng), cfg.traffic_model.draw(rng))
+    else:
+        second = -1
+        lengths = (cfg.traffic_model.draw(rng),)
+
+    engine = ReferenceEngine(cfg.params, cfg.enhancement, rng, two_critical_inference=two_crit)
+    records = []
+    success_flags = []
+    last_transmitters = 0
+    for _ in range(cfg.normal_phase_slots):
+        rec = engine.step("normal")
+        success_flags.append(rec.transmitters == 1)
+        last_transmitters = rec.transmitters
+        records.append(rec)
+    stats = normal_phase_stats(success_flags)
+
+    if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
+        guard = 0
+        while last_transmitters >= 2:
+            rec = engine.step("normal")
+            last_transmitters = rec.transmitters
+            records.append(rec)
+            guard += 1
+            if guard > 1000:
+                raise RuntimeError("no collision-free boundary found")
+
+    engine.set_critical(first, lengths[0])
+    injected = False
+    if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
+        engine.set_critical(second, lengths[1])
+        injected = True
+
+    u_first = engine.users[first]
+    while True:
+        if two_crit and not injected:
+            in_phase = u_first.traffic is CRITICAL and len(u_first.critical_window) >= 2
+            if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
+                ready = in_phase and u_first.last_observation is SUCCESS
+            else:
+                ready = in_phase and u_first.last_observation is FAILURE
+            if ready:
+                engine.set_critical(second, lengths[1])
+                injected = True
+        if not any(u.traffic is CRITICAL for u in engine.users):
+            break
+        rec = engine.step("critical")
+        stats.critical_phase_slots += 1
+        if rec.actions[first] and rec.observations[first] is FAILURE:
+            stats.critical_collisions += 1
+        records.append(rec)
+        if stats.critical_phase_slots > _MAX_CRITICAL_SLOTS:
+            raise RuntimeError("critical phase failed to terminate")
+        if two_crit and not injected and u_first.traffic is NORMAL:
+            break
+
+    if two_crit and injected:
+        for _ in range(_SCENARIO_TAIL_SLOTS):
+            records.append(engine.step("normal"))
+    return records, engine.events, stats

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from critmac import Scenario, ScenarioRoundReport, ScenarioSummary, cli
+from critmac import CriticalTrafficModel, Scenario, ScenarioRoundReport, ScenarioSummary, cli
 
 CLI = [sys.executable, "-m", "critmac.cli"]
 
@@ -234,6 +234,32 @@ class TestSimulate:
         ])
         assert code == 2
         assert "BadParams" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traffic", [
+        ["--x-fixed", "200000"],
+        ["--x-geometric", "1e300"],
+        ["--x-geometric", "inf"],
+        ["--x-geometric", "nan"],
+        ["--x-fixed", "60000", "--enhanced", "--scenario", "two-critical-simultaneous"],
+    ])
+    def test_critical_traffic_beyond_the_slot_cap_is_rejected(self, traffic, monkeypatch):
+        # a critical phase longer than the 100 000-slot cap can only end in
+        # the cap's error, after the whole spin; it is refused before any round
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_rounds)
+        monkeypatch.setattr(cli, "simulate_two_critical", no_rounds)
+        argv = ["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+                "--rounds", "1", *traffic]
+        assert cli.main(argv) == 2
+        proc = run_cli(*argv, check=False)
+        assert_one_line_error(proc, 2)
+        assert "BadParams" in proc.stderr
+
+    def test_critical_traffic_at_the_slot_cap_is_accepted(self):
+        assert CriticalTrafficModel.fixed(100_000).value == 100_000
+        assert CriticalTrafficModel.geometric(5000).value == 5000
 
     def test_scenario_requires_enhancement(self):
         proc = run_cli(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from critmac import (
     transmission_probability,
     user_transmission_probability,
 )
+from critmac.protocol import IDLE_CODE, SUCCESS_CODE, UserArrays
 from critmac.sim import _round_rng, write_trace_header, write_trace_rows
 
 I, B, S, F = Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
@@ -165,18 +167,32 @@ class TestEnhancedRules:
                 yield_after_idle=bool(rng.random() < 0.3),
             )
 
+        def as_arrays(states):  # rounds x users of UserState -> UserArrays
+            ones = [[UserArrays.of(u) for u in row] for row in states]
+            return UserArrays(**{
+                f.name: np.array([[getattr(a, f.name)[0] for a in row] for row in ones])
+                for f in fields(UserArrays)
+            })
+
+        n, rounds = P10.n_users, 3
         for enh in (EnhancementConfig(enabled=True, backoff_bound=4), EnhancementConfig()):
-            engine = SlotEngine(P10, enh, _round_rng(0, 0))
-            draws = _round_rng(0, 0)  # the engine's stream, read alongside it
+            # blocks of 7 rows, so the engine also draws past its first block
+            engine = SlotEngine(P10, enh, [_round_rng(0, i) for i in range(rounds)], 7)
+            draws = [_round_rng(0, i) for i in range(rounds)]  # the engine's streams
             for _ in range(60):
-                engine.users = [random_state() for _ in range(P10.n_users)]
-                probs = [user_transmission_probability(P10, enh, u) for u in engine.users]
-                if not enh.enabled:
-                    for u, p in zip(engine.users, probs):
-                        if u.traffic is TrafficType.NORMAL:
-                            assert p == transmission_probability(P10, u.last_observation, u.traffic)
-                expected = tuple(bool(d < p) for d, p in zip(draws.random(P10.n_users), probs))
-                assert engine.step().actions == expected
+                states = [[random_state() for _ in range(n)] for _ in range(rounds)]
+                engine.users = as_arrays(states)
+                expected = []
+                for row, stream in zip(states, draws):
+                    probs = [user_transmission_probability(P10, enh, u) for u in row]
+                    if not enh.enabled:
+                        for u, p in zip(row, probs):
+                            if u.traffic is TrafficType.NORMAL:
+                                assert p == transmission_probability(
+                                    P10, u.last_observation, u.traffic
+                                )
+                    expected.append([bool(d < p) for d, p in zip(stream.random(n), probs)])
+                assert engine.step()[0].tolist() == expected
 
 
 class TestPostCriticalHandover:
@@ -184,21 +200,27 @@ class TestPostCriticalHandover:
         # after a critical phase the finisher transmits w.p. 1 - theta while
         # everyone else waits (baseline rules, no suppression)
         params = ProtocolParams(5, 0.3, 0.2, 0.4)
-        transmitted = 0
         rounds = 800
-        for idx in range(rounds):
-            engine = SlotEngine(params, EnhancementConfig(), _round_rng(99, idx))
-            for _ in range(30):
-                engine.step()
-            crit = idx % params.n_users
-            engine.set_critical(crit, 2)
-            while engine.users[crit].traffic is TrafficType.CRITICAL:
-                engine.step()
-            rec = engine.step()
-            others = [a for u, a in enumerate(rec.actions) if u != crit]
-            assert not any(others)
-            assert rec.observations[crit] in (S, I)
-            transmitted += rec.actions[crit]
+        engine = SlotEngine(
+            params, EnhancementConfig(), [_round_rng(99, idx) for idx in range(rounds)], 32
+        )
+        for _ in range(30):
+            engine.step()
+        crit = np.arange(rounds) % params.n_users
+        engine.set_critical(np.arange(rounds), crit, np.full(rounds, 2))
+        transmitted = checked = 0
+        while len(engine.rounds):
+            c = crit[engine.rounds]
+            after = ~engine.users.critical[np.arange(len(c)), c]  # finished a slot ago
+            actions, observations, _ = engine.step()
+            for j in np.flatnonzero(after):
+                others = np.delete(actions[j], c[j])
+                assert not others.any()
+                assert observations[j, c[j]] in (SUCCESS_CODE, IDLE_CODE)
+                transmitted += bool(actions[j, c[j]])
+                checked += 1
+            engine.keep(~after)
+        assert checked == rounds
         freq = transmitted / rounds
         se = math.sqrt(0.3 * 0.7 / rounds)
         assert abs(freq - 0.7) <= 3 * se
