@@ -37,25 +37,16 @@ from .protocol import (
     Observation,
     ProtocolParams,
     TrafficType,
-    UserState,
-    rule_g,
-    transmission_probability,
-    two_critical_mode_trigger,
-    user_transmission_probability,
 )
 from .sim import (
     CriticalTrafficModel,
     ExperimentResult,
-    RoundStats,
     Scenario,
     ScenarioRoundReport,
     ScenarioSummary,
     SimConfig,
-    SlotEngine,
-    SlotRecord,
     SlotTrace,
     run_experiment,
-    run_round,
     simulate_two_critical,
 )
 
@@ -73,21 +64,17 @@ __all__ = [
     "OracleEstimate",
     "PerformanceMetrics",
     "ProtocolParams",
-    "RoundStats",
     "Scenario",
     "ScenarioRoundReport",
     "ScenarioSummary",
     "ScenarioUnsatisfiable",
     "SimConfig",
     "SingularSystem",
-    "SlotEngine",
-    "SlotRecord",
     "SlotTrace",
     "SolutionStatus",
     "SweepAxis",
     "TrafficType",
     "TransitionMatrix",
-    "UserState",
     "build_critical_matrix",
     "build_normal_matrix",
     "channel_utilization",
@@ -100,14 +87,9 @@ __all__ = [
     "estimate_metrics_oracle",
     "evaluate_metrics",
     "maximize_utilization",
-    "rule_g",
     "run_experiment",
-    "run_round",
     "simulate_two_critical",
     "solve_design_problem",
     "stationary_distribution",
     "sweep",
-    "transmission_probability",
-    "two_critical_mode_trigger",
-    "user_transmission_probability",
 ]

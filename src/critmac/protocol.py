@@ -19,21 +19,18 @@ Two extensions are implemented on top of the base family:
   second critical user switches to the sharing rule ``rule_g`` until its
   critical traffic completes.
 
-The rules exist once, as array lookups over :class:`UserArrays` (the state
-of many users in many rounds, observations as integer codes):
-:func:`transmission_probabilities` and :func:`two_critical_mode_triggers`.
-The one-user functions (:func:`user_transmission_probability`,
-:func:`two_critical_mode_trigger`, :func:`rule_g`,
-:func:`transmission_probability`) are their one-element case.
-:func:`channel_feedback` is the collision channel that the slot engine and
-the oracle share.
+The rules exist once, as array functions over :class:`UserArrays` (the
+state of many users in many rounds, observations as integer codes):
+:func:`transmission_probabilities`, with :func:`normal_rule_table` and
+:func:`rule_g` as its lookups, and :func:`two_critical_mode_trigger`.  One
+user is the one-element case.  :func:`channel_feedback` is the collision
+channel that the slot engine and the oracle share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +59,6 @@ NORMAL, CRITICAL = TrafficType.NORMAL, TrafficType.CRITICAL
 # Observations as integer codes: OBSERVATIONS[code] is the member.
 IDLE_CODE, BUSY_CODE, SUCCESS_CODE, FAILURE_CODE = 0, 1, 2, 3
 OBSERVATIONS = (IDLE, BUSY, SUCCESS, FAILURE)
-OBSERVATION_CODE = {obs: code for code, obs in enumerate(OBSERVATIONS)}
 
 
 @dataclass(frozen=True)
@@ -112,43 +108,20 @@ class EnhancementConfig:
 
 
 @dataclass
-class UserState:
-    """Everything a single user remembers between slots.
-
-    last_observation / prev_observation are the observations of the previous
-    two slots; consecutive_failures is the length of the current run of
-    failure observations.  g_observation is the separate one-slot memory used
-    while two_crit_mode is active (initialized to idle on mode entry), and
-    critical_window records the observations around a critical arrival
-    (one slot before it plus the first slots of the critical phase), which
-    the two-critical inference reads. yield_after_idle marks a user that
-    finished critical traffic during a shared (two-critical) phase and still
-    owes one wait slot after the next idle slot.
-    """
-
-    last_observation: Observation = Observation.IDLE
-    prev_observation: Observation = Observation.IDLE
-    consecutive_failures: int = 0
-    traffic: TrafficType = TrafficType.NORMAL
-    prev_traffic: TrafficType = TrafficType.NORMAL
-    critical_remaining: int = 0
-    two_crit_mode: bool = False
-    g_observation: Observation = Observation.IDLE
-    yield_after_idle: bool = False
-    critical_window: list[Observation] = field(default_factory=list)
-
-
-@dataclass
 class UserArrays:
     """The state of many users as arrays of one shape, e.g. (rounds, users).
 
-    The fields mirror :class:`UserState`, with observations as integer codes
-    and traffic as a critical flag.  ``critical_window`` is replaced by two
-    flags that the slot engine keeps up to date: ``in_phase`` (the user has
-    observed at least one slot of its critical phase, counted from the
-    arrival or from a return to the plain critical rule) and
-    ``success_failure`` (within that span it observed its own success
-    followed by a failure).
+    Everything a user remembers between slots: the observations of the
+    previous two slots as codes (``last``, ``prev``), the length of the
+    current failure run, the traffic of this and the previous slot as
+    critical flags, the critical packets still to send, the two-critical
+    mode and its own one-slot memory (``g_observation``, idle on entry), and
+    ``yield_after_idle``: a wait owed after the next idle slot, by a user
+    that finished critical traffic in a shared (two-critical) phase.  For
+    the two-critical inference the slot engine also keeps ``in_phase`` (the
+    user observed a slot of its critical phase, counted from the arrival or
+    from a return to the plain critical rule) and ``success_failure`` (in
+    that span it observed its own success followed by a failure).
     """
 
     last: np.ndarray
@@ -174,26 +147,6 @@ class UserArrays:
             )
             for f in fields(cls)
         })
-
-    @classmethod
-    def of(cls, state: UserState) -> "UserArrays":
-        """One user's state as arrays of shape (1,)."""
-        window = state.critical_window
-        return cls(
-            last=np.array([OBSERVATION_CODE[state.last_observation]], dtype=np.int8),
-            prev=np.array([OBSERVATION_CODE[state.prev_observation]], dtype=np.int8),
-            failures=np.array([state.consecutive_failures]),
-            critical=np.array([state.traffic is CRITICAL]),
-            prev_critical=np.array([state.prev_traffic is CRITICAL]),
-            remaining=np.array([state.critical_remaining]),
-            g_mode=np.array([state.two_crit_mode]),
-            g_observation=np.array([OBSERVATION_CODE[state.g_observation]], dtype=np.int8),
-            yield_after_idle=np.array([state.yield_after_idle]),
-            in_phase=np.array([len(window) >= 2]),
-            success_failure=np.array([any(
-                a is SUCCESS and b is FAILURE for a, b in zip(window[1:], window[2:])
-            )]),
-        )
 
     def take(self, keep: np.ndarray) -> "UserArrays":
         """The rows selected by `keep` (a mask or index array over the first axis)."""
@@ -221,16 +174,17 @@ def normal_rule_table(params: ProtocolParams) -> np.ndarray:
     return np.array([params.q, 0.0, 1.0 - params.theta, params.r])
 
 
-# rule_g by observation code: transmit after idle or busy, wait after an own
-# success, retransmit with probability 1/2 after a collision
 _RULE_G = np.array([1.0, 1.0, 0.0, 0.5])
 
 
-def transmission_probability(params: ProtocolParams, y: Observation, z: TrafficType) -> float:
-    """Base decision rule f(y, z) of the protocol family."""
-    if z is CRITICAL:
-        return 1.0
-    return float(normal_rule_table(params)[OBSERVATION_CODE[y]])
+def rule_g(codes: np.ndarray) -> np.ndarray:
+    """Channel-sharing rule used by two coexisting critical users, by observation code.
+
+    Transmit after idle or busy, wait after an own success, retransmit with
+    probability 1/2 after a collision.  Once one of the two users succeeds,
+    this rule makes their actions alternate (T, W)/(W, T) deterministically.
+    """
+    return _RULE_G.take(codes)
 
 
 def transmission_probabilities(
@@ -238,16 +192,16 @@ def transmission_probabilities(
 ) -> np.ndarray:
     """Every user's transmission probability in the current slot, from its state.
 
-    Critical traffic always transmits, or follows ``rule_g`` while the user
-    is in the two-critical mode.  When cfg.enabled is set, normal traffic
-    first checks the enhanced waiting rules:
+    Critical traffic always transmits, or follows :func:`rule_g` while the
+    user is in the two-critical mode.  When cfg.enabled is set, normal
+    traffic first checks the enhanced waiting rules:
 
     1. wait after observing success then failure,
     2. wait after backoff_bound consecutive failures,
     3. wait for one slot after the user's own critical traffic completed
        (when suppress_after_critical is set),
     4. wait after an idle slot while a wait is owed for a shared
-       (two-critical) phase that ended (``UserState.yield_after_idle``).
+       (two-critical) phase that ended (``yield_after_idle``).
 
     Otherwise the base rule f(last observation, normal) applies.
     """
@@ -262,60 +216,25 @@ def transmission_probabilities(
         p[wait] = 0.0
     critical = users.critical
     if critical.any():
-        p = np.where(critical, np.where(users.g_mode, _RULE_G.take(users.g_observation), 1.0), p)
+        p = np.where(critical, np.where(users.g_mode, rule_g(users.g_observation), 1.0), p)
     return p
 
 
-def user_transmission_probability(
-    params: ProtocolParams, cfg: EnhancementConfig, state: UserState
-) -> float:
-    """One user's transmission probability: :func:`transmission_probabilities` for one."""
-    return float(transmission_probabilities(params, cfg, UserArrays.of(state))[0])
+def two_critical_mode_trigger(cfg: EnhancementConfig, users: UserArrays) -> np.ndarray:
+    """Which critical users infer a second critical user and switch to :func:`rule_g`.
 
-
-def rule_g(y: Observation) -> float:
-    """Channel-sharing rule used by two coexisting critical users.
-
-    Transmit after idle or busy, wait after an own success, retransmit with
-    probability 1/2 after a collision.  Once one of the two users succeeds,
-    this rule makes their actions alternate (T, W)/(W, T) deterministically.
-    """
-    return float(_RULE_G[OBSERVATION_CODE[y]])
-
-
-def two_critical_mode_triggers(cfg: EnhancementConfig, users: UserArrays) -> np.ndarray:
-    """Which critical users infer a second critical user; see :func:`two_critical_mode_trigger`."""
-    return (users.failures >= cfg.backoff_bound + 1) | users.success_failure
-
-
-def two_critical_mode_trigger(
-    state: UserState,
-    cfg: EnhancementConfig,
-    history_window: Sequence[Observation] = (),
-) -> bool:
-    """Decide whether a critical user should switch to ``rule_g``.
-
-    A critical user infers that a second critical user exists when it sees a
-    pattern that is impossible while at most one critical user is present
+    Each pattern is impossible while at most one critical user is present
     (given the enhanced rules with bound B = backoff_bound):
 
     * B + 1 consecutive collisions -- normal users back off after B, and a
       lone critical user inherits that bound because colliding normal users
       always share one failure count;
-    * an own success immediately followed by a collision, both while
-      critical -- after any success every normal user observes busy and
+    * an own success followed by a collision, both while critical
+      (``success_failure``; a success obtained while still normal does not
+      count) -- after any success every normal user observes busy and
       waits, so only another critical user can collide with the next slot.
 
-    ``history_window`` holds the observation of the slot before the critical
-    arrival followed by every observation since; the success/failure pair is
-    searched from index 1 so that a success obtained while still normal does
-    not count.  Once triggered, the switch is permanent for the rest of the
-    user's critical phase (the caller enforces persistence via
-    ``UserState.two_crit_mode``).
+    Meaningful for critical users only.  The slot engine keeps the switch
+    (``g_mode``) until the traffic completes or the alternation breaks.
     """
-    if state.traffic is not CRITICAL:
-        raise BadParams("two_critical_mode_trigger applies to critical users only")
-    if state.two_crit_mode:
-        return True
-    users = UserArrays.of(replace(state, critical_window=list(history_window)))
-    return bool(two_critical_mode_triggers(cfg, users)[0])
+    return (users.failures >= cfg.backoff_bound + 1) | users.success_failure

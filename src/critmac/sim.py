@@ -68,13 +68,11 @@ from .protocol import (
     OBSERVATIONS,
     SUCCESS_CODE,
     EnhancementConfig,
-    Observation,
     ProtocolParams,
-    TrafficType,
     UserArrays,
     channel_feedback,
     transmission_probabilities,
-    two_critical_mode_triggers,
+    two_critical_mode_trigger,
 )
 
 TC_START_MARGIN = 30
@@ -164,11 +162,17 @@ class SimConfig:
         two_crit = self.scenario in TWO_CRITICAL_SCENARIOS
         if two_crit and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
-        if self.params.r == 1.0 and self.params.n_users >= 2 and not self.enhancement.enabled:
-            raise BadParams(
-                "r = 1 needs the enhanced rules: colliding users never back off, "
-                "so a critical phase with a collision never ends"
-            )
+        if self.params.n_users >= 2 and not self.enhancement.enabled:
+            # the base rules do not bound collisions: N - 1 colliders take this
+            # many slots on average to clear, and at r = 1 they never back off
+            r = self.params.r
+            clear = math.inf if r == 1.0 else markov.critical_hitting_times(self.params)[-1]
+            if clear * _GEOMETRIC_TAIL > _MAX_CRITICAL_SLOTS:
+                raise BadParams(
+                    f"r = {r} needs the enhanced rules: colliding users take {clear:.0f} slots "
+                    f"on average to clear, above the {_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL} "
+                    f"that the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap allows"
+                )
         if two_crit and self.traffic_model.kind == "fixed" and (
             2 * self.traffic_model.value > _MAX_CRITICAL_SLOTS
         ):
@@ -190,19 +194,6 @@ def _batch_rounds(cfg: SimConfig) -> int:
     return max(1, markov._STACK_ELEMENTS // (_expected_slots(cfg) * cfg.params.n_users))
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    slot: int
-    phase: str  # "normal" | "critical"
-    actions: tuple[bool, ...]
-    observations: tuple[Observation, ...]
-    traffic: tuple[TrafficType, ...]
-
-    @property
-    def transmitters(self) -> int:
-        return sum(self.actions)
-
-
 # packed per-user cell of a trace: action << 3 | observation code << 1 | critical
 def _pack(tx: np.ndarray, obs: np.ndarray, critical: np.ndarray) -> np.ndarray:
     return (tx.astype(np.uint8) << 3) | (obs.astype(np.uint8) << 1) | critical
@@ -213,8 +204,8 @@ class SlotTrace:
     """One round's slots as arrays: row t is slot t + 1.
 
     ``cells`` packs each user's action, observation code and traffic per
-    slot (see :func:`_pack`); ``critical_phase`` marks the critical-phase
-    slots.  :attr:`records` gives the same slots as :class:`SlotRecord`s.
+    slot (see :func:`_pack`; :attr:`actions` and :attr:`observations` unpack
+    two of them); ``critical_phase`` marks the critical-phase slots.
     """
 
     round_index: int
@@ -230,28 +221,6 @@ class SlotTrace:
     @property
     def observations(self) -> np.ndarray:
         return (self.cells >> 1) & 3
-
-    @property
-    def records(self) -> list[SlotRecord]:
-        kinds = (NORMAL, CRITICAL)
-        return [
-            SlotRecord(
-                slot=t,
-                phase="critical" if crit else "normal",
-                actions=tuple(acts),
-                observations=tuple(OBSERVATIONS[o] for o in obs),
-                traffic=tuple(kinds[z] for z in traffic),
-            )
-            for t, (crit, acts, obs, traffic) in enumerate(
-                zip(
-                    self.critical_phase.tolist(),
-                    self.actions.tolist(),
-                    self.observations.tolist(),
-                    (self.cells & 1).tolist(),
-                ),
-                1,
-            )
-        ]
 
 
 @dataclass
@@ -377,7 +346,7 @@ class SlotEngine:
 
         if self.two_critical_inference and critical.any():
             g_mode = s.g_mode
-            enter = critical & ~g_mode & two_critical_mode_triggers(self.enh, s)
+            enter = critical & ~g_mode & two_critical_mode_trigger(self.enh, s)
             revert = (
                 critical & g_mode & (s.prev == SUCCESS_CODE) & (s.last == IDLE_CODE)
             )

@@ -6,12 +6,14 @@ oracle for the array engine in `critmac.sim`.  Each user carries a
 stack written out as scalar branches, and keeps the two-critical
 inference window as a list of observations.  `run_round` drives one round
 through the same structure and draw order as the simulator (critical user,
-traffic lengths, then one uniform per user per slot), so a round's
-`SlotRecord`s, events and `RoundStats` must match the array engine's
-exactly.
+traffic lengths, then one uniform per user per slot), so a round's `Slot`s,
+events and `RoundStats` must match the array engine's trace, decoded,
+exactly.  `as_arrays` gives reference states to the array rules.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +24,13 @@ from critmac.protocol import (
     FAILURE,
     IDLE,
     NORMAL,
+    OBSERVATIONS,
     SUCCESS,
     EnhancementConfig,
+    Observation,
     ProtocolParams,
-    UserState,
+    TrafficType,
+    UserArrays,
 )
 from critmac.sim import (
     _MAX_CRITICAL_SLOTS,
@@ -34,9 +39,51 @@ from critmac.sim import (
     RoundStats,
     Scenario,
     SimConfig,
-    SlotRecord,
     _round_rng,
 )
+
+
+@dataclass
+class UserState:
+    """Everything a single user remembers between slots.
+
+    last_observation / prev_observation are the observations of the previous
+    two slots; consecutive_failures is the length of the current run of
+    failure observations.  g_observation is the separate one-slot memory used
+    while two_crit_mode is active (initialized to idle on mode entry), and
+    critical_window records the observations around a critical arrival
+    (one slot before it plus the first slots of the critical phase), which
+    the two-critical inference reads. yield_after_idle marks a user that
+    finished critical traffic during a shared (two-critical) phase and still
+    owes one wait slot after the next idle slot.
+    """
+
+    last_observation: Observation = IDLE
+    prev_observation: Observation = IDLE
+    consecutive_failures: int = 0
+    traffic: TrafficType = NORMAL
+    prev_traffic: TrafficType = NORMAL
+    critical_remaining: int = 0
+    two_crit_mode: bool = False
+    g_observation: Observation = IDLE
+    yield_after_idle: bool = False
+    critical_window: list[Observation] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One slot of a round: its phase and each user's action, observation and traffic."""
+
+    slot: int
+    phase: str  # "normal" | "critical"
+    actions: tuple[bool, ...]
+    observations: tuple[Observation, ...]
+    traffic: tuple[TrafficType, ...]
+
+    @property
+    def transmitters(self) -> int:
+        return sum(self.actions)
+
 
 _RULE_G = {IDLE: 1.0, BUSY: 1.0, SUCCESS: 0.0, FAILURE: 0.5}
 
@@ -64,12 +111,38 @@ def probability(params: ProtocolParams, cfg: EnhancementConfig, u: UserState) ->
     return params.r
 
 
+def success_failure(window: list[Observation]) -> bool:
+    """An own success then a failure in the window, the slot before the arrival not counted."""
+    return any(a is SUCCESS and b is FAILURE for a, b in zip(window[1:], window[2:]))
+
+
 def triggered(u: UserState, cfg: EnhancementConfig) -> bool:
     """Two-critical inference from the user's failure run and observation window."""
-    if u.consecutive_failures >= cfg.backoff_bound + 1:
-        return True
-    w = u.critical_window
-    return any(w[i] is SUCCESS and w[i + 1] is FAILURE for i in range(1, len(w) - 1))
+    return u.consecutive_failures >= cfg.backoff_bound + 1 or success_failure(u.critical_window)
+
+
+def as_arrays(states: list[list[UserState]]) -> UserArrays:
+    """Users' states, a list of rows of users, as the array rules' `UserArrays`."""
+
+    def column(value, dtype):
+        return np.array([[value(u) for u in row] for row in states], dtype=dtype)
+
+    def codes(obs):
+        return column(lambda u: OBSERVATIONS.index(obs(u)), np.int8)
+
+    return UserArrays(
+        last=codes(lambda u: u.last_observation),
+        prev=codes(lambda u: u.prev_observation),
+        failures=column(lambda u: u.consecutive_failures, np.int64),
+        critical=column(lambda u: u.traffic is CRITICAL, bool),
+        prev_critical=column(lambda u: u.prev_traffic is CRITICAL, bool),
+        remaining=column(lambda u: u.critical_remaining, np.int64),
+        g_mode=column(lambda u: u.two_crit_mode, bool),
+        g_observation=codes(lambda u: u.g_observation),
+        yield_after_idle=column(lambda u: u.yield_after_idle, bool),
+        in_phase=column(lambda u: len(u.critical_window) >= 2, bool),
+        success_failure=column(lambda u: success_failure(u.critical_window), bool),
+    )
 
 
 class ReferenceEngine:
@@ -95,7 +168,7 @@ class ReferenceEngine:
         u.critical_window = [u.last_observation]
         self.events.append((self.slot + 1, "critical_arrival", user))
 
-    def step(self, phase: str = "normal") -> SlotRecord:
+    def step(self, phase: str = "normal") -> Slot:
         self.slot += 1
         users = self.users
         draws = self.rng.random(len(users))
@@ -157,7 +230,7 @@ class ReferenceEngine:
                     u.critical_window = [u.last_observation]
                     self.events.append((self.slot + 1, "g_revert", i))
 
-        return SlotRecord(
+        return Slot(
             slot=self.slot,
             phase=phase,
             actions=actions,
@@ -191,7 +264,7 @@ def normal_phase_stats(success_flags: list[bool]) -> RoundStats:
 
 
 def run_round(cfg: SimConfig, round_index: int):
-    """One round: (records, events, RoundStats)."""
+    """One round: (slots, events, RoundStats)."""
     rng = _round_rng(cfg.seed, round_index)
     n = cfg.params.n_users
     two_crit = cfg.scenario in TWO_CRITICAL_SCENARIOS
@@ -207,22 +280,22 @@ def run_round(cfg: SimConfig, round_index: int):
         lengths = (cfg.traffic_model.draw(rng),)
 
     engine = ReferenceEngine(cfg.params, cfg.enhancement, rng, two_critical_inference=two_crit)
-    records = []
+    slots = []
     success_flags = []
     last_transmitters = 0
     for _ in range(cfg.normal_phase_slots):
-        rec = engine.step("normal")
-        success_flags.append(rec.transmitters == 1)
-        last_transmitters = rec.transmitters
-        records.append(rec)
+        slot = engine.step("normal")
+        success_flags.append(slot.transmitters == 1)
+        last_transmitters = slot.transmitters
+        slots.append(slot)
     stats = normal_phase_stats(success_flags)
 
     if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
         guard = 0
         while last_transmitters >= 2:
-            rec = engine.step("normal")
-            last_transmitters = rec.transmitters
-            records.append(rec)
+            slot = engine.step("normal")
+            last_transmitters = slot.transmitters
+            slots.append(slot)
             guard += 1
             if guard > 1000:
                 raise RuntimeError("no collision-free boundary found")
@@ -246,11 +319,11 @@ def run_round(cfg: SimConfig, round_index: int):
                 injected = True
         if not any(u.traffic is CRITICAL for u in engine.users):
             break
-        rec = engine.step("critical")
+        slot = engine.step("critical")
         stats.critical_phase_slots += 1
-        if rec.actions[first] and rec.observations[first] is FAILURE:
+        if slot.actions[first] and slot.observations[first] is FAILURE:
             stats.critical_collisions += 1
-        records.append(rec)
+        slots.append(slot)
         if stats.critical_phase_slots > _MAX_CRITICAL_SLOTS:
             raise RuntimeError("critical phase failed to terminate")
         if two_crit and not injected and u_first.traffic is NORMAL:
@@ -258,5 +331,5 @@ def run_round(cfg: SimConfig, round_index: int):
 
     if two_crit and injected:
         for _ in range(_SCENARIO_TAIL_SLOTS):
-            records.append(engine.step("normal"))
-    return records, engine.events, stats
+            slots.append(engine.step("normal"))
+    return slots, engine.events, stats

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from critmac import CriticalTrafficModel, Scenario, ScenarioRoundReport, ScenarioSummary, cli
+from critmac import (
+    CriticalTrafficModel,
+    ProtocolParams,
+    Scenario,
+    ScenarioRoundReport,
+    ScenarioSummary,
+    SimConfig,
+    cli,
+)
 
 CLI = [sys.executable, "-m", "critmac.cli"]
 
@@ -241,6 +249,8 @@ class TestSimulate:
         ["--x-geometric", "inf"],
         ["--x-geometric", "nan"],
         ["--x-fixed", "60000", "--enhanced", "--scenario", "two-critical-simultaneous"],
+        # base rules: two colliders need about 150 000 slots on average to clear
+        ["--r", "0.99999", "--rounds", "3"],
     ])
     def test_critical_traffic_beyond_the_slot_cap_is_rejected(self, traffic, monkeypatch):
         # a critical phase longer than the 100 000-slot cap can only end in
@@ -260,6 +270,8 @@ class TestSimulate:
     def test_critical_traffic_at_the_slot_cap_is_accepted(self):
         assert CriticalTrafficModel.fixed(100_000).value == 100_000
         assert CriticalTrafficModel.geometric(5000).value == 5000
+        # base rules: nine colliders clear after about 2828 slots on average
+        SimConfig(params=ProtocolParams(10, 0.1, 0.3, 0.999))
 
     def test_scenario_requires_enhancement(self):
         proc = run_cli(

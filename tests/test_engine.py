@@ -3,12 +3,14 @@
 The array engine must reproduce the per-user reference engine
 (`engine_reference.py`) trace for trace, and a round's outcome must not
 depend on which rounds share its batch, on their order, or on the batch
-size.
+size.  The two-critical inference and its mode are checked on rounds whose
+every action is certain.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,12 +23,27 @@ from critmac import (
     Scenario,
     ScenarioUnsatisfiable,
     SimConfig,
+    cli,
     run_experiment,
-    run_round,
     simulate_two_critical,
 )
 from critmac import markov
-from critmac.sim import TWO_CRITICAL_SCENARIOS, _batch_rounds, _round_rng, _run_batch
+from critmac.protocol import (
+    BUSY_CODE,
+    CRITICAL,
+    FAILURE_CODE,
+    NORMAL,
+    OBSERVATIONS,
+    SUCCESS_CODE,
+)
+from critmac.sim import (
+    TWO_CRITICAL_SCENARIOS,
+    SlotEngine,
+    _batch_rounds,
+    _round_rng,
+    _run_batch,
+    run_round,
+)
 
 
 @st.composite
@@ -61,9 +78,32 @@ def configs(draw, scenarios=tuple(Scenario)):
     )
 
 
+def decode(trace):
+    """The engine's trace arrays as the reference engine's slots."""
+    traffic = (NORMAL, CRITICAL)
+    return [
+        engine_reference.Slot(
+            slot=t,
+            phase="critical" if crit else "normal",
+            actions=tuple(acts),
+            observations=tuple(OBSERVATIONS[o] for o in obs),
+            traffic=tuple(traffic[c & 1] for c in cells),
+        )
+        for t, (crit, acts, obs, cells) in enumerate(
+            zip(
+                trace.critical_phase.tolist(),
+                trace.actions.tolist(),
+                trace.observations.tolist(),
+                trace.cells.tolist(),
+            ),
+            1,
+        )
+    ]
+
+
 def same_round(cfg, index, trace, stats):
-    records, events, ref_stats = engine_reference.run_round(cfg, index)
-    assert trace.records == records
+    slots, events, ref_stats = engine_reference.run_round(cfg, index)
+    assert decode(trace) == slots
     assert trace.events == events
     assert stats == ref_stats
 
@@ -83,7 +123,8 @@ def test_rounds_independent_of_batch_and_order(cfg, indices):
         trace, stats = run_round(cfg, index)
         got = batch.trace(j)
         assert got.round_index == index
-        assert got.records == trace.records
+        assert got.cells.tobytes() == trace.cells.tobytes()
+        assert got.critical_phase.tolist() == trace.critical_phase.tolist()
         assert got.events == trace.events
         assert batch.collisions[j] == stats.critical_collisions
         assert batch.critical_slots[j] == stats.critical_phase_slots
@@ -134,3 +175,86 @@ def test_block_draws_equal_successive_draws():
         block = np.concatenate([a.random((9, 7)), a.random((4, 7))])
         steps = np.stack([b.random(7) for _ in range(13)])
         assert block.tobytes() == steps.tobytes()
+
+
+# normal users never transmit: q = 0 after an idle slot, 1 - theta = 0 after
+# a success and r = 0 after a collision; critical users transmit for certain
+QUIET = ProtocolParams(3, 1.0, 0.0, 0.0)
+
+
+def inference_engine():
+    engine = SlotEngine(
+        QUIET, EnhancementConfig(enabled=True, backoff_bound=5), [_round_rng(0, 0)], 8,
+        two_critical_inference=True,
+    )
+
+    def arrive(user, packets=5):
+        engine.set_critical(np.array([0]), np.array([user]), np.array([packets]))
+
+    return engine, arrive
+
+
+def test_in_phase_success_then_failure_triggers():
+    # user 0 succeeds as a critical user, then user 1 arrives and both
+    # transmit: user 0's (success, failure) switches it to rule_g at once
+    engine, arrive = inference_engine()
+    arrive(0)
+    assert engine.step()[1][0].tolist() == [SUCCESS_CODE, BUSY_CODE, BUSY_CODE]
+    arrive(1)
+    engine.step()
+    assert engine.users.g_mode[0].tolist() == [True, False, False]
+    assert (3, "g_entry", 0) in engine.events[0]
+
+
+def test_pre_arrival_success_does_not_count():
+    # user 0's success in slot 1 completes its one-packet critical traffic;
+    # it gets new critical traffic with user 1 in slot 2 and collides: the
+    # success came before its arrival, so the pair does not count
+    engine, arrive = inference_engine()
+    arrive(0, packets=1)
+    engine.step()
+    assert not engine.users.critical.any()
+    arrive(0)
+    arrive(1)
+    engine.step()
+    users = engine.users
+    assert (users.prev[0, 0], users.last[0, 0]) == (SUCCESS_CODE, FAILURE_CODE)
+    assert not users.g_mode.any()
+    assert [ev for _, ev, _ in engine.events[0] if ev.startswith("g_")] == []
+
+
+def test_permanent_once_set():
+    # user 0 is in the two-critical mode although neither pattern holds: it
+    # waits on its g-observation (success) while user 1 succeeds, then both
+    # transmit and collide; the mode stays set throughout, and only user 1,
+    # whose (success, failure) is in its phase, enters it
+    engine, arrive = inference_engine()
+    arrive(0)
+    arrive(1)
+    engine.users.g_mode[0, 0] = True
+    engine.users.g_observation[0, 0] = SUCCESS_CODE
+    for expected in ([False, True, False], [True, True, False]):
+        assert engine.step()[0][0].tolist() == expected
+        assert engine.users.g_mode[0, 0]
+    switches = [e for e in engine.events[0] if e[1].startswith("g_")]
+    assert switches == [(3, "g_entry", 1)]
+
+
+def test_tracer_counts_the_rule_functions(monkeypatch, capsys):
+    # the benchmark's tracer patches protocol.rule_g,
+    # protocol.two_critical_mode_trigger and SlotEngine.step by name, so the
+    # engine must reach all three through those names
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from bench.tracing import Tracer
+
+    tracer = Tracer()
+    with tracer.installed():
+        code = cli.main([
+            "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
+            "--rounds", "3", "--seed", "1", "--enhanced",
+            "--scenario", "two-critical-simultaneous",
+        ])
+    assert code == 0
+    assert tracer.counts["protocol.rule_g.calls"] > 0
+    assert tracer.counts["protocol.two_critical_mode_trigger.calls"] > 0
+    assert any(name == "sim.step" for name, *_ in tracer.spans)

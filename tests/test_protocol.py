@@ -1,49 +1,78 @@
-"""Decision-rule unit tests and protocol-level properties."""
+"""Decision-rule unit tests and protocol-level properties.
+
+The rules run on one-user (or two-user) `UserArrays`, as the slot engine
+runs them on many.
+"""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from critmac import (
-    BadParams,
-    EnhancementConfig,
-    Observation,
-    ProtocolParams,
-    TrafficType,
-    UserState,
+from critmac import BadParams, EnhancementConfig, Observation, ProtocolParams, TrafficType
+from critmac.protocol import (
+    OBSERVATIONS,
+    UserArrays,
+    normal_rule_table,
     rule_g,
-    transmission_probability,
+    transmission_probabilities,
     two_critical_mode_trigger,
-    user_transmission_probability,
 )
 
 I, B, S, F = Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
 NORMAL, CRITICAL = TrafficType.NORMAL, TrafficType.CRITICAL
+BASE = EnhancementConfig()
 
 
 def params(n=10, theta=0.1, q=0.105, r=0.479):
     return ProtocolParams(n, theta, q, r)
 
 
+def code(y):
+    return OBSERVATIONS.index(y)
+
+
+def user(**state):
+    """One user's state as UserArrays of shape (1,); observations given as members."""
+    u = UserArrays.initial((1,))
+    for name, value in state.items():
+        getattr(u, name)[0] = code(value) if isinstance(value, Observation) else value
+    return u
+
+
+def probability(p, cfg, **state):
+    return float(transmission_probabilities(p, cfg, user(**state))[0])
+
+
+def f(p, y, z):
+    """The base rule f(y, z)."""
+    return probability(p, BASE, last=y, critical=z is CRITICAL)
+
+
+def g(y):
+    return float(rule_g(np.array([code(y)]))[0])
+
+
 class TestBaseRule:
     def test_success_normal_is_one_minus_theta(self):
-        assert transmission_probability(params(), S, NORMAL) == pytest.approx(0.9)
+        assert f(params(), S, NORMAL) == pytest.approx(0.9)
 
     def test_busy_normal_is_zero(self):
         for p in (params(), params(theta=0.7, q=0.9, r=0.2)):
-            assert transmission_probability(p, B, NORMAL) == 0.0
+            assert f(p, B, NORMAL) == 0.0
 
     def test_critical_always_transmits(self):
         for y in Observation:
-            assert transmission_probability(params(), y, CRITICAL) == 1.0
+            assert f(params(), y, CRITICAL) == 1.0
 
     def test_idle_and_failure_entries(self):
         p = params(q=0.33, r=0.71)
-        assert transmission_probability(p, I, NORMAL) == 0.33
-        assert transmission_probability(p, F, NORMAL) == 0.71
+        assert f(p, I, NORMAL) == 0.33
+        assert f(p, F, NORMAL) == 0.71
+        assert normal_rule_table(p).tolist() == [0.33, 0.0, 0.9, 0.71]
 
     @given(
         theta=st.floats(0.001, 1.0),
@@ -54,7 +83,7 @@ class TestBaseRule:
     def test_probability_bounds(self, theta, q, r, n):
         p = ProtocolParams(n, theta, q, r)
         for y, z in itertools.product(Observation, TrafficType):
-            assert 0.0 <= transmission_probability(p, y, z) <= 1.0
+            assert 0.0 <= f(p, y, z) <= 1.0
 
 
 class TestParamsValidation:
@@ -81,101 +110,80 @@ class TestEnhancedRule:
     CFG = EnhancementConfig(enabled=True, backoff_bound=5)
 
     def test_rule1_success_then_failure(self):
-        state = UserState(prev_observation=S, last_observation=F, traffic=NORMAL)
-        assert user_transmission_probability(params(), self.CFG, state) == 0.0
+        assert probability(params(), self.CFG, prev=S, last=F) == 0.0
 
     def test_rule2_backoff_bound(self):
-        state = UserState(last_observation=F, consecutive_failures=5, traffic=NORMAL)
-        assert user_transmission_probability(params(), self.CFG, state) == 0.0
-        state.consecutive_failures = 4
-        assert user_transmission_probability(params(), self.CFG, state) == 0.479
+        assert probability(params(), self.CFG, last=F, failures=5) == 0.0
+        assert probability(params(), self.CFG, last=F, failures=4) == 0.479
 
     def test_rule3_after_critical(self):
-        state = UserState(last_observation=S, traffic=NORMAL, prev_traffic=CRITICAL)
-        assert user_transmission_probability(params(), self.CFG, state) == 0.0
+        state = dict(last=S, prev_critical=True)
+        assert probability(params(), self.CFG, **state) == 0.0
         no_suppress = EnhancementConfig(enabled=True, backoff_bound=5,
                                         suppress_after_critical=False)
-        assert user_transmission_probability(params(), no_suppress, state) == 0.9
+        assert probability(params(), no_suppress, **state) == 0.9
 
     def test_rule4_fallback(self):
-        state = UserState(last_observation=I, traffic=NORMAL)
-        assert user_transmission_probability(params(), self.CFG, state) == 0.105
-        crit = UserState(last_observation=F, consecutive_failures=9, traffic=CRITICAL)
-        assert user_transmission_probability(params(), self.CFG, crit) == 1.0
+        assert probability(params(), self.CFG, last=I) == 0.105
+        crit = dict(last=F, failures=9, critical=True)
+        assert probability(params(), self.CFG, **crit) == 1.0
 
     def test_yield_after_idle(self):
-        state = UserState(last_observation=I, traffic=NORMAL, yield_after_idle=True)
-        assert user_transmission_probability(params(), self.CFG, state) == 0.0
-        state.last_observation = S
-        assert user_transmission_probability(params(), self.CFG, state) == 0.9
+        assert probability(params(), self.CFG, last=I, yield_after_idle=True) == 0.0
+        assert probability(params(), self.CFG, last=S, yield_after_idle=True) == 0.9
 
     def test_rule_g_branch(self):
         for y in Observation:
-            state = UserState(traffic=CRITICAL, two_crit_mode=True, g_observation=y)
-            assert user_transmission_probability(params(), self.CFG, state) == rule_g(y)
+            state = dict(critical=True, g_mode=True, g_observation=y)
+            assert probability(params(), self.CFG, **state) == g(y)
 
     def test_disabled_config_gives_base_rule(self):
         # every waiting rule's trigger is set, and none of them applies
-        state = UserState(prev_observation=S, last_observation=F, consecutive_failures=9,
-                          traffic=NORMAL, prev_traffic=CRITICAL, yield_after_idle=True)
         for y in Observation:
-            state.last_observation = y
-            assert user_transmission_probability(params(), EnhancementConfig(), state) == (
-                transmission_probability(params(), y, NORMAL)
-            )
+            state = dict(prev=S, last=y, failures=9, prev_critical=True, yield_after_idle=True)
+            assert probability(params(), BASE, **state) == f(params(), y, NORMAL)
 
 
 class TestRuleG:
     def test_values(self):
-        assert rule_g(I) == 1.0
-        assert rule_g(B) == 1.0
-        assert rule_g(S) == 0.0
-        assert rule_g(F) == 0.5
+        assert g(I) == 1.0
+        assert g(B) == 1.0
+        assert g(S) == 0.0
+        assert g(F) == 0.5
 
     def test_alternation_after_first_success(self):
         # deterministic sub-chain: once one of two rule-g users succeeds,
         # actions alternate (T, W)/(W, T); successes never collide again
-        obs = [S, B]
+        obs = np.array([code(S), code(B)])
         pattern = []
         for _ in range(30):
-            ps = [rule_g(o) for o in obs]
-            assert set(ps) <= {0.0, 1.0}
-            acts = [p == 1.0 for p in ps]
-            assert sum(acts) == 1
-            pattern.append(tuple(acts))
-            obs = [S if a else B for a in acts]
+            ps = rule_g(obs)
+            assert set(ps.tolist()) <= {0.0, 1.0}
+            acts = ps == 1.0
+            assert acts.sum() == 1
+            pattern.append(tuple(acts.tolist()))
+            obs = np.where(acts, code(S), code(B))
         for first, second in zip(pattern, pattern[1:]):
             assert first != second
 
 
 class TestTwoCriticalTrigger:
+    """The trigger on the flags the slot engine keeps; the engine's own
+    updates of them are tested in test_engine.py."""
+
     CFG = EnhancementConfig(enabled=True, backoff_bound=5)
 
+    def trigger(self, **state):
+        return bool(two_critical_mode_trigger(self.CFG, user(critical=True, **state))[0])
+
     def test_b_plus_one_collisions(self):
-        state = UserState(traffic=CRITICAL, consecutive_failures=6, last_observation=F)
-        assert two_critical_mode_trigger(state, self.CFG, [B] + [F] * 6)
+        assert self.trigger(failures=6, last=F, in_phase=True)
 
     def test_success_then_failure_in_phase(self):
-        state = UserState(traffic=CRITICAL, prev_observation=S, last_observation=F)
-        assert two_critical_mode_trigger(state, self.CFG, [B, F, S, F])
-
-    def test_pre_arrival_success_does_not_count(self):
-        # window[0] is the slot before the arrival; a success there happened
-        # while the user was still normal
-        state = UserState(traffic=CRITICAL, prev_observation=S, last_observation=F)
-        assert not two_critical_mode_trigger(state, self.CFG, [S, F])
+        assert self.trigger(prev=S, last=F, in_phase=True, success_failure=True)
 
     def test_few_failures_no_trigger(self):
-        state = UserState(traffic=CRITICAL, consecutive_failures=3, last_observation=F)
-        assert not two_critical_mode_trigger(state, self.CFG, [B, F, F, F])
-
-    def test_permanent_once_set(self):
-        state = UserState(traffic=CRITICAL, two_crit_mode=True)
-        assert two_critical_mode_trigger(state, self.CFG, [])
-
-    def test_rejects_normal_user(self):
-        with pytest.raises(BadParams):
-            two_critical_mode_trigger(UserState(traffic=NORMAL), self.CFG, [])
+        assert not self.trigger(failures=3, last=F, in_phase=True)
 
 
 class TestNonIntrusiveness:
@@ -187,11 +195,10 @@ class TestNonIntrusiveness:
         packets = 3
 
         def probs(obs, remaining):
-            out = []
-            for i, y in enumerate(obs):
-                z = CRITICAL if (i == 0 and remaining > 0) else NORMAL
-                out.append(transmission_probability(p, y, z))
-            return out
+            users = UserArrays.initial((3,))
+            users.last[:] = [code(y) for y in obs]
+            users.critical[0] = remaining > 0
+            return transmission_probabilities(p, BASE, users).tolist()
 
         # state: (obs triple, remaining packets, critical-succeeded flag)
         states = {((I, I, I), packets, False)}

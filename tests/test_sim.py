@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import engine_reference
 from critmac import (
     BadParams,
     CriticalTrafficModel,
@@ -17,21 +17,27 @@ from critmac import (
     ProtocolParams,
     Scenario,
     SimConfig,
-    SlotEngine,
     TrafficType,
-    UserState,
     contention_time,
     critical_delay,
     enhanced_critical_delay,
     run_experiment,
-    run_round,
-    transmission_probability,
-    user_transmission_probability,
 )
-from critmac.protocol import IDLE_CODE, SUCCESS_CODE, UserArrays
-from critmac.sim import _round_rng, write_trace_header, write_trace_rows
-
-I, B, S, F = Observation.IDLE, Observation.BUSY, Observation.SUCCESS, Observation.FAILURE
+from critmac.protocol import (
+    BUSY_CODE,
+    FAILURE_CODE,
+    IDLE_CODE,
+    OBSERVATIONS,
+    SUCCESS_CODE,
+    normal_rule_table,
+)
+from critmac.sim import (
+    SlotEngine,
+    _round_rng,
+    run_round,
+    write_trace_header,
+    write_trace_rows,
+)
 
 P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
 P3 = ProtocolParams(3, 0.5, 0.3397, 0.4896)
@@ -48,7 +54,8 @@ class TestDeterminism:
         cfg = small_cfg()
         t1, s1 = run_round(cfg, 4)
         t2, s2 = run_round(cfg, 4)
-        assert t1.records == t2.records
+        assert t1.cells.tobytes() == t2.cells.tobytes()
+        assert t1.critical_phase.tolist() == t2.critical_phase.tolist()
         assert t1.events == t2.events
         assert s1 == s2
 
@@ -65,21 +72,24 @@ class TestDeterminism:
         assert run_round(cfg, 7)[1] == later_first
 
 
-class TestTraceInvariants:
-    def assert_consistent(self, rec):
-        k = rec.transmitters
-        for acted, obs in zip(rec.actions, rec.observations):
-            if acted:
-                assert obs is (S if k == 1 else F)
-            else:
-                assert obs is (I if k == 0 else B)
+def critical_flags(trace):
+    """Each slot's traffic per user as critical flags (the low bit of a trace cell)."""
+    return (trace.cells & 1).astype(bool)
 
+
+class TestTraceInvariants:
     def test_observation_consistency(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
             trace, _ = run_round(cfg, idx)
-            for rec in trace.records:
-                self.assert_consistent(rec)
+            actions = trace.actions
+            k = actions.sum(axis=1, keepdims=True)
+            expected = np.where(
+                actions,
+                np.where(k == 1, SUCCESS_CODE, FAILURE_CODE),
+                np.where(k == 0, IDLE_CODE, BUSY_CODE),
+            )
+            assert (trace.observations == expected).all()
 
     def test_non_intrusive_after_first_success(self):
         # baseline protocol: once the critical user succeeds, it never fails again
@@ -88,38 +98,33 @@ class TestTraceInvariants:
             trace, _ = run_round(cfg, idx)
             crit = next(u for s, ev, u in trace.events if ev == "critical_arrival")
             seen_success = False
-            for rec in trace.records:
-                if rec.phase != "critical":
-                    continue
+            for obs in trace.observations[trace.critical_phase, crit].tolist():
                 if seen_success:
-                    assert rec.observations[crit] is S
-                if rec.observations[crit] is S:
+                    assert obs == SUCCESS_CODE
+                if obs == SUCCESS_CODE:
                     seen_success = True
 
     def test_contention_periods_begin_idle(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
             trace, stats = run_round(cfg, idx)
-            rec_at = {r.slot: r for r in trace.records}
             for start in stats.contention_starts:
-                assert rec_at[start].transmitters == 0
+                assert not trace.actions[start - 1].any()  # row start - 1 is slot start
 
     def test_single_user_never_collides(self):
         cfg = small_cfg(params=ProtocolParams(1, 0.3, 0.4, 0.5), rounds=1)
         trace, stats = run_round(cfg, 0)
         assert stats.critical_collisions == 0
-        for rec in trace.records:
-            assert rec.transmitters <= 1
-            assert F not in rec.observations
+        assert (trace.actions.sum(axis=1) <= 1).all()
+        assert (trace.observations != FAILURE_CODE).all()
 
     def test_normal_phase_length_and_phase_labels(self):
         cfg = small_cfg(normal_phase_slots=37)
         trace, stats = run_round(cfg, 2)
-        normal = [r for r in trace.records if r.phase == "normal"]
-        critical = [r for r in trace.records if r.phase == "critical"]
-        assert len(normal) == 37 == stats.normal_slots
-        assert len(critical) == stats.critical_phase_slots
-        assert all(z is TrafficType.NORMAL for r in normal for z in r.traffic)
+        phase = trace.critical_phase
+        assert (~phase).sum() == 37 == stats.normal_slots
+        assert phase.sum() == stats.critical_phase_slots
+        assert not critical_flags(trace)[~phase].any()
 
 
 class TestEnhancedRules:
@@ -137,25 +142,26 @@ class TestEnhancedRules:
             trace, _ = run_round(cfg, idx)
             n = cfg.params.n_users
             runs = [0] * n
-            for rec in trace.records:
+            for critical, obs in zip(critical_flags(trace).tolist(),
+                                     trace.observations.tolist()):
                 for u in range(n):
-                    if rec.traffic[u] is TrafficType.CRITICAL:
+                    if critical[u]:
                         runs[u] = 0  # the bound concerns normal users only
-                    elif rec.observations[u] is F:
+                    elif obs[u] == FAILURE_CODE:
                         runs[u] += 1
                         assert runs[u] <= self.ENH.backoff_bound
                     else:
                         runs[u] = 0
 
     def test_engine_matches_rule_functions(self):
-        # each slot's actions are the engine's draws compared with the rule
-        # functions' probabilities for the users' states before the slot
+        # each slot's actions are the engine's draws compared with the scalar
+        # reference rules' probabilities for the users' states before the slot
         rng = np.random.default_rng(77)
         obs = list(Observation)
 
         def random_state():
             critical = rng.random() < 0.3
-            return UserState(
+            return engine_reference.UserState(
                 last_observation=obs[rng.integers(4)],
                 prev_observation=obs[rng.integers(4)],
                 consecutive_failures=int(rng.integers(0, 7)),
@@ -167,13 +173,6 @@ class TestEnhancedRules:
                 yield_after_idle=bool(rng.random() < 0.3),
             )
 
-        def as_arrays(states):  # rounds x users of UserState -> UserArrays
-            ones = [[UserArrays.of(u) for u in row] for row in states]
-            return UserArrays(**{
-                f.name: np.array([[getattr(a, f.name)[0] for a in row] for row in ones])
-                for f in fields(UserArrays)
-            })
-
         n, rounds = P10.n_users, 3
         for enh in (EnhancementConfig(enabled=True, backoff_bound=4), EnhancementConfig()):
             # blocks of 7 rows, so the engine also draws past its first block
@@ -181,16 +180,15 @@ class TestEnhancedRules:
             draws = [_round_rng(0, i) for i in range(rounds)]  # the engine's streams
             for _ in range(60):
                 states = [[random_state() for _ in range(n)] for _ in range(rounds)]
-                engine.users = as_arrays(states)
+                engine.users = engine_reference.as_arrays(states)
                 expected = []
                 for row, stream in zip(states, draws):
-                    probs = [user_transmission_probability(P10, enh, u) for u in row]
+                    probs = [engine_reference.probability(P10, enh, u) for u in row]
                     if not enh.enabled:
                         for u, p in zip(row, probs):
                             if u.traffic is TrafficType.NORMAL:
-                                assert p == transmission_probability(
-                                    P10, u.last_observation, u.traffic
-                                )
+                                code = OBSERVATIONS.index(u.last_observation)
+                                assert p == normal_rule_table(P10)[code]
                     expected.append([bool(d < p) for d, p in zip(stream.random(n), probs)])
                 assert engine.step()[0].tolist() == expected
 
