@@ -9,8 +9,8 @@ across fairness levels.
 Every search is one routine, `_search`: a grid scan of a box followed by two
 local refinement passes (step divided by 10 each) around the incumbent.  It
 serves the whole square (coarse step 0.01) and each of the edges r = eps and
-q = eps, as a box with one side pinned to eps.  Each scan first solves
-every grid point it lacks in stacks (`markov.contention_times`, and
+q = eps, as a box with one side pinned to eps.  Each scan first evaluates
+every grid point it lacks in one batch (`markov.contention_times`, and
 `markov.critical_delays` when a feasibility test applies), then walks the
 grid over the stored values, so grid search beats gradient machinery here.
 For binding solutions a final 1-D bisection along the local utilization
@@ -108,9 +108,9 @@ class DesignSolution:
 class _Evaluator:
     """Memoized metric evaluation for one (N, theta).
 
-    `fill` solves the points of a grid in stacks; `tc` and `d_crit` read the
-    memo and solve a point they do not find on its own, which also gives
-    the error of a point the stacks leave NaN.
+    `fill` evaluates the points of a grid in one batch; `tc` and `d_crit`
+    read the memo and evaluate a point they do not find on its own, which
+    also gives the error of a point the batch leaves NaN.
     """
 
     def __init__(self, n_users: int, theta: float):

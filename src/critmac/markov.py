@@ -3,63 +3,64 @@
 Two chains describe the protocol's behavior, both over the number of
 simultaneous transmissions in a slot:
 
-* normal phase: states 0..N (all users normal).  State 1 is the success
-  state; removing its row and column leaves the transient block Q_norm whose
-  fundamental matrix gives the mean contention-period length T_c.  The
-  chain's stationary distribution w gives the slot-state probabilities, and
-  w(1) equals the channel utilization C_norm = 1 / (theta * T_c + 1).
+* normal phase: states 0..N.  Row 0 is Binomial(N, q), row 1 puts theta on
+  state 0 and 1 - theta on state 1 (a success), row k >= 2 is
+  Binomial(k, r) over 0..k.  T_c is the mean number of non-success slots
+  from an idle slot until the next success, counting the idle slot; the
+  stationary distribution w has w(1) = C_norm = 1 / (theta * T_c + 1).
 * critical phase: states 0..N-1 counting transmissions by *normal* users
-  while the critical user transmits every slot.  State 0 (critical success)
-  is absorbing; the fundamental matrix row sums m_k are the expected slots
-  until the critical user's first success starting from k colliding normal
-  users.
+  while the critical user transmits every slot.  Row k is Binomial(k, r);
+  state 0 (critical success) is absorbing, and m_k is the expected number
+  of slots until it from k colliding normal users.
 
-The expected number of collisions a critical user suffers, D_crit, follows
+D_crit, the expected number of collisions a critical user suffers, follows
 by conditioning on the outcome (l, a) of the last normal-phase slot: l other
-transmitters and own action a (T/W).  d(l, a) is the conditional expected
+transmitters and own action a (T/W), with d(l, a) the conditional expected
 collision count and v(l, a) the stationary probability of that outcome.
 
-All linear systems are dense and small (dimension <= N + 1) and are solved
-with numpy.linalg.solve, on stacks of matrices: `contention_times` and
-`critical_delays` build the chains of many (q, r) points of one (N, theta)
-as (points, dim, dim) arrays of about _STACK_ELEMENTS floats and solve each
-system once per stack.  The one-point functions are the same code on a
-stack of one, so both give the same bits at every point.  SingularSystem is
-raised exactly where a chain has no unique answer:
+Only the idle row depends on q, and every other row is lower-triangular.
+So each metric is a set of tables over the states that depend on
+(N, theta, r) alone, one lower-triangular solve per r, contracted at each
+point with Binomial(N, q).  With L the normal chain over the states 1..N:
 
-* T_c and D_crit (plain and enhanced) at boundary q or r (0 or 1): an idle
-  or colliding population that never transmits, or colliders that never
-  back off, never reach a success;
-* the hitting times m at r = 1, where 1 - r^k = 0 on the diagonal of
-  I - Q_crit;
-* a stationary distribution of a matrix with more than one absorbing
-  state (the normal chain at r = 1 with N >= 3).  The normal chain at
-  N = 2, r = 1 has the single absorbing state 2 and keeps its unique
-  answer.
+* T_c.  From a collision state k >= 2 the time to the next success is
+  A_k + (1 - C_k) T_c (C_k: the chance to see a success before an idle
+  slot), so T_c = (1 + sum_k P_0k A_k) / (P_01 + sum_k P_0k C_k).
+* D_crit, in renewal form over cycles from the idle slot.  With c_j the
+  coefficient of w_j in sum v(l, a) d(l, a), (I - L) g = c and
+  (I - L) s = 1: D_crit = (d(0, W) + P_0[1:] g) / (1 + P_0[1:] s), where
+  d(0, W) = sum_k Binomial(N-1, q)_k m_k.
 
-Interior points near the boundary are well posed and return the large
-finite value; a LinAlgError or a non-finite solution still raises
-SingularSystem rather than returning garbage.  The stacked functions never
-raise for a point: they return NaN where the one-point function would
-raise (and for every point of a stack holding an exactly singular system),
-so a caller asks the one-point function for that point's error.
+Row k of each system is divided by 1 - P_kk, summed from the row's entries
+left of the diagonal.  With a unit diagonal that no entry below it exceeds,
+numpy.linalg.solve never pivots and substitutes forward in positive terms:
+no digits cancel, even for q or r next to 0 or 1.  A point's value depends
+on its own (q, r) alone, so `contention_times` and `critical_delays` give
+the bits of the one-point functions.  The dense chains,
+`stationary_distribution` and `delay_decomposition` are the explicit form.
+
+SingularSystem is raised exactly where there is no unique finite answer:
+T_c and D_crit at boundary q or r (0 or 1), where an idle or colliding
+population that never transmits, or colliders that never back off, never
+reach a success; m at r = 1 (1 - r^k = 0); a stationary distribution of a
+matrix with more than one absorbing state (the normal chain at r = 1 with
+N >= 3; at N = 2 it has one); and an interior point whose metric is not
+finite.  Interior points near the boundary return the large finite value.
+The batched functions return NaN exactly where the one-point one raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import BadParams, SingularSystem
 from .protocol import ProtocolParams
 
-_ROW_SUM_TOL = 1e-12
-# float64 entries per stacked (points, dim, dim) array: 1 MB
+# float64 entries per temporary array of a batched evaluation: 1 MB
 _STACK_ELEMENTS = 2 ** 17
-
-ACTION_TRANSMIT = "T"
-ACTION_WAIT = "W"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +81,10 @@ class TransitionMatrix:
             raise BadParams(f"transition matrix must be square, got shape {e.shape}")
         if len(self.states) != e.shape[0]:
             raise BadParams("state labels do not match matrix dimension")
-        _check_stochastic(e)
+        if np.any(e < -0.0) or np.any(e > 1.0 + 1e-15):
+            raise BadParams("transition probabilities must lie in [0, 1]")
+        if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-12:
+            raise BadParams("rows of a transition matrix must sum to 1")
 
     @property
     def dim(self) -> int:
@@ -117,58 +121,23 @@ class DelayDecomposition:
     m_vector: np.ndarray
 
     def delay(self) -> float:
-        """Contract the tables: sum of v(l, a) * d(l, a)."""
-        return float(_contract(self.v_table, self.d_table))
+        """Contract the tables: sum of v(l, a) * d(l, a), in v's key order."""
+        return float(sum(self.v_table[key] * self.d_table[key] for key in self.v_table))
 
 
-def _contract(v_table: dict, d_table: dict):
-    """Sum of v(l, a) * d(l, a), added in v's key order (floats or per-point arrays)."""
-    return sum(v_table[key] * d_table[key] for key in v_table)
+_COEFFICIENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _check_stochastic(entries: np.ndarray) -> None:
-    """Entries in [0, 1] and rows summing to 1, for one matrix or a stack of them."""
-    if np.any(entries < -0.0) or np.any(entries > 1.0 + 1e-15):
-        raise BadParams("transition probabilities must lie in [0, 1]")
-    if np.max(np.abs(entries.sum(axis=-1) - 1.0)) > _ROW_SUM_TOL:
-        raise BadParams("rows of a transition matrix must sum to 1")
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] x[i] = b for every system of the stack a.
-
-    An exactly singular system raises SingularSystem for the whole stack; a
-    system whose solution is not finite gets NaN in every entry of it.
-    """
-    rhs = np.broadcast_to(b[:, None], (*a.shape[:-1], 1))
-    try:
-        x = np.linalg.solve(a, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"linear system is singular: {exc}") from None
-    x[~np.all(np.isfinite(x), axis=-1)] = np.nan
-    return x
-
-
-def _single(x: np.ndarray) -> np.ndarray:
-    """The answer of a stack of one system; a solution that is not finite raises."""
-    if np.isnan(x).any():
-        raise SingularSystem("linear system has no finite solution")
-    return x[0]
-
-
-_COMB_CACHE: dict[int, np.ndarray] = {0: np.ones(1)}
-
-
-def _comb_row(n: int) -> np.ndarray:
-    """Binomial coefficients C(n, 0..n); exact in floats for the sizes used here."""
-    if n not in _COMB_CACHE:
-        top = max(_COMB_CACHE)
-        for m in range(top + 1, n + 1):
-            prev = _COMB_CACHE[m - 1]
-            row = np.ones(m + 1)
-            row[1:m] = prev[1:] + prev[:-1]
-            _COMB_CACHE[m] = row
-    return _COMB_CACHE[n]
+def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(k, j) for k, j = 0..n (exact in floats for the sizes used here), and max(k - j, 0)."""
+    if n not in _COEFFICIENTS:
+        comb = np.zeros((n + 1, n + 1))
+        comb[:, 0] = 1.0
+        for k in range(1, n + 1):
+            comb[k, 1:] = comb[k - 1, 1:] + comb[k - 1, :-1]
+        k, j = np.indices(comb.shape)
+        _COEFFICIENTS[n] = comb, np.maximum(k - j, 0)
+    return _COEFFICIENTS[n]
 
 
 def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:
@@ -178,14 +147,105 @@ def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:
     return np.power(p, j), np.power(1.0 - p, j)
 
 
-def _binomial(k: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Binomial(k, p) rows from the powers of p: C(k, j) p^j (1 - p)^(k - j), j = 0..k."""
-    return _comb_row(k) * up[..., : k + 1] * down[..., k::-1]
-
-
 def binomial_pmf(n: int, p) -> np.ndarray:
     """The Binomial(n, p) probability row over 0..n successes, one row per entry of p."""
-    return _binomial(n, *_powers(n, p))
+    up, down = _powers(n, p)
+    return _coefficients(n)[0][n] * up * down[..., ::-1]
+
+
+def _binomial_block(n: int, rs) -> np.ndarray:
+    """Rows k = 0..n of Binomial(k, r) over 0..k, zero right of the diagonal, for each r of rs."""
+    comb, down_power = _coefficients(n)
+    up, down = _powers(n, rs)
+    return comb * up[:, None, :] * down[:, down_power]
+
+
+def _unit_block(n: int, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I - P over the states 1..N of rows k = 1..N of Binomial(k, r), row k divided by 1 - P_kk.
+
+    1 - P_kk is summed from the row's entries left of the diagonal and
+    returned as den[:, k-1].  Rows k >= 2 are both chains' rows; row 1 is e_1.
+    """
+    block = _binomial_block(n, rs)
+    block.reshape(len(block), -1)[:, :: n + 2] = 0.0  # the diagonal P_kk
+    low = block[:, 1:]
+    den = low.sum(axis=-1)
+    return np.eye(n) - low[:, :, 1:] / den[..., None], den
+
+
+def _contention_tables(n: int, theta: float, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_k and C_k, k = 2..N, of each r: (I - L) [A, C] = [1, P_k1] over the states 2..N."""
+    a, den = _unit_block(n, rs)
+    rhs = np.concatenate([1.0 / den[:, 1:, None], -a[:, 1:, :1]], axis=-1)  # [1, P_k1] / den
+    x = np.linalg.solve(a[:, 1:, 1:], rhs)
+    return x[..., 0], x[..., 1]
+
+
+def _contention_contract(n: int, qs: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T_c at each point from its Binomial(N, q) row and its r's tables A and C."""
+    p0 = binomial_pmf(n, qs)
+    return (1.0 + (p0[:, 2:] * a).sum(axis=-1)) / (p0[:, 1] + (p0[:, 2:] * c).sum(axis=-1))
+
+
+def _delay_tables(n: int, theta: float, rs: np.ndarray, enhanced: bool = False) -> tuple:
+    """m, g and s of each r; `enhanced` sets d(1, W) = 1 - theta.
+
+    m solves the leading N-1 rows, the critical chain's, and
+    c_j = j/N d(j-1, T) + (N-j)/N d(j, W), j = 1..N (see delay_decomposition).
+    """
+    a, den = _unit_block(n, rs)
+    m = np.linalg.solve(a[:, :-1, :-1], 1.0 / den[:, :-1, None])[..., 0]
+    zero = np.zeros((len(rs), 1))
+    d1w = np.full((len(rs), 1), 1.0 - theta) if enhanced else (1.0 - theta) * m[:, :1]
+    d_t = np.concatenate([zero, m - 1.0], axis=1)
+    d_w = np.concatenate([d1w, m[:, 1:] - 1.0, zero], axis=1)
+    j = np.arange(1, n + 1)
+    c = j / n * d_t + (n - j) / n * d_w
+    den[:, 0] = theta  # row 1 of the normal chain
+    gs = np.linalg.solve(a, np.stack([c, np.ones_like(c)], axis=-1) / den[..., None])
+    return m, gs[..., 0], gs[..., 1]
+
+
+def _delay_contract(n: int, qs: np.ndarray, m: np.ndarray, g: np.ndarray, s: np.ndarray):
+    """D_crit at each point from its Binomial(N, q) and (N-1, q) rows and its r's tables."""
+    p0 = binomial_pmf(n, qs)[:, 1:]
+    d0w = (binomial_pmf(n - 1, qs)[:, 1:] * m).sum(axis=-1)
+    return (d0w + (p0 * g).sum(axis=-1)) / (1.0 + (p0 * s).sum(axis=-1))
+
+
+@np.errstate(all="ignore")  # a value that is not finite is NaN
+def _by_points(tables, contract, n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """contract(N, q, *tables of r) at every point (qs[i], rs[i]); NaN outside (0, 1)^2.
+
+    Each distinct r's tables are solved once; the r values and the points
+    go in chunks of about _STACK_ELEMENTS floats.
+    """
+    _require_analysis_params(ProtocolParams(n_users, theta, 0.0, 0.0))  # N and theta checks
+    qs = np.asarray(qs, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    out = np.full(len(qs), np.nan)
+    inside = np.flatnonzero((qs > 0.0) & (qs < 1.0) & (rs > 0.0) & (rs < 1.0))
+    r_set, which = np.unique(rs[inside], return_inverse=True)
+    size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
+    parts = [tables(n_users, theta, r_set[i : i + size]) for i in range(0, len(r_set), size)]
+    tabs = [np.concatenate(table) for table in zip(*parts)]
+    size = max(1, _STACK_ELEMENTS // (n_users + 1))
+    for start in range(0, len(inside), size):
+        idx, at = inside[start : start + size], which[start : start + size]
+        out[idx] = contract(n_users, qs[idx], *(table[at] for table in tabs))
+    out[~np.isfinite(out)] = np.nan
+    return out
+
+
+@np.errstate(all="ignore")  # a value that is not finite raises
+def _at_point(tables, contract, params: ProtocolParams) -> float:
+    """contract(N, q, *tables of r) at the point of params, as _by_points computes it."""
+    _require_interior(params)
+    n = params.n_users
+    value = contract(n, np.array([params.q]), *tables(n, params.theta, np.array([params.r])))[0]
+    if not np.isfinite(value):
+        raise SingularSystem("the metric has no finite value at this point")
+    return float(value)
 
 
 def _require_analysis_params(params: ProtocolParams) -> None:
@@ -202,28 +262,6 @@ def _require_interior(params: ProtocolParams) -> None:
         )
 
 
-def _normal_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Normal-phase chains of the points (qs[i], rs[i]), as a (points, N+1, N+1) stack."""
-    p = np.zeros((len(qs), n + 1, n + 1))
-    p[:, 0, :] = binomial_pmf(n, qs)
-    p[:, 1, 0] = theta
-    p[:, 1, 1] = 1.0 - theta
-    up, down = _powers(n, rs)
-    for k in range(2, n + 1):
-        p[:, k, : k + 1] = _binomial(k, up, down)
-    return p
-
-
-def _critical_stack(n: int, rs: np.ndarray) -> np.ndarray:
-    """Critical-phase chains of the retransmission probabilities rs, as a (points, N, N) stack."""
-    p = np.zeros((len(rs), n, n))
-    p[:, 0, 0] = 1.0
-    up, down = _powers(n - 1, rs)
-    for k in range(1, n):
-        p[:, k, : k + 1] = _binomial(k, up, down)
-    return p
-
-
 def build_normal_matrix(params: ProtocolParams) -> TransitionMatrix:
     """Normal-phase chain over states 0..N (simultaneous transmissions).
 
@@ -234,7 +272,9 @@ def build_normal_matrix(params: ProtocolParams) -> TransitionMatrix:
     """
     _require_analysis_params(params)
     n = params.n_users
-    p = _normal_stack(n, params.theta, [params.q], [params.r])[0]
+    p = _binomial_block(n, [params.r])[0]
+    p[0] = binomial_pmf(n, params.q)
+    p[1, :2] = params.theta, 1.0 - params.theta
     return TransitionMatrix(p, tuple(range(n + 1)))
 
 
@@ -247,29 +287,27 @@ def build_critical_matrix(params: ProtocolParams) -> TransitionMatrix:
     """
     _require_analysis_params(params)
     n = params.n_users
-    return TransitionMatrix(_critical_stack(n, [params.r])[0], tuple(range(n)))
+    return TransitionMatrix(_binomial_block(n - 1, [params.r])[0], tuple(range(n)))
 
 
-def _contention_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """T_c at each point of a stack: entry 0 of (I - Q_norm)^-1 e."""
-    p = _normal_stack(n, theta, qs, rs)
-    _check_stochastic(p)
-    a = np.delete(np.delete(p, 1, axis=1), 1, axis=2)  # Q_norm: state 1 removed
-    np.subtract(np.eye(n), a, out=a)
-    return _solve(a, np.ones(n))[:, 0]
+def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """T_c at every point (qs[i], rs[i]) of one (N, theta), from per-r tables.
+
+    Each value has the bits contention_time gives at that point.  NaN marks
+    exactly the points where contention_time raises: q or r not strictly
+    inside (0, 1), or a T_c that is not finite.
+    """
+    return _by_points(_contention_tables, _contention_contract, n_users, theta, qs, rs)
 
 
 def contention_time(params: ProtocolParams) -> float:
     """Mean contention-period length T_c, in slots.
 
-    Solves (I - Q_norm) x = e for the transient block Q_norm (state 1
-    removed) and returns the entry for state 0: the expected number of
-    non-success slots from an idle slot until the next success, counting the
-    idle slot itself.  Independent of theta since Q_norm excludes row and
-    column 1.
+    The expected number of non-success slots from an idle slot until the
+    next success, counting the idle slot itself.  Independent of theta,
+    which only row 1 holds.
     """
-    _require_interior(params)
-    return float(_single(_contention_stack(params.n_users, params.theta, [params.q], [params.r])))
+    return _at_point(_contention_tables, _contention_contract, params)
 
 
 def channel_utilization(params: ProtocolParams) -> float:
@@ -277,75 +315,46 @@ def channel_utilization(params: ProtocolParams) -> float:
     return 1.0 / (params.theta * contention_time(params) + 1.0)
 
 
-def _stationary_solve(p: np.ndarray) -> np.ndarray:
-    """Stationary distribution of each matrix of a stack; see stationary_distribution."""
-    absorbing = np.count_nonzero(np.diagonal(p, axis1=-2, axis2=-1) == 1.0, axis=-1).max()
-    if absorbing > 1:
-        raise SingularSystem(
-            f"chain has {absorbing} absorbing states, so its stationary distribution "
-            "is not unique"
-        )
-    n = p.shape[-1]
-    a = p - np.eye(n)
-    a[..., -1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return _solve(np.swapaxes(a, -1, -2), b)
-
-
 def stationary_distribution(m: TransitionMatrix) -> np.ndarray:
     """Stationary distribution w of a row-stochastic matrix: wP = w, sum w = 1.
 
     Solved as a linear system with the normalization constraint replacing
-    one redundant balance equation (last column of P - I set to ones), which
-    is deterministic and avoids eigen-iteration.  Every absorbing state
-    carries a stationary distribution of its own, so a matrix with more than
-    one has no unique answer and raises SingularSystem.
+    one redundant balance equation (last column of P - I set to ones).
+    Every absorbing state carries a stationary distribution of its own, so
+    a matrix with more than one raises SingularSystem, as does a system
+    without a finite solution.
     """
-    return _single(_stationary_solve(m.entries[None]))
-
-
-def _hitting_solve(p: np.ndarray) -> np.ndarray:
-    """Hitting times m of each critical chain of a stack: (I - Q_crit)^-1 e."""
-    n = p.shape[-1]
-    return _solve(np.eye(n - 1) - p[:, 1:, 1:], np.ones(n - 1))
+    absorbing = np.count_nonzero(np.diagonal(m.entries) == 1.0)
+    if absorbing > 1:
+        raise SingularSystem(f"chain has {absorbing} absorbing states, so its stationary "
+                             "distribution is not unique")
+    a = m.entries - np.eye(m.dim)
+    a[:, -1] = 1.0
+    b = np.zeros(m.dim)
+    b[-1] = 1.0
+    try:
+        w = np.linalg.solve(a.T, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"linear system is singular: {exc}") from None
+    if not np.all(np.isfinite(w)):
+        raise SingularSystem("linear system has no finite solution")
+    return w
 
 
 def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
     """Vector m with m[k-1] = expected slots to absorb from state k, k = 1..N-1.
 
-    Computed as (I - Q_crit)^(-1) e for the transient block of the
-    critical-phase chain; requires r < 1 (at r = 1 colliders never back
-    off: 1 - r^k = 0 on the diagonal, and SingularSystem is raised).
+    (I - Q_crit) m = e by forward substitution: m_1 = 1 / (1 - r) and
+    m_k = (1 + sum_{1<=j<k} P_kj m_j) / (1 - P_kk).  At r = 1 colliders
+    never back off (1 - r^k = 0), and SingularSystem is raised.
     """
     _require_analysis_params(params)
     if params.r == 1.0:
         raise SingularSystem("r = 1: colliding users never back off, so no hitting time is finite")
-    p = build_critical_matrix(params).entries
-    return _single(_hitting_solve(p[None]))
-
-
-def _delay_tables(
-    n: int, theta: float, qs: np.ndarray, m: np.ndarray, w: np.ndarray
-) -> tuple[dict, dict]:
-    """d(l, a) and v(l, a) of every point of a stack, each entry an array over the points.
-
-    m is the (points, N-1) stack of hitting times and w the (points, N+1)
-    stack of stationary distributions; see delay_decomposition.
-    """
-    d: dict[tuple[int, str], np.ndarray] = {}
-    d[(0, ACTION_TRANSMIT)] = np.zeros(len(qs))
-    d[(0, ACTION_WAIT)] = np.sum(binomial_pmf(n - 1, qs)[:, 1:] * m, axis=-1)
-    d[(1, ACTION_TRANSMIT)] = m[:, 0] - 1.0
-    d[(1, ACTION_WAIT)] = (1.0 - theta) * m[:, 0]
-    for l in range(2, n):
-        d[(l, ACTION_TRANSMIT)] = d[(l, ACTION_WAIT)] = m[:, l - 1] - 1.0
-
-    v: dict[tuple[int, str], np.ndarray] = {}
-    for l in range(n):
-        v[(l, ACTION_TRANSMIT)] = (l + 1) / n * w[:, l + 1]
-        v[(l, ACTION_WAIT)] = (n - l) / n * w[:, l]
-    return d, v
+    m = _delay_tables(params.n_users, params.theta, np.array([params.r]))[0][0]
+    if not np.all(np.isfinite(m)):
+        raise SingularSystem("the hitting times are not finite")
+    return m
 
 
 def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDecomposition:
@@ -366,17 +375,27 @@ def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDeco
     v(l, T) = (l+1)/N * w(l+1) and v(l, W) = (N-l)/N * w(l).
     """
     _require_analysis_params(params)
-    n = params.n_users
+    n, theta = params.n_users, params.theta
     if len(w_norm) != n + 1:
         raise BadParams(f"w_norm must have length n_users + 1 = {n + 1}, got {len(w_norm)}")
     m = critical_hitting_times(params)
-    d, v = _delay_tables(n, params.theta, np.array([params.q]), m[None],
-                         np.asarray(w_norm, dtype=float)[None])
-    return DelayDecomposition(
-        d_table={key: float(val[0]) for key, val in d.items()},
-        v_table={key: float(val[0]) for key, val in v.items()},
-        m_vector=m,
-    )
+    w = np.asarray(w_norm, dtype=float).tolist()
+    h = (m - 1.0).tolist()
+    d = {(0, "T"): 0.0, (0, "W"): float(np.sum(binomial_pmf(n - 1, params.q)[1:] * m)),
+         (1, "T"): h[0], (1, "W"): float((1.0 - theta) * m[0])}
+    d.update({(l, a): h[l - 1] for l in range(2, n) for a in "TW"})
+    v = {(l, a): (l + 1) / n * w[l + 1] if a == "T" else (n - l) / n * w[l]
+         for l in range(n) for a in "TW"}
+    return DelayDecomposition(d_table=d, v_table=v, m_vector=m)
+
+
+def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """D_crit at every point (qs[i], rs[i]) of one (N, theta), from per-r tables.
+
+    Each value has the bits critical_delay gives at that point; NaN marks
+    exactly the points where critical_delay raises, as in contention_times.
+    """
+    return _by_points(_delay_tables, _delay_contract, n_users, theta, qs, rs)
 
 
 def critical_delay(params: ProtocolParams) -> float:
@@ -385,62 +404,7 @@ def critical_delay(params: ProtocolParams) -> float:
     Independent of the critical-traffic length: after the first success the
     transmission is never interrupted.
     """
-    _require_interior(params)
-    w = stationary_distribution(build_normal_matrix(params))
-    return delay_decomposition(params, w).delay()
-
-
-def _delay_stack(n: int, theta: float, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """D_crit at each point of a stack, as critical_delay computes it point by point."""
-    p = _normal_stack(n, theta, qs, rs)
-    _check_stochastic(p)
-    w = _stationary_solve(p)
-    c = _critical_stack(n, rs)
-    _check_stochastic(c)
-    m = _hitting_solve(c)
-    d, v = _delay_tables(n, theta, qs, m, w)
-    return _contract(v, d)
-
-
-def _by_stacks(solve_stack, n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """solve_stack over the interior points of (qs, rs), one stack of points at a time.
-
-    Points with q or r outside (0, 1), and every point of a stack that
-    raises, are left NaN.
-    """
-    _require_analysis_params(ProtocolParams(n_users, theta, 0.0, 0.0))  # N and theta checks
-    qs = np.asarray(qs, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    out = np.full(len(qs), np.nan)
-    inside = np.flatnonzero((qs > 0.0) & (qs < 1.0) & (rs > 0.0) & (rs < 1.0))
-    size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
-    for start in range(0, len(inside), size):
-        idx = inside[start : start + size]
-        try:
-            out[idx] = solve_stack(n_users, theta, qs[idx], rs[idx])
-        except (BadParams, SingularSystem):
-            pass  # each of these points is left to the one-point function
-    return out
-
-
-def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """T_c at every point (qs[i], rs[i]) of one (N, theta), solved in stacks.
-
-    Each value has the bits contention_time gives at that point.  NaN marks
-    a point where contention_time raises (q or r not strictly inside (0, 1),
-    or no finite solution) and every point of a stack holding an exactly
-    singular system; contention_time gives such a point's answer.
-    """
-    return _by_stacks(_contention_stack, n_users, theta, qs, rs)
-
-
-def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """D_crit at every point (qs[i], rs[i]) of one (N, theta), solved in stacks.
-
-    Each value has the bits critical_delay gives at that point; NaN marks
-    points as in contention_times, and critical_delay answers them.
-    """
-    return _by_stacks(_delay_stack, n_users, theta, qs, rs)
+    return _at_point(_delay_tables, _delay_contract, params)
 
 
 def enhanced_critical_delay(params: ProtocolParams) -> float:
@@ -450,11 +414,7 @@ def enhanced_critical_delay(params: ProtocolParams) -> float:
     after one collision, replacing d(1, W) by 1 - theta; all other table
     entries are unchanged.
     """
-    _require_interior(params)
-    w = stationary_distribution(build_normal_matrix(params))
-    dec = delay_decomposition(params, w)
-    dec.d_table[(1, ACTION_WAIT)] = 1.0 - params.theta
-    return dec.delay()
+    return _at_point(partial(_delay_tables, enhanced=True), _delay_contract, params)
 
 
 def evaluate_metrics(params: ProtocolParams, enhanced: bool = False) -> PerformanceMetrics:

@@ -77,17 +77,17 @@ CASES = {
 # case id -> (report digest, trace digest or None)
 GOLDEN = {
     "optimize-corner": (
-        "3f167715d0348dd7f857dc323fdab7974defd41f49c9929d5ca909f344ecf588", None),
+        "2acd5fee1bbdcb8fcc17a2abf73c1f3395547a4325269e53cd80535cadfa5fb8", None),
     "optimize-infeasible": (
-        "68b6d98259eea6c9397ea9788c1e3c3e9493503e205d4666e55aff4403a25cf3", None),
+        "e3590a8f4acf6ebbf1de7f8e1c6e1b0147259c45d4bfe74b95a8c7f239aa3f73", None),
     "optimize-interior": (
-        "614943dfab8f0f7931f13c849b0e9c5607437cb483e173feca93954c6b119301", None),
+        "b5ee790ce7f1084105e9ea0c3fb9bdff18774fbfafcd49ab41e327d5d7e651c6", None),
     "optimize-n10-eta065": (
-        "e37382b5f979b932232c2ebbdbe6b98aca2c31528d0616d2e1f55660a60cf008", None),
+        "cc8cbbd2ed76e82a3dedc2ea276f397140ee59010c73bc7b2aadafd25fd048e9", None),
     "optimize-n50": (
-        "40a3ae6cd0e4c1ebcbe923d7d5e3416df2a8ebe007d2c55c063ab5235d871339", None),
+        "d12ebf387b85a683146786f196b095b22df5b350142d42b22ebd17dcc366a290", None),
     "optimize-slack": (
-        "bbd7456e30262ee5afb02fe4f47c104fbeb060655df2fb7d0c702ee8c0f9fdec", None),
+        "11d9732eee5f3a69d4ed7ce733573cd9e821248d5c85ba12de8ae8cce33ee95b", None),
     "scenario-during-collision": (
         "4f0cd2ffd0a7529ce5f21ef4a4fe97aefe2ed9e087f09e19ea02ad32e3f2f6ed",
         "fea595f55d7891c7c7b9bd3540b15cda96a91337713d1ba89cfcfedb574b9490"),
@@ -101,27 +101,27 @@ GOLDEN = {
         "9a1f61bb03ac98ea7aa615124d7f3f71427b74f6e63e673b38ed1db3f21ab240",
         "d1767556161caeb03c2e260093ba2135952230999e921920900293a8e903de82"),
     "simulate-baseline": (
-        "eb5c7caffdc8eebe94dfeb47d447d8c1352f44ede6e537ffadb827e80e14872c",
+        "29189b4027c65c5ec407f0cd90c36299ba70f5f0a767363a1fd3ce9184722235",
         "db2415f40a92bdd7afa7f7d49e1ea734f4c30898d4bdd3ef6479bca74b76312f"),
     "simulate-baseline-200": (
-        "f4cedcad9b1baa5b4c2386b41fe3ee2efbcde293bae79f39090b0badf539ff79",
+        "108f256c27cf449624b9cbebd9dff48f774d4ae794d4cf3fa5188b3bc162113b",
         "32527df387805dbeb0cab710fea8331fd28417af1042e37ff1a514901788e453"),
     "simulate-enhanced-b3": (
-        "10c900270d8ece1db14dbd2c6eebe50ca1a7512d768369ebdf101de108e609b2",
+        "e409e541fcc735b052d04be05ab419fdd2dd1540fa9865b9761664c6bdbd52fb",
         "c0416a3ef4eb098977973d6fbc50285e0e8e44f2f3e0142aca722772dc7b8ce4"),
     "simulate-n50-enhanced": (
-        "1493095661894a51ce0f7c83e77d9349d588de34aa066be908847bd1300b24f6",
+        "61df3c706cd67b8a509b35d81a09a317054b6a210980c5bbf8b1b1d2c8e6f5a1",
         "3e4a756134ff62b0ab47218200c2299a62353a5e5d7dc77a973734f2b3874183"),
     "simulate-no-suppress": (
-        "67d319a2638f61f98c54a5bff5935535596deaec7901783e3570fe0b74d84479",
+        "c1528a4925875c2639458cb39efd26f9f84a297865db97997457c5fbdc84aa3b",
         "3f9fbe762397a189295589260858e826ab505e9df4fb44e097f18c29d9390add"),
     "simulate-short-phase-geometric": (
-        "3335f46a21be38afc3df5338bec43986a6c38cd162e1f6e80da62a1feed7665b",
+        "b21da4bcf3f9edb167b93778a6a60c57234a35db98d6517f10eee9f3b3cd8f58",
         "8e16e6a3c9f6f87dafc42c040f16d9b27132d0d781826aa8e5453876aff8544d"),
     "sweep-eta": (
-        "4d21d584d40435ce372a590f302aad4b7b42a60e572e12b0c1863214301eb0d2", None),
+        "59ead1ecba5e46a21e87187dc4df8e4dc9b591d088d372940a14bb24388fd974", None),
     "sweep-qr-boundary": (
-        "23b4b6a78770a514460bf8d43cd985834ae1874d98b3e20489ec43e4a9b9460d", None),
+        "800a14d9000b71e1a44c934916dd27f341a0b5c0ce132267dde2aaf9f4952e78", None),
 }
 
 
