@@ -9,17 +9,17 @@ across fairness levels.
 Every search is one routine, `_search`: a grid scan of a box followed by two
 local refinement passes (step divided by 10 each) around the incumbent.  It
 serves the whole square (coarse step 0.01) and each of the edges r = eps and
-q = eps, as a box with one side pinned to eps.  Each scan first evaluates
-every grid point it lacks in one batch (`markov.contention_times`, and
-`markov.critical_delays` when a feasibility test applies), then walks the
-grid over the stored values, so grid search beats gradient machinery here.
-For binding solutions a final 1-D bisection along the local utilization
-gradient lands the solution on the constraint curve to
-|D_crit - eta| <= 0.005; it, the edge bisections and the polish solve one
-point at a time.  Ties within 1e-9 break toward smaller q, then smaller r.
-One memoizing evaluator per (N, theta) serves the unconstrained solve, the
-constrained solve and every eta of an eta sweep, so no (q, r) point is
-solved twice.
+q = eps, as a box with one side pinned to eps.  Each scan reads T_c on its
+whole grid as an array (`markov.contention_times`), and D_crit too when a
+constraint applies (`markov.critical_delays`); it masks the infeasible
+cells, takes the least-D_crit cell with argmin and the smallest-T_c cell
+by the walk's strict-improvement rule, so grid search beats gradient
+machinery here.  For binding solutions a final 1-D bisection along the
+local utilization gradient lands the solution on the constraint curve to
+|D_crit - eta| <= 0.005; it, the edge bisections, the candidate pick and
+the reported values read one point at a time.  Ties within 1e-9 break
+toward smaller q, then smaller r.  An eta sweep solves the unconstrained
+problem once and each eta from it.
 
 The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
@@ -28,14 +28,14 @@ theta = 0.1 it is 0.436, 0.739 and 0.607 at q = 0.01, 0.15 and 0.50.  So
 feasibility is tested at every scanned point, and a problem is infeasible
 only when no scanned point is feasible.
 
-The scans iterate in a fixed order, so results do not depend on the order
-in which points happen to be evaluated.
+Each scan picks as a walk of its grid in row-major order would, so results
+do not depend on the order in which the metrics are evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -105,52 +105,16 @@ class DesignSolution:
     eta_star: float
 
 
-class _Evaluator:
-    """Memoized metric evaluation for one (N, theta).
+@dataclass
+class _Constraint:
+    """D_crit <= eta, and the least-D_crit cell of each scan made under it."""
 
-    `fill` evaluates the points of a grid in one batch; `tc` and `d_crit`
-    read the memo and evaluate a point they do not find on its own, which
-    also gives the error of a point the batch leaves NaN.
-    """
+    eta: float
+    lows: list[tuple[float, float, float]] = field(default_factory=list)
 
-    def __init__(self, n_users: int, theta: float):
-        self.n_users = n_users
-        self.theta = theta
-        self._tc: dict[tuple[float, float], float] = {}
-        self._d: dict[tuple[float, float], float] = {}
 
-    def params(self, q: float, r: float) -> ProtocolParams:
-        return ProtocolParams(self.n_users, self.theta, q, r)
-
-    def fill(self, qs: list[float], rs: list[float], delay: bool) -> None:
-        """Solve T_c, and D_crit when `delay`, at every point of qs x rs not yet known."""
-        grid = [(q, r) for q in qs for r in rs]
-        self._fill(self._tc, contention_times, grid)
-        if delay:
-            self._fill(self._d, critical_delays, grid)
-
-    def _fill(self, memo: dict, solve_points, grid: list[tuple[float, float]]) -> None:
-        todo = [key for key in dict.fromkeys(grid) if key not in memo]
-        if not todo:
-            return
-        qs, rs = zip(*todo)
-        values = solve_points(self.n_users, self.theta, qs, rs).tolist()
-        memo.update((key, v) for key, v in zip(todo, values) if not math.isnan(v))
-
-    def tc(self, q: float, r: float) -> float:
-        key = (q, r)
-        if key not in self._tc:
-            self._tc[key] = contention_time(self.params(q, r))
-        return self._tc[key]
-
-    def c_norm(self, q: float, r: float) -> float:
-        return 1.0 / (self.theta * self.tc(q, r) + 1.0)
-
-    def d_crit(self, q: float, r: float) -> float:
-        key = (q, r)
-        if key not in self._d:
-            self._d[key] = critical_delay(self.params(q, r))
-        return self._d[key]
+def _at(prob: DesignProblem, q: float, r: float) -> ProtocolParams:
+    return ProtocolParams(prob.n_users, prob.theta, q, r)
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -159,33 +123,67 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.clip(pts, lo, hi)
 
 
-def _argmin_tc(
-    ev: _Evaluator,
+def _scan_pick(
     qs: np.ndarray,
     rs: np.ndarray,
-    feasible: Callable[[float, float], bool] | None,
+    t: np.ndarray,
     incumbent: tuple[float, float, float] | None,
 ) -> tuple[float, float, float] | None:
-    """Scan a grid for the smallest T_c; strict-improvement keeps ties at small (q, r)."""
-    qs, rs = qs.tolist(), rs.tolist()
-    ev.fill(qs, rs, delay=feasible is not None)
-    best = incumbent
-    for q in qs:
-        for r in rs:
-            if feasible is not None and not feasible(q, r):
-                continue
-            t = ev.tc(q, r)
-            if best is None or t < best[2] - _TIE_TOL:
-                best = (q, r, t)
-    return best
+    """Where a row-major walk of t over qs x rs ends that takes each cell with t < best - _TIE_TOL.
+
+    best starts at the incumbent's T_c; inf cells never count.  The first
+    cell below a threshold is where the running minimum first drops below it.
+    """
+    low = np.minimum.accumulate(t.ravel())
+    rising = -low  # sorted; and -(best - tol) is tol - best exactly
+    best, pick = (math.inf if incumbent is None else incumbent[2]), None
+    while (i := np.searchsorted(rising, _TIE_TOL - best, side="right")) < low.size:
+        pick, best = i, low[i]
+    if pick is None:
+        return incumbent
+    i, j = divmod(int(pick), len(rs))
+    return float(qs[i]), float(rs[j]), float(best)
+
+
+def _argmin_tc(
+    prob: DesignProblem,
+    qs: np.ndarray,
+    rs: np.ndarray,
+    constraint: _Constraint | None,
+    incumbent: tuple[float, float, float] | None,
+) -> tuple[float, float, float] | None:
+    """Smallest-T_c cell of the grid qs x rs, counting under a constraint only D_crit <= eta.
+
+    The scan's first least-D_crit cell joins constraint.lows.  At the first
+    cell in scan order whose value it reads as NaN, the one-point error is
+    raised, D_crit's before T_c's.
+    """
+    t = contention_times(prob.n_users, prob.theta, qs, rs)
+    bad = np.isnan(t)
+    if constraint is not None:
+        d = critical_delays(prob.n_users, prob.theta, qs, rs)
+        ok = d <= constraint.eta
+        bad = np.isnan(d) | (ok & bad)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        params = _at(prob, float(qs[i]), float(rs[j]))
+        # the grids are NaN exactly where the one-point functions raise
+        if constraint is not None:
+            critical_delay(params)
+        contention_time(params)
+    if constraint is not None:
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        constraint.lows.append((float(qs[i]), float(rs[j]), float(d[i, j])))
+        t = np.where(ok, t, math.inf)
+    return _scan_pick(qs, rs, t, incumbent)
 
 
 def _search(
-    ev: _Evaluator,
+    prob: DesignProblem,
     q_box: tuple[float, float],
     r_box: tuple[float, float],
     step: float,
-    feasible: Callable[[float, float], bool] | None,
+    constraint: _Constraint | None,
 ) -> tuple[float, float] | None:
     """Smallest-T_c feasible point of a box: a grid scan, then local refinement.
 
@@ -194,7 +192,7 @@ def _search(
     equal ends pins that coordinate.  Returns None when no scanned point is
     feasible.
     """
-    best = _argmin_tc(ev, _axis(*q_box, step), _axis(*r_box, step), feasible, None)
+    best = _argmin_tc(prob, _axis(*q_box, step), _axis(*r_box, step), constraint, None)
     if best is None:
         return None
     for _ in range(_REFINE_PASSES):
@@ -202,8 +200,8 @@ def _search(
         q0, r0, _ = best
         qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
         rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
-        best = _argmin_tc(ev, qs, rs, feasible, best)
-    return float(best[0]), float(best[1])
+        best = _argmin_tc(prob, qs, rs, constraint, best)
+    return best[0], best[1]
 
 
 def _final_step() -> float:
@@ -219,7 +217,7 @@ def _gradient(f: Callable[[float, float], float], q: float, r: float, eps: float
 
 
 def _polish_to_constraint(
-    ev: _Evaluator, q: float, r: float, eta: float, eps: float
+    prob: DesignProblem, q: float, r: float, eta: float
 ) -> tuple[float, float]:
     """Bisect from (q, r) along the steepest-ascent direction until D_crit = eta.
 
@@ -230,11 +228,11 @@ def _polish_to_constraint(
     delay gradient is used instead, and the incumbent is kept if that
     vanishes too; at a tangency the two directions coincide.
     """
-    lo, hi = eps, 1.0 - eps
+    lo, hi = prob.epsilon, 1.0 - prob.epsilon
     x = np.array([q, r])
-    grad = _gradient(ev.c_norm, q, r, eps)
+    grad = _gradient(lambda a, b: channel_utilization(_at(prob, a, b)), q, r, lo)
     if np.linalg.norm(grad) < 1e-8:
-        grad = _gradient(ev.d_crit, q, r, eps)
+        grad = _gradient(lambda a, b: critical_delay(_at(prob, a, b)), q, r, lo)
     if np.linalg.norm(grad) < 1e-12:
         return q, r
     direction = grad / np.linalg.norm(grad)
@@ -248,7 +246,7 @@ def _polish_to_constraint(
 
     def d_at(t: float) -> float:
         p = np.clip(x + t * direction, lo, hi)
-        return ev.d_crit(float(p[0]), float(p[1]))
+        return critical_delay(_at(prob, float(p[0]), float(p[1])))
 
     t_max = 0.0
     for i in range(2):
@@ -273,11 +271,7 @@ def _polish_to_constraint(
 
 
 def _edge_search(
-    ev: _Evaluator,
-    eps: float,
-    eta: float,
-    edge: str,
-    feasible: Callable[[float, float], bool],
+    prob: DesignProblem, edge: str, constraint: _Constraint
 ) -> tuple[float, float] | None:
     """Best feasible point on the r = eps (edge="r") or q = eps (edge="q") boundary.
 
@@ -290,9 +284,10 @@ def _edge_search(
     near q = 0.12, then falls to 0.61 near q = 0.5), so the crossing only
     bounds the scanned range: every scanned point is tested for feasibility.
     """
+    eps, eta = prob.epsilon, constraint.eta
 
     def d_at(v: float) -> float:
-        return ev.d_crit(v, eps) if edge == "r" else ev.d_crit(eps, v)
+        return critical_delay(_at(prob, v, eps) if edge == "r" else _at(prob, eps, v))
 
     lo, hi = eps, 1.0 - eps
     v_max = hi
@@ -308,12 +303,12 @@ def _edge_search(
     step = max((v_max - lo) / 100.0, 1e-6)
     free, pinned = (lo, v_max), (eps, eps)
     if edge == "r":
-        return _search(ev, free, pinned, step, feasible)
-    return _search(ev, pinned, free, step, feasible)
+        return _search(prob, free, pinned, step, constraint)
+    return _search(prob, pinned, free, step, constraint)
 
 
 def _pick_candidate(
-    ev: _Evaluator, candidates: list[tuple[float, float] | None]
+    prob: DesignProblem, candidates: list[tuple[float, float] | None]
 ) -> tuple[float, float]:
     """Lowest-T_c candidate; ties break toward smaller q, then smaller r."""
     best = None
@@ -321,7 +316,7 @@ def _pick_candidate(
         if cand is None:
             continue
         q, r = cand
-        t = ev.tc(q, r)
+        t = contention_time(_at(prob, q, r))
         if best is None or t < best[2] - _TIE_TOL or (
             abs(t - best[2]) <= _TIE_TOL and (q, r) < (best[0], best[1])
         ):
@@ -329,79 +324,62 @@ def _pick_candidate(
     return best[0], best[1]
 
 
-def _constrained_solution(
-    ev: _Evaluator, eps: float, eta: float, eta_star: float
-) -> DesignSolution:
-    """Constrained solve given that the unconstrained optimum is infeasible.
+def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> DesignSolution:
+    """Design solution at one eta, from the unconstrained optimum of the same (N, theta).
 
-    The interior search and both edge searches test feasibility at every
-    point they scan.  When none of them finds a feasible point the problem
-    is infeasible, and the scanned point with the least D_crit is reported.
+    When that optimum is infeasible, the interior search and both edge
+    searches test feasibility at every point they scan.  When none of them
+    finds a feasible point the problem is infeasible, and the scanned point
+    with the least D_crit is reported.
     """
-    least: tuple[float, float, float] | None = None
-
-    def feasible(q: float, r: float) -> bool:
-        nonlocal least
-        d = ev.d_crit(q, r)
-        if least is None or d < least[2]:
-            least = (q, r, d)
-        return d <= eta
-
+    if unconstrained.d_crit <= eta:
+        return replace(unconstrained, eta=eta)
+    eps, eta_star = prob.epsilon, unconstrained.eta_star
+    constraint = _Constraint(eta)
     box = (eps, 1.0 - eps)
     candidates = [
-        _search(ev, box, box, _COARSE_STEP, feasible),
-        _edge_search(ev, eps, eta, "r", feasible),
-        _edge_search(ev, eps, eta, "q", feasible),
+        _search(prob, box, box, _COARSE_STEP, constraint),
+        _edge_search(prob, "r", constraint),
+        _edge_search(prob, "q", constraint),
     ]
     if all(cand is None for cand in candidates):
-        q, r = float(least[0]), float(least[1])
-        return DesignSolution(q, r, ev.c_norm(q, r), least[2],
+        q, r, d = min(constraint.lows, key=lambda low: low[2])  # the first least
+        return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d,
                               SolutionStatus.INFEASIBLE, eta, eta_star)
-    q, r = _pick_candidate(ev, candidates)
+    q, r = _pick_candidate(prob, candidates)
     corner = r <= eps + 1.5 * _final_step()
     if corner:
         r = eps
-    if abs(ev.d_crit(q, r) - eta) > _BINDING_TOL:
-        q, r = _polish_to_constraint(ev, q, r, eta, eps)
+    d = critical_delay(_at(prob, q, r))
+    if abs(d - eta) > _BINDING_TOL:
+        q, r = _polish_to_constraint(prob, q, r, eta)
+        d = critical_delay(_at(prob, q, r))
     status = SolutionStatus.BINDING_CORNER if corner else SolutionStatus.BINDING_INTERIOR
     return DesignSolution(
         q_opt=q,
         r_opt=r,
-        c_norm=ev.c_norm(q, r),
-        d_crit=ev.d_crit(q, r),
+        c_norm=channel_utilization(_at(prob, q, r)),
+        d_crit=d,
         status=status,
         eta=eta,
         eta_star=eta_star,
     )
 
 
-def _maximize(ev: _Evaluator, prob: DesignProblem) -> DesignSolution:
+def maximize_utilization(prob: DesignProblem) -> DesignSolution:
+    """Unconstrained maximizer of C_norm over the restricted square."""
     box = (prob.epsilon, 1.0 - prob.epsilon)
-    q, r = _search(ev, box, box, _COARSE_STEP, None)
-    d = ev.d_crit(q, r)
+    q, r = _search(prob, box, box, _COARSE_STEP, None)
+    d = critical_delay(_at(prob, q, r))
     return DesignSolution(
         q_opt=q,
         r_opt=r,
-        c_norm=ev.c_norm(q, r),
+        c_norm=channel_utilization(_at(prob, q, r)),
         d_crit=d,
         status=SolutionStatus.SLACK_INTERIOR,
         eta=prob.eta,
         eta_star=d,
     )
-
-
-def _solve(
-    ev: _Evaluator, eps: float, eta: float, unconstrained: DesignSolution
-) -> DesignSolution:
-    """Design solution at one eta, from the unconstrained optimum on the same evaluator."""
-    if unconstrained.d_crit <= eta:
-        return replace(unconstrained, eta=eta)
-    return _constrained_solution(ev, eps, eta, unconstrained.eta_star)
-
-
-def maximize_utilization(prob: DesignProblem) -> DesignSolution:
-    """Unconstrained maximizer of C_norm over the restricted square."""
-    return _maximize(_Evaluator(prob.n_users, prob.theta), prob)
 
 
 def critical_eta(prob: DesignProblem) -> float:
@@ -411,8 +389,7 @@ def critical_eta(prob: DesignProblem) -> float:
 
 def solve_design_problem(prob: DesignProblem) -> DesignSolution:
     """Solve the constrained design problem; Infeasible is a status, not an error."""
-    ev = _Evaluator(prob.n_users, prob.theta)
-    return _solve(ev, prob.epsilon, prob.eta, _maximize(ev, prob))
+    return _solve(prob, prob.eta, maximize_utilization(prob))
 
 
 def _solution_row(sol: DesignSolution) -> dict:
@@ -427,13 +404,20 @@ def _solution_row(sol: DesignSolution) -> dict:
 
 
 def _sweep_eta(prob: DesignProblem, etas: Iterable[float]) -> list[dict]:
-    """The design solution at each eta, all from one evaluator."""
-    ev = _Evaluator(prob.n_users, prob.theta)
-    unconstrained = _maximize(ev, prob)
-    return [
-        {"eta": eta, **_solution_row(_solve(ev, prob.epsilon, eta, unconstrained))}
-        for eta in etas
-    ]
+    """The design solution at each eta, all from one unconstrained solve."""
+    unconstrained = maximize_utilization(prob)
+    return [{"eta": eta, **_solution_row(_solve(prob, eta, unconstrained))} for eta in etas]
+
+
+def _error_name(prob: DesignProblem, q: float, r: float) -> str:
+    """Name of the error the one-point T_c, then D_crit, raises at (q, r), as a qr-sweep marker."""
+    try:
+        params = _at(prob, q, r)
+        contention_time(params)
+        critical_delay(params)
+    except (SingularSystem, BadParams) as exc:
+        return type(exc).__name__
+    return ""
 
 
 def sweep(
@@ -474,19 +458,22 @@ def sweep(
         raise BadParams(f"{axis.value} sweep needs finite start <= stop, got {start!r} and {stop!r}")
 
     if axis is SweepAxis.QR_GRID:
-        pts = _axis(start, stop, step).tolist()
-        ev = _Evaluator(prob.n_users, prob.theta)
-        ev.fill(pts, pts, delay=True)
+        pts = _axis(start, stop, step)
+        tc = contention_times(prob.n_users, prob.theta, pts, pts)
+        d = critical_delays(prob.n_users, prob.theta, pts, pts)
+        d[np.isnan(tc)] = np.nan  # D_crit is read only where T_c is
+        c = 1.0 / (prob.theta * tc + 1.0)
+        pts = pts.tolist()
         rows = []
-        for q in pts:
-            for r in pts:
-                row = {"q": q, "r": r, "c_norm": None, "d_crit": None, "error": ""}
-                try:
-                    row["c_norm"] = ev.c_norm(q, r)
-                    row["d_crit"] = ev.d_crit(q, r)
-                except (SingularSystem, BadParams) as exc:
-                    row["error"] = type(exc).__name__
-                rows.append(row)
+        for q, c_row, d_row in zip(pts, c.tolist(), d.tolist()):
+            for r, c_norm, d_crit in zip(pts, c_row, d_row):
+                rows.append({
+                    "q": q,
+                    "r": r,
+                    "c_norm": None if math.isnan(c_norm) else c_norm,
+                    "d_crit": None if math.isnan(d_crit) else d_crit,
+                    "error": _error_name(prob, q, r) if math.isnan(d_crit) else "",
+                })
         return rows
 
     if axis is SweepAxis.N_RANGE:

@@ -34,10 +34,13 @@ point with Binomial(N, q).  With L the normal chain over the states 1..N:
 Row k of each system is divided by 1 - P_kk, summed from the row's entries
 left of the diagonal.  With a unit diagonal that no entry below it exceeds,
 numpy.linalg.solve never pivots and substitutes forward in positive terms:
-no digits cancel, even for q or r next to 0 or 1.  A point's value depends
-on its own (q, r) alone, so `contention_times` and `critical_delays` give
-the bits of the one-point functions.  The dense chains,
-`stationary_distribution` and `delay_decomposition` are the explicit form.
+no digits cancel, even for q or r next to 0 or 1.  `contention_times` and
+`critical_delays` evaluate the grid qs x rs, a (len(qs), len(rs)) array:
+one table solve per r and one Binomial row per q, contracted cell by cell
+in the same arithmetic as the one-point functions, so each cell has their
+bits.  The dense chains, `stationary_distribution` and
+`delay_decomposition` are the explicit form.  The float Pascal table
+C(N, k) overflows from N = 1030 on, and such N is rejected with BadParams.
 
 SingularSystem is raised exactly where there is no unique finite answer:
 T_c and D_crit at boundary q or r (0 or 1), where an idle or colliding
@@ -46,7 +49,9 @@ reach a success; m at r = 1 (1 - r^k = 0); a stationary distribution of a
 matrix with more than one absorbing state (the normal chain at r = 1 with
 N >= 3; at N = 2 it has one); and an interior point whose metric is not
 finite.  Interior points near the boundary return the large finite value.
-The batched functions return NaN exactly where the one-point one raises.
+A grid is NaN exactly where the one-point function raises: in the rows of
+q and the columns of r outside (0, 1), and at cells whose value is not
+finite.
 """
 
 from __future__ import annotations
@@ -129,12 +134,15 @@ _COEFFICIENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(k, j) for k, j = 0..n (exact in floats for the sizes used here), and max(k - j, 0)."""
+    """C(k, j) for k, j = 0..n and max(k - j, 0); BadParams if C(n, j) overflows (n >= 1030)."""
     if n not in _COEFFICIENTS:
         comb = np.zeros((n + 1, n + 1))
         comb[:, 0] = 1.0
-        for k in range(1, n + 1):
-            comb[k, 1:] = comb[k - 1, 1:] + comb[k - 1, :-1]
+        with np.errstate(over="ignore"):
+            for k in range(1, n + 1):
+                comb[k, 1:] = comb[k - 1, 1:] + comb[k - 1, :-1]
+        if not np.all(np.isfinite(comb[n])):
+            raise BadParams(f"too many users: the binomial coefficients C({n}, k) overflow a float")
         k, j = np.indices(comb.shape)
         _COEFFICIENTS[n] = comb, np.maximum(k - j, 0)
     return _COEFFICIENTS[n]
@@ -182,9 +190,9 @@ def _contention_tables(n: int, theta: float, rs: np.ndarray) -> tuple[np.ndarray
 
 
 def _contention_contract(n: int, qs: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T_c at each point from its Binomial(N, q) row and its r's tables A and C."""
-    p0 = binomial_pmf(n, qs)
-    return (1.0 + (p0[:, 2:] * a).sum(axis=-1)) / (p0[:, 1] + (p0[:, 2:] * c).sum(axis=-1))
+    """T_c on the grid qs x rs from each q's Binomial(N, q) row and each r's tables A and C."""
+    p0 = binomial_pmf(n, qs)[:, None]
+    return (1.0 + (p0[..., 2:] * a).sum(axis=-1)) / (p0[..., 1] + (p0[..., 2:] * c).sum(axis=-1))
 
 
 def _delay_tables(n: int, theta: float, rs: np.ndarray, enhanced: bool = False) -> tuple:
@@ -207,42 +215,43 @@ def _delay_tables(n: int, theta: float, rs: np.ndarray, enhanced: bool = False) 
 
 
 def _delay_contract(n: int, qs: np.ndarray, m: np.ndarray, g: np.ndarray, s: np.ndarray):
-    """D_crit at each point from its Binomial(N, q) and (N-1, q) rows and its r's tables."""
-    p0 = binomial_pmf(n, qs)[:, 1:]
-    d0w = (binomial_pmf(n - 1, qs)[:, 1:] * m).sum(axis=-1)
+    """D_crit on the grid qs x rs from the Binomial(N, q) and (N-1, q) rows and each r's tables."""
+    p0 = binomial_pmf(n, qs)[:, None, 1:]
+    d0w = (binomial_pmf(n - 1, qs)[:, None, 1:] * m).sum(axis=-1)
     return (d0w + (p0 * g).sum(axis=-1)) / (1.0 + (p0 * s).sum(axis=-1))
 
 
 @np.errstate(all="ignore")  # a value that is not finite is NaN
-def _by_points(tables, contract, n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """contract(N, q, *tables of r) at every point (qs[i], rs[i]); NaN outside (0, 1)^2.
+def _on_grid(tables, contract, n_users: int, theta: float, qs, rs) -> np.ndarray:
+    """contract(N, q, *tables of r) at every (qs[i], rs[j]); NaN at q or r outside (0, 1).
 
-    Each distinct r's tables are solved once; the r values and the points
-    go in chunks of about _STACK_ELEMENTS floats.
+    Each r's tables are solved once, in chunks of about _STACK_ELEMENTS
+    floats, and q rows are contracted in chunks of temporaries that size.
     """
     _require_analysis_params(ProtocolParams(n_users, theta, 0.0, 0.0))  # N and theta checks
     qs = np.asarray(qs, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    out = np.full(len(qs), np.nan)
-    inside = np.flatnonzero((qs > 0.0) & (qs < 1.0) & (rs > 0.0) & (rs < 1.0))
-    r_set, which = np.unique(rs[inside], return_inverse=True)
-    size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
-    parts = [tables(n_users, theta, r_set[i : i + size]) for i in range(0, len(r_set), size)]
-    tabs = [np.concatenate(table) for table in zip(*parts)]
-    size = max(1, _STACK_ELEMENTS // (n_users + 1))
-    for start in range(0, len(inside), size):
-        idx, at = inside[start : start + size], which[start : start + size]
-        out[idx] = contract(n_users, qs[idx], *(table[at] for table in tabs))
+    out = np.full((len(qs), len(rs)), np.nan)
+    rows = np.flatnonzero((qs > 0.0) & (qs < 1.0))
+    cols = np.flatnonzero((rs > 0.0) & (rs < 1.0))
+    if rows.size and cols.size:
+        size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
+        parts = [tables(n_users, theta, rs[cols[i : i + size]]) for i in range(0, cols.size, size)]
+        tabs = [np.concatenate(table) for table in zip(*parts)]
+        size = max(1, _STACK_ELEMENTS // (cols.size * (n_users + 1)))
+        for i in range(0, rows.size, size):
+            chunk = rows[i : i + size]
+            out[np.ix_(chunk, cols)] = contract(n_users, qs[chunk], *tabs)
     out[~np.isfinite(out)] = np.nan
     return out
 
 
 @np.errstate(all="ignore")  # a value that is not finite raises
 def _at_point(tables, contract, params: ProtocolParams) -> float:
-    """contract(N, q, *tables of r) at the point of params, as _by_points computes it."""
+    """contract(N, q, *tables of r) at the point of params, as _on_grid computes it."""
     _require_interior(params)
     n = params.n_users
-    value = contract(n, np.array([params.q]), *tables(n, params.theta, np.array([params.r])))[0]
+    value = contract(n, np.array([params.q]), *tables(n, params.theta, np.array([params.r])))[0, 0]
     if not np.isfinite(value):
         raise SingularSystem("the metric has no finite value at this point")
     return float(value)
@@ -291,13 +300,13 @@ def build_critical_matrix(params: ProtocolParams) -> TransitionMatrix:
 
 
 def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """T_c at every point (qs[i], rs[i]) of one (N, theta), from per-r tables.
+    """T_c of one (N, theta) on the grid qs x rs: (len(qs), len(rs)) values T_c(qs[i], rs[j]).
 
-    Each value has the bits contention_time gives at that point.  NaN marks
-    exactly the points where contention_time raises: q or r not strictly
-    inside (0, 1), or a T_c that is not finite.
+    Each cell has the bits contention_time gives at that point.  NaN marks
+    exactly the cells where contention_time raises: the rows of q and the
+    columns of r not strictly inside (0, 1), and a T_c that is not finite.
     """
-    return _by_points(_contention_tables, _contention_contract, n_users, theta, qs, rs)
+    return _on_grid(_contention_tables, _contention_contract, n_users, theta, qs, rs)
 
 
 def contention_time(params: ProtocolParams) -> float:
@@ -390,12 +399,12 @@ def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDeco
 
 
 def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """D_crit at every point (qs[i], rs[i]) of one (N, theta), from per-r tables.
+    """D_crit of one (N, theta) on the grid qs x rs: (len(qs), len(rs)) values D_crit(qs[i], rs[j]).
 
-    Each value has the bits critical_delay gives at that point; NaN marks
-    exactly the points where critical_delay raises, as in contention_times.
+    Each cell has the bits critical_delay gives at that point; NaN marks
+    exactly the cells where critical_delay raises, as in contention_times.
     """
-    return _by_points(_delay_tables, _delay_contract, n_users, theta, qs, rs)
+    return _on_grid(_delay_tables, _delay_contract, n_users, theta, qs, rs)
 
 
 def critical_delay(params: ProtocolParams) -> float:

@@ -344,6 +344,19 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: BadParams")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--q", "0.001", "--r", "0.5"],
+    ["simulate", "--q", "0.001", "--r", "0.5"],
+    ["optimize"],
+    ["sweep", "--axis", "qr", "--step", "0.2"],
+])
+def test_too_many_users_for_the_binomial_table(argv):
+    # C(1030, 515) overflows a float, so the analysis has no finite chain
+    proc = run_cli(*argv, "--n", "1030", "--theta", "0.1", check=False)
+    assert_one_line_error(proc, 2)
+    assert "BadParams" in proc.stderr
+
+
 class TestConfigFile:
     def test_config_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "run.conf"

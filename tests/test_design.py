@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import critmac.design as design
 from critmac import (
     BadParams,
     DesignProblem,
     ProtocolParams,
+    SingularSystem,
     SolutionStatus,
     SweepAxis,
     channel_utilization,
@@ -165,61 +167,75 @@ ETAS_N3 = [0.15, 0.55, 0.95, 1.35]  # infeasible, corner, interior, slack
 
 
 @pytest.fixture(scope="module")
-def counted_n3():
-    """The N=3 eta sweep and the per-eta solves, with every T_c/D_crit solve recorded.
-
-    A point counts once per metric, whether a stacked fill or a one-point
-    call solves it.
-    """
-    calls: list = []
-
-    def counted(fn, metric):
-        def wrapper(params):
-            calls.append((metric, params.q, params.r))
-            return fn(params)
-        return wrapper
-
-    def counted_stacks(fn, metric):
-        def wrapper(n_users, theta, qs, rs):
-            calls.extend((metric, float(q), float(r)) for q, r in zip(qs, rs))
-            return fn(n_users, theta, qs, rs)
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp:
-        for metric, one, stacked in (("t_c", "contention_time", "contention_times"),
-                                     ("d_crit", "critical_delay", "critical_delays")):
-            mp.setattr(design, one, counted(getattr(design, one), metric))
-            mp.setattr(design, stacked, counted_stacks(getattr(design, stacked), metric))
-        rows = sweep(DesignProblem(3, 0.1), SweepAxis.ETA_RANGE, start=0.15, stop=1.35, step=0.4)
-        sweep_calls = list(calls)
-        solves = []
-        for eta in (row["eta"] for row in rows):
-            calls.clear()
-            solves.append((solve_design_problem(DesignProblem(3, 0.1, eta=eta)), list(calls)))
-    return rows, sweep_calls, solves
+def eta_sweep_n3():
+    """The N=3 eta sweep, and the solve of the design problem at each of its etas."""
+    rows = sweep(DesignProblem(3, 0.1), SweepAxis.ETA_RANGE, start=0.15, stop=1.35, step=0.4)
+    return rows, [solve_design_problem(DesignProblem(3, 0.1, eta=row["eta"])) for row in rows]
 
 
 class TestSharedEvaluator:
-    def test_sweep_solves_each_point_once(self, counted_n3):
-        _, calls, _ = counted_n3
-        assert calls and len(calls) == len(set(calls))
-        # the coarse 99 x 99 grid goes through the stacked fill
-        assert len(calls) > 99 * 99
-
-    def test_optimize_solves_each_point_once(self, counted_n3):
-        _, _, solves = counted_n3
-        for _, calls in solves:
-            assert calls and len(calls) == len(set(calls))
-
-    def test_sweep_rows_equal_solves(self, counted_n3):
-        rows, _, solves = counted_n3
+    def test_sweep_rows_equal_solves(self, eta_sweep_n3):
+        rows, solves = eta_sweep_n3
         assert [row["eta"] for row in rows] == pytest.approx(ETAS_N3)
         assert [row["status"] for row in rows] == [
             "infeasible", "binding-corner", "binding-interior", "slack-interior"
         ]
-        for row, (sol, _) in zip(rows, solves):
+        for row, sol in zip(rows, solves):
             assert row == {"eta": sol.eta, **design._solution_row(sol)}
             assert all(type(row[k]) is float for k in ("q_opt", "r_opt", "c_norm", "d_crit"))
+
+
+def walk(qs, rs, t, feasible, incumbent):
+    """The grid scan as a walk over the points: the reference for design._scan_pick."""
+    best = incumbent
+    for i, q in enumerate(qs.tolist()):
+        for j, r in enumerate(rs.tolist()):
+            if not feasible[i, j]:
+                continue
+            if best is None or t[i, j] < best[2] - 1e-9:
+                best = (q, r, float(t[i, j]))
+    return best
+
+
+# T_c values 4e-10 apart, so that some differences are within the 1e-9 tie
+# tolerance and some are not, and values far apart
+T_VALUES = st.one_of(st.integers(-8, 8).map(lambda k: 2.0 + 4e-10 * k), st.floats(1.0, 3.0))
+
+
+class TestScanPick:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_scan_equals_the_walk(self, data):
+        nq, nr = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        cells = st.lists(T_VALUES, min_size=nq * nr, max_size=nq * nr)
+        t = np.array(data.draw(cells)).reshape(nq, nr)
+        feasible = np.array(data.draw(st.lists(st.booleans(), min_size=nq * nr,
+                                               max_size=nq * nr))).reshape(nq, nr)
+        incumbent = data.draw(st.none() | st.tuples(st.just(0.5), st.just(0.5), T_VALUES))
+        qs, rs = 0.01 + 0.1 * np.arange(nq), 0.02 + 0.1 * np.arange(nr)
+        got = design._scan_pick(qs, rs, np.where(feasible, t, np.inf), incumbent)
+        assert got == walk(qs, rs, t, feasible, incumbent)
+        if incumbent is None and not feasible.any():
+            assert got is None
+
+    def test_nan_cell_raises_the_first_one_point_error(self, monkeypatch):
+        # the first NaN cell in row-major order raises its one-point error
+        grid = design.critical_delays
+
+        def with_nans(n_users, theta, qs, rs):
+            d = grid(n_users, theta, qs, rs)
+            d[5, 1] = d[3, 4] = np.nan
+            return d
+
+        def raising(params):
+            raise SingularSystem(f"at {params.q}, {params.r}")
+
+        prob = DesignProblem(10, 0.1)
+        qs, rs = design._axis(0.01, 0.99, 0.1), design._axis(0.01, 0.99, 0.1)
+        monkeypatch.setattr(design, "critical_delays", with_nans)
+        monkeypatch.setattr(design, "critical_delay", raising)
+        with pytest.raises(SingularSystem, match=f"at {qs[3]}, {rs[4]}$"):
+            design._argmin_tc(prob, qs, rs, design._Constraint(1.0), None)
 
 
 class TestSweeps:

@@ -390,12 +390,10 @@ POINT_METRICS = ((markov.contention_times, contention_time),
                  (markov.critical_delays, critical_delay))
 
 
-def point_batches(coordinate):
-    return st.tuples(
-        st.integers(2, 60),
-        st.floats(1e-3, 1.0),
-        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
-    )
+def grids(coordinate):
+    """(N, theta, qs, rs): a grid of up to 6 x 6 points."""
+    axis = st.lists(coordinate, min_size=1, max_size=6)
+    return st.tuples(st.integers(2, 60), st.floats(1e-3, 1.0), axis, axis)
 
 
 def one_point(metric, n, theta, q, r):
@@ -411,59 +409,70 @@ def bits(values):
 
 
 class TestStackedEvaluation:
-    """contention_times/critical_delays against the one-point functions."""
+    """contention_times/critical_delays grids against the one-point functions."""
 
     @settings(max_examples=60, deadline=None)
-    @given(point_batches(UNIT))
-    def test_stacks_equal_one_point_bit_for_bit(self, batch):
-        n, theta, points = batch
-        qs, rs = zip(*points)
-        for stacked, single in POINT_METRICS:
-            got = stacked(n, theta, qs, rs)
-            want = [one_point(single, n, theta, q, r) for q, r in points]
-            for value, expected in zip(got, want):
-                if expected is None:
-                    assert np.isnan(value)
-                else:
-                    assert bits([value]) == bits([expected])
+    @given(grids(UNIT))
+    def test_stacks_equal_one_point_bit_for_bit(self, grid):
+        n, theta, qs, rs = grid
+        for batched, single in POINT_METRICS:
+            got = batched(n, theta, qs, rs)
+            assert got.shape == (len(qs), len(rs))
+            for i, q in enumerate(qs):
+                for j, r in enumerate(rs):
+                    expected = one_point(single, n, theta, q, r)
+                    if expected is None:
+                        assert np.isnan(got[i, j])
+                    else:
+                        assert bits([got[i, j]]) == bits([expected])
 
     @settings(max_examples=40, deadline=None)
-    @given(point_batches(MODERATE), st.randoms(use_true_random=False), st.integers(1, 4))
-    def test_result_independent_of_order_and_stack_size(self, batch, rng, per_stack):
-        n, theta, points = batch
-        order = list(range(len(points)))
-        rng.shuffle(order)
-        qs, rs = zip(*points)
-        for stacked, _ in POINT_METRICS:
-            whole = stacked(n, theta, qs, rs)
+    @given(grids(MODERATE), st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_result_independent_of_order_and_stack_size(self, grid, rng, per_stack):
+        n, theta, qs, rs = grid
+        q_order, r_order = list(range(len(qs))), list(range(len(rs)))
+        rng.shuffle(q_order)
+        rng.shuffle(r_order)
+        for batched, _ in POINT_METRICS:
+            whole = batched(n, theta, qs, rs)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(markov, "_STACK_ELEMENTS", per_stack * (n + 1) ** 2)
-                shuffled = stacked(n, theta, [qs[i] for i in order], [rs[i] for i in order])
-            assert bits(shuffled) == bits(whole[order])
+                # one r per table solve, and at most per_stack q rows per contraction
+                mp.setattr(markov, "_STACK_ELEMENTS", per_stack * (n + 1))
+                shuffled = batched(n, theta, [qs[i] for i in q_order], [rs[j] for j in r_order])
+            assert bits(shuffled) == bits(whole[np.ix_(q_order, r_order)])
             assert not np.isnan(whole).any()
 
     @settings(max_examples=40, deadline=None)
-    @given(point_batches(MODERATE),
-           st.lists(st.tuples(st.sampled_from([0.0, 1.0]), MODERATE, st.booleans()),
-                    min_size=1, max_size=4),
+    @given(grids(MODERATE),
+           st.lists(st.sampled_from([0.0, 1.0]), max_size=2),
+           st.lists(st.sampled_from([0.0, 1.0]), max_size=2),
            st.randoms(use_true_random=False))
-    def test_singular_only_at_boundary_points(self, batch, edges, rng):
-        n, theta, points = batch
-        boundary = [(b, m) if q_side else (m, b) for b, m, q_side in edges]
-        mixed = points + boundary
-        rng.shuffle(mixed)
-        qs, rs = zip(*mixed)
-        on_edge = [pt in boundary for pt in mixed]
-        for stacked, single in POINT_METRICS:
-            got = stacked(n, theta, qs, rs)
-            assert np.isnan(got).tolist() == on_edge
-            for (q, r), value, edge in zip(mixed, got, on_edge):
-                if edge:
-                    with pytest.raises(SingularSystem):
-                        single(ProtocolParams(n, theta, q, r))
-                else:
-                    assert bits([value]) == bits([single(ProtocolParams(n, theta, q, r))])
+    def test_singular_only_at_boundary_points(self, grid, q_edges, r_edges, rng):
+        n, theta, qs, rs = grid
+        qs, rs = qs + q_edges, rs + r_edges
+        rng.shuffle(qs)
+        rng.shuffle(rs)
+        q_out = [q in (0.0, 1.0) for q in qs]
+        r_out = [r in (0.0, 1.0) for r in rs]
+        for batched, single in POINT_METRICS:
+            got = batched(n, theta, qs, rs)
+            assert np.isnan(got).tolist() == [[a or b for b in r_out] for a in q_out]
+            for i, q in enumerate(qs):
+                for j, r in enumerate(rs):
+                    if q_out[i] or r_out[j]:
+                        with pytest.raises(SingularSystem):
+                            single(ProtocolParams(n, theta, q, r))
+                    else:
+                        assert bits([got[i, j]]) == bits([single(ProtocolParams(n, theta, q, r))])
 
     def test_rejects_single_user(self):
-        with pytest.raises(BadParams):
-            markov.contention_times(1, 0.1, [0.5], [0.5])
+        for batched, _ in POINT_METRICS:
+            with pytest.raises(BadParams):
+                batched(1, 0.1, [0.5], [0.4, 0.5])
+
+
+def test_too_many_users_for_the_binomial_table():
+    # C(1030, 515) is beyond the largest float; C(1029, k) is not
+    assert np.isfinite(contention_time(ProtocolParams(1029, 0.1, 0.001, 0.5)))
+    with pytest.raises(BadParams, match="too many users"):
+        contention_time(ProtocolParams(1030, 0.1, 0.001, 0.5))
