@@ -55,6 +55,9 @@ _COARSE_STEP = 0.01
 _REFINE_PASSES = 2
 _TIE_TOL = 1e-9
 _BINDING_TOL = 0.005
+_FINAL_STEP = _COARSE_STEP / 10 ** _REFINE_PASSES
+# at 1000 x 1000 rows a qr sweep peaks at 0.55 GB of memory as CSV and 1.7 GB as JSON
+_MAX_SWEEP_ROWS = 10**6
 
 
 class SolutionStatus(Enum):
@@ -184,8 +187,8 @@ def _search(
     r_box: tuple[float, float],
     step: float,
     constraint: _Constraint | None,
-) -> tuple[float, float] | None:
-    """Smallest-T_c feasible point of a box: a grid scan, then local refinement.
+) -> tuple[float, float, float] | None:
+    """Smallest-T_c feasible point of a box and its T_c: a grid scan, then local refinement.
 
     Each of the _REFINE_PASSES passes rescans the incumbent's neighbourhood
     (clipped to the box) at a tenth of the previous step.  A box side with
@@ -201,11 +204,18 @@ def _search(
         qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
         rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
         best = _argmin_tc(prob, qs, rs, constraint, best)
-    return best[0], best[1]
+    return best
 
 
-def _final_step() -> float:
-    return _COARSE_STEP / 10 ** _REFINE_PASSES
+def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    """60 halvings of [lo, hi] that keep inside(lo) and not inside(hi); the last (lo, hi)."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _gradient(f: Callable[[float, float], float], q: float, r: float, eps: float) -> np.ndarray:
@@ -254,25 +264,19 @@ def _polish_to_constraint(
             t_max = max(t_max, (hi - x[i]) / direction[i])
         elif direction[i] < 0:
             t_max = max(t_max, (x[i] - lo) / -direction[i])
-    t_hi = min(_final_step(), t_max)
+    t_hi = min(_FINAL_STEP, t_max)
     while d_at(t_hi) < eta and t_hi < t_max:
         t_hi = min(t_hi * 2.0, t_max)
     if d_at(t_hi) < eta:
         return q, r  # constraint unreachable along this ray; keep incumbent
-    t_lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if d_at(mid) < eta:
-            t_lo = mid
-        else:
-            t_hi = mid
+    _, t_hi = _bisect(lambda t: d_at(t) < eta, 0.0, t_hi)
     p = np.clip(x + t_hi * direction, lo, hi)
     return float(p[0]), float(p[1])
 
 
 def _edge_search(
     prob: DesignProblem, edge: str, constraint: _Constraint
-) -> tuple[float, float] | None:
+) -> tuple[float, float, float] | None:
     """Best feasible point on the r = eps (edge="r") or q = eps (edge="q") boundary.
 
     Small-eta optima sit on the r = eps edge inside a feasible sliver thinner
@@ -292,14 +296,7 @@ def _edge_search(
     lo, hi = eps, 1.0 - eps
     v_max = hi
     if d_at(lo) <= eta < d_at(hi):
-        a, b = lo, hi
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if d_at(mid) <= eta:
-                a = mid
-            else:
-                b = mid
-        v_max = a
+        v_max, _ = _bisect(lambda v: d_at(v) <= eta, lo, hi)
     step = max((v_max - lo) / 100.0, 1e-6)
     free, pinned = (lo, v_max), (eps, eps)
     if edge == "r":
@@ -307,16 +304,13 @@ def _edge_search(
     return _search(prob, pinned, free, step, constraint)
 
 
-def _pick_candidate(
-    prob: DesignProblem, candidates: list[tuple[float, float] | None]
-) -> tuple[float, float]:
-    """Lowest-T_c candidate; ties break toward smaller q, then smaller r."""
+def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tuple[float, float]:
+    """Lowest-T_c (q, r, T_c) candidate; ties break toward smaller q, then smaller r."""
     best = None
     for cand in candidates:
         if cand is None:
             continue
-        q, r = cand
-        t = contention_time(_at(prob, q, r))
+        q, r, t = cand
         if best is None or t < best[2] - _TIE_TOL or (
             abs(t - best[2]) <= _TIE_TOL and (q, r) < (best[0], best[1])
         ):
@@ -346,8 +340,8 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
         q, r, d = min(constraint.lows, key=lambda low: low[2])  # the first least
         return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d,
                               SolutionStatus.INFEASIBLE, eta, eta_star)
-    q, r = _pick_candidate(prob, candidates)
-    corner = r <= eps + 1.5 * _final_step()
+    q, r = _pick_candidate(candidates)
+    corner = r <= eps + 1.5 * _FINAL_STEP
     if corner:
         r = eps
     d = critical_delay(_at(prob, q, r))
@@ -369,7 +363,7 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
 def maximize_utilization(prob: DesignProblem) -> DesignSolution:
     """Unconstrained maximizer of C_norm over the restricted square."""
     box = (prob.epsilon, 1.0 - prob.epsilon)
-    q, r = _search(prob, box, box, _COARSE_STEP, None)
+    q, r, _ = _search(prob, box, box, _COARSE_STEP, None)
     d = critical_delay(_at(prob, q, r))
     return DesignSolution(
         q_opt=q,
@@ -437,16 +431,17 @@ def sweep(
     estimated user count nhat and evaluates the resulting protocol with the
     true n_users, flagging delay-constraint violations.
 
-    A given step must be positive, and a whole number on the N_RANGE and
-    NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).  start and
-    stop must be finite with start <= stop (on QR_GRID after they default
-    to eps and 1 - eps).
+    A given step must be finite and positive, and a whole number on the
+    N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
+    start and stop must be finite with start <= stop (on QR_GRID after they
+    default to eps and 1 - eps), whole numbers on those two axes, and each
+    eta of ETA_RANGE positive.  A sweep has at most _MAX_SWEEP_ROWS rows.
     """
     counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
     if step is None:
         step = 1 if counts_users else 0.01
-    elif not step > 0 or (counts_users and not float(step).is_integer()):
-        kind = "a positive whole number" if counts_users else "positive"
+    elif not 0 < step < math.inf or (counts_users and not float(step).is_integer()):
+        kind = "a positive whole number" if counts_users else "finite and positive"
         raise BadParams(f"{axis.value} sweep step must be {kind}, got {step!r}")
 
     if axis is SweepAxis.QR_GRID:
@@ -456,6 +451,15 @@ def sweep(
         raise BadParams(f"{axis.value} sweep requires start and stop")
     if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
         raise BadParams(f"{axis.value} sweep needs finite start <= stop, got {start!r} and {stop!r}")
+    if counts_users and not (float(start).is_integer() and float(stop).is_integer()):
+        raise BadParams(f"{axis.value} sweep needs whole start and stop, got {start!r} and {stop!r}")
+    if axis is SweepAxis.ETA_RANGE:
+        replace(prob, eta=start)  # the smallest eta; DesignProblem rejects eta <= 0
+    # counted before any row is allocated (a float span can be too large for round)
+    span = (stop - start) // step if counts_users else (stop - start) / step
+    side = round(span) + 1 if span < _MAX_SWEEP_ROWS else math.inf
+    if (side * side if axis is SweepAxis.QR_GRID else side) > _MAX_SWEEP_ROWS:
+        raise BadParams(f"{axis.value} sweep would have more than {_MAX_SWEEP_ROWS} rows")
 
     if axis is SweepAxis.QR_GRID:
         pts = _axis(start, stop, step)

@@ -136,13 +136,17 @@ _COEFFICIENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C(k, j) for k, j = 0..n and max(k - j, 0); BadParams if C(n, j) overflows (n >= 1030)."""
     if n not in _COEFFICIENTS:
+        rows = [np.ones(1)]
+        for k in range(1, n + 1):
+            row = np.append(rows[-1], 0.0)
+            with np.errstate(over="ignore"):
+                row[1:] += rows[-1]
+            if np.isinf(row[k // 2]):  # the largest of C(k, j); raised before any table exists
+                raise BadParams(f"too many users: the binomial coefficients C({n}, k) overflow a float")
+            rows.append(row)
         comb = np.zeros((n + 1, n + 1))
-        comb[:, 0] = 1.0
-        with np.errstate(over="ignore"):
-            for k in range(1, n + 1):
-                comb[k, 1:] = comb[k - 1, 1:] + comb[k - 1, :-1]
-        if not np.all(np.isfinite(comb[n])):
-            raise BadParams(f"too many users: the binomial coefficients C({n}, k) overflow a float")
+        for k, row in enumerate(rows):
+            comb[k, : k + 1] = row
         k, j = np.indices(comb.shape)
         _COEFFICIENTS[n] = comb, np.maximum(k - j, 0)
     return _COEFFICIENTS[n]

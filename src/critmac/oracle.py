@@ -10,10 +10,10 @@ seconds.  Estimators are deliberately free of windowing bias:
 * C_norm simulates whole renewal cycles (a success run is one geometric
   draw of the run length, which is exactly the per-slot stopping process)
   and forms total successes / total slots with a delta-method SE;
-* D_crit simulates the full N-user slot process through a warm-up normal
-  phase long enough for the slot-state distribution to reach stationarity,
-  then injects a critical event at a uniformly chosen user and counts its
-  collisions until the first success.
+* D_crit warms up on the same chain until the slot-state distribution is
+  stationary, gives the last slot's k transmitters to users 0..k-1 (the users
+  are exchangeable), then runs the N-user slot process from a uniformly chosen
+  critical user and counts its collisions until its first success.
 
 Randomness comes from a single counter-based Philox stream (per call), with
 a fixed batch layout, so results are reproducible bit-for-bit.
@@ -44,17 +44,22 @@ class OracleEstimate:
     rounds: int
 
 
+def _count_step(params: ProtocolParams, k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Next slot's transmission counts on the normal chain, from the current counts k.
+
+    After idle all N users draw; after k >= 1 only those k, by the rule for what they saw.
+    """
+    p = normal_rule_table(params)[np.minimum(k, 2) + (k > 0)]
+    return rng.binomial(np.where(k == 0, params.n_users, k), p)
+
+
 def _contention_lengths(params: ProtocolParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate `size` contention periods on the state chain; returns lengths."""
-    n, q, r = params.n_users, params.q, params.r
     state = np.zeros(size, dtype=np.int64)
     length = np.ones(size, dtype=np.int64)  # the initial idle slot counts
     idx = np.arange(size)
     while idx.size:
-        s = state[idx]
-        trials = np.where(s == 0, n, s)
-        p = np.where(s == 0, q, r)
-        nxt = rng.binomial(trials, p)
+        nxt = _count_step(params, state[idx], rng)
         state[idx] = nxt
         keep = nxt != 1
         length[idx[keep]] += 1
@@ -65,13 +70,13 @@ def _contention_lengths(params: ProtocolParams, size: int, rng: np.random.Genera
 def _critical_collision_counts(
     params: ProtocolParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Warm up the N-user slot process, inject one critical user, count its failures."""
+    """Warm up the count chain, inject one critical user, count its failures in the slot process."""
     n = params.n_users
-    table = normal_rule_table(params).astype(np.float32)
-    obs = np.zeros((size, n), dtype=np.int8)
+    k = np.zeros(size, dtype=np.int64)
     for _ in range(_WARMUP_SLOTS):
-        tx = rng.random((size, n), dtype=np.float32) < table[obs]
-        obs = channel_feedback(tx)
+        k = _count_step(params, k, rng)
+    obs = channel_feedback(np.arange(n) < k[:, None])
+    table = normal_rule_table(params).astype(np.float32)
     crit = rng.integers(0, n, size)
     fails = np.zeros(size, dtype=np.int64)
     idx = np.arange(size)
@@ -94,8 +99,8 @@ def estimate_metrics_oracle(params: ProtocolParams, rounds: int, seed: int) -> O
         raise BadParams("the oracle requires n_users >= 2")
     if not 0.0 < params.q < 1.0 or not 0.0 <= params.r < 1.0:
         raise BadParams("the oracle requires q in (0, 1) and r in [0, 1)")
-    if rounds < 2:
-        raise BadParams("rounds must be >= 2")
+    if rounds < 2 or seed < 0:
+        raise BadParams(f"the oracle requires rounds >= 2 and seed >= 0, got {rounds} and {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
 
     c_sum = c_sumsq = 0.0

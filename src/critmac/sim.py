@@ -157,6 +157,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise BadParams("rounds must be >= 1")
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.normal_phase_slots < 1:
             raise BadParams("normal_phase_slots must be >= 1")
         two_crit = self.scenario in TWO_CRITICAL_SCENARIOS

@@ -211,6 +211,14 @@ class TestSimulate:
         assert_one_line_error(proc, 2)
         assert "BadParams" in proc.stderr
 
+    def test_negative_seed_is_rejected(self):
+        proc = run_cli(
+            "simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.5", "--seed", "-1",
+            check=False,
+        )
+        assert_one_line_error(proc, 2)
+        assert "BadParams" in proc.stderr
+
     def test_two_critical_summary_without_joint_entry(self, monkeypatch, capsys):
         # a valid round in which one user never entered rule-g mode is a
         # violation to report, not a crash of the summary
@@ -308,7 +316,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "axis,step",
         [("qr", "0"), ("qr", "-0.2"), ("n", "0.5"), ("nhat", "0.5"), ("n", "0"),
-         ("eta", "0"), ("eta", "-0.1"), ("theta", "0")],
+         ("eta", "0"), ("eta", "-0.1"), ("theta", "0"), ("qr", "inf"), ("theta", "inf"),
+         # more than a million rows: a grid of 10^18 would exhaust memory
+         ("qr", "1e-9"), ("theta", "1e-300")],
     )
     def test_step_must_be_positive(self, axis, step, capsys):
         code = cli.main([
@@ -325,7 +335,9 @@ class TestSweep:
         "axis,start,stop",
         [("qr", "0.9", "0.1"), ("n", "12", "8"), ("nhat", "12", "8"),
          ("theta", "0.5", "0.2"), ("eta", "1.4", "0.9"),
-         ("qr", "nan", "0.5"), ("qr", "0.1", "inf"), ("n", "3", "inf"), ("eta", "nan", "1")],
+         ("qr", "nan", "0.5"), ("qr", "0.1", "inf"), ("n", "3", "inf"), ("eta", "nan", "1"),
+         ("eta", "-1", "0.5"), ("eta", "0", "0.5"), ("n", "2.5", "3"), ("nhat", "8", "9.5"),
+         ("n", "3", "1e7")],
     )
     def test_reversed_or_unbounded_range_is_rejected(self, axis, start, stop, capsys):
         code = cli.main([
@@ -345,14 +357,19 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--q", "0.001", "--r", "0.5"],
-    ["simulate", "--q", "0.001", "--r", "0.5"],
-    ["optimize"],
-    ["sweep", "--axis", "qr", "--step", "0.2"],
+    [*command, "--n", n]
+    for n in ("1030", "100000")
+    for command in (
+        ["analyze", "--q", "0.001", "--r", "0.5"],
+        ["simulate", "--q", "0.001", "--r", "0.5"],
+        ["optimize"],
+        ["sweep", "--axis", "qr", "--step", "0.2"],
+    )
 ])
 def test_too_many_users_for_the_binomial_table(argv):
-    # C(1030, 515) overflows a float, so the analysis has no finite chain
-    proc = run_cli(*argv, "--n", "1030", "--theta", "0.1", check=False)
+    # C(1030, 515) overflows a float, so the analysis has no finite chain;
+    # at N = 100 000 the (N + 1)^2 table would take 80 GB, so it is refused first
+    proc = run_cli(*argv, "--theta", "0.1", check=False)
     assert_one_line_error(proc, 2)
     assert "BadParams" in proc.stderr
 

@@ -474,5 +474,6 @@ class TestStackedEvaluation:
 def test_too_many_users_for_the_binomial_table():
     # C(1030, 515) is beyond the largest float; C(1029, k) is not
     assert np.isfinite(contention_time(ProtocolParams(1029, 0.1, 0.001, 0.5)))
-    with pytest.raises(BadParams, match="too many users"):
-        contention_time(ProtocolParams(1030, 0.1, 0.001, 0.5))
+    for n in (1030, 100_000):  # the second before its 80 GB table is allocated
+        with pytest.raises(BadParams, match="too many users"):
+            contention_time(ProtocolParams(n, 0.1, 0.001, 0.5))

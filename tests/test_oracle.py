@@ -19,8 +19,10 @@ from critmac import (
     estimate_metrics_oracle,
     stationary_distribution,
 )
+from critmac import oracle
 
 P3 = ProtocolParams(3, 0.1, 0.3397, 0.4896)
+P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,30 @@ class TestAgreement:
         assert 0 < estimate.t_c_se < 0.02
         assert 0 < estimate.c_norm_se < 0.005
         assert 0 < estimate.d_crit_se < 0.02
+
+
+def _frequencies_match(counts, probs):
+    """Each state's frequency within 5 SE of its probability."""
+    freq = np.bincount(counts, minlength=len(probs)) / counts.size
+    se = np.sqrt(probs * (1.0 - probs) / counts.size)
+    assert len(freq) == len(probs)
+    assert np.all(np.abs(freq - probs) <= 5 * se)
+
+
+@pytest.mark.parametrize("params", [P3, P10], ids=["n3", "n10"])
+class TestCountChain:
+    def test_one_step_matches_the_normal_matrix(self, params):
+        rng = np.random.Generator(np.random.Philox(3))
+        rows = build_normal_matrix(params).entries
+        for k, row in enumerate(rows):
+            _frequencies_match(oracle._count_step(params, np.full(20_000, k), rng), row)
+
+    def test_warm_up_reaches_the_stationary_distribution(self, params):
+        rng = np.random.Generator(np.random.Philox(4))
+        k = np.zeros(10_000, dtype=np.int64)
+        for _ in range(oracle._WARMUP_SLOTS):
+            k = oracle._count_step(params, k, rng)
+        _frequencies_match(k, stationary_distribution(build_normal_matrix(params)))
 
 
 class TestRZeroClosedForm:
@@ -78,3 +104,7 @@ class TestValidation:
     def test_rejects_single_user(self):
         with pytest.raises(BadParams):
             estimate_metrics_oracle(ProtocolParams(1, 0.1, 0.5, 0.5), 100, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(BadParams):
+            estimate_metrics_oracle(P3, 100, seed=-1)

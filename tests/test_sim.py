@@ -311,6 +311,10 @@ class TestConfigValidation:
         with pytest.raises(BadParams):
             SimConfig(params=P3, rounds=0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(BadParams):
+            SimConfig(params=P3, seed=-1)
+
     def test_two_critical_needs_two_users(self):
         with pytest.raises(BadParams):
             SimConfig(
