@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import BadParams, SingularSystem
 from .markov import (
+    binomial_pmf,
     channel_utilization,
     contention_time,
     contention_times,
@@ -435,7 +436,8 @@ def sweep(
     N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
     start and stop must be finite with start <= stop (on QR_GRID after they
     default to eps and 1 - eps), whole numbers on those two axes, and each
-    eta of ETA_RANGE positive.  A sweep has at most _MAX_SWEEP_ROWS rows.
+    eta of ETA_RANGE positive, and the largest N of N_RANGE and NHAT_RANGE
+    one the analysis accepts.  A sweep has at most _MAX_SWEEP_ROWS rows.
     """
     counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
     if step is None:
@@ -460,6 +462,8 @@ def sweep(
     side = round(span) + 1 if span < _MAX_SWEEP_ROWS else math.inf
     if (side * side if axis is SweepAxis.QR_GRID else side) > _MAX_SWEEP_ROWS:
         raise BadParams(f"{axis.value} sweep would have more than {_MAX_SWEEP_ROWS} rows")
+    if counts_users:  # the largest N, before any solve; markov rejects N whose binomials overflow
+        binomial_pmf(int(start + span * step), 0.5)
 
     if axis is SweepAxis.QR_GRID:
         pts = _axis(start, stop, step)

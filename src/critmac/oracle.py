@@ -10,10 +10,10 @@ seconds.  Estimators are deliberately free of windowing bias:
 * C_norm simulates whole renewal cycles (a success run is one geometric
   draw of the run length, which is exactly the per-slot stopping process)
   and forms total successes / total slots with a delta-method SE;
-* D_crit warms up on the same chain until the slot-state distribution is
-  stationary, gives the last slot's k transmitters to users 0..k-1 (the users
-  are exchangeable), then runs the N-user slot process from a uniformly chosen
-  critical user and counts its collisions until its first success.
+* D_crit draws the last normal slot's transmitter count k from the chain's
+  exact stationary distribution, gives the k transmitters to users 0..k-1
+  (the users are exchangeable), then runs the N-user slot process from a
+  uniformly chosen critical user and counts its collisions until its first success.
 
 Randomness comes from a single counter-based Philox stream (per call), with
 a fixed batch layout, so results are reproducible bit-for-bit.
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams
+from .markov import build_normal_matrix, stationary_distribution
 from .protocol import ProtocolParams, channel_feedback, normal_rule_table
 
 _BATCH = 1 << 17
-_WARMUP_SLOTS = 300
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,18 @@ def _contention_lengths(params: ProtocolParams, size: int, rng: np.random.Genera
     return length
 
 
+def _stationary_counts(params: ProtocolParams, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` inverse-CDF draws from the normal chain's stationary w, clamped to N for round-off."""
+    cdf = np.cumsum(stationary_distribution(build_normal_matrix(params)))
+    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), params.n_users)
+
+
 def _critical_collision_counts(
     params: ProtocolParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Warm up the count chain, inject one critical user, count its failures in the slot process."""
+    """Inject one critical user after a stationary slot, count its failures in the slot process."""
     n = params.n_users
-    k = np.zeros(size, dtype=np.int64)
-    for _ in range(_WARMUP_SLOTS):
-        k = _count_step(params, k, rng)
+    k = _stationary_counts(params, size, rng)
     obs = channel_feedback(np.arange(n) < k[:, None])
     table = normal_rule_table(params).astype(np.float32)
     crit = rng.integers(0, n, size)
@@ -133,12 +137,5 @@ def estimate_metrics_oracle(params: ProtocolParams, rounds: int, seed: int) -> O
     d_crit = d_sum / m
     var_d = d_sumsq / m - d_crit**2
     d_crit_se = math.sqrt(var_d / m)
-    return OracleEstimate(
-        t_c=t_c,
-        t_c_se=t_c_se,
-        c_norm=c_norm,
-        c_norm_se=c_norm_se,
-        d_crit=d_crit,
-        d_crit_se=d_crit_se,
-        rounds=rounds,
-    )
+    return OracleEstimate(t_c=t_c, t_c_se=t_c_se, c_norm=c_norm, c_norm_se=c_norm_se,
+                          d_crit=d_crit, d_crit_se=d_crit_se, rounds=rounds)

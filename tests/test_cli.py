@@ -16,6 +16,7 @@ from critmac import (
     ScenarioSummary,
     SimConfig,
     cli,
+    design,
 )
 
 CLI = [sys.executable, "-m", "critmac.cli"]
@@ -348,6 +349,20 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: BadParams") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("axis", ["n", "nhat"])
+    def test_too_many_users_fails_before_any_solve(self, axis, monkeypatch, capsys):
+        # N = 1029 alone takes seconds to solve; the range's largest N is checked first
+        solves = []
+        monkeypatch.setattr(design, "solve_design_problem", lambda prob: solves.append(prob))
+        code = cli.main([
+            "sweep", "--axis", axis, "--n", "3", "--theta", "0.1",
+            "--from", "1029", "--to", "1030",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParams") and len(err.splitlines()) == 1
+        assert solves == []
 
     def test_reversed_qr_range_against_the_default_stop(self, capsys):
         # --from alone above the default stop 1 - epsilon is reversed too

@@ -23,6 +23,7 @@ from critmac import oracle
 
 P3 = ProtocolParams(3, 0.1, 0.3397, 0.4896)
 P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
+P10_SLOW = ProtocolParams(10, 0.1, 0.9, 0.98)  # second eigenvalue 0.975: slow mixing
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ def _frequencies_match(counts, probs):
     assert np.all(np.abs(freq - probs) <= 5 * se)
 
 
-@pytest.mark.parametrize("params", [P3, P10], ids=["n3", "n10"])
+@pytest.mark.parametrize("params", [P3, P10, P10_SLOW], ids=["n3", "n10", "n10-slow"])
 class TestCountChain:
     def test_one_step_matches_the_normal_matrix(self, params):
         rng = np.random.Generator(np.random.Philox(3))
@@ -63,11 +64,9 @@ class TestCountChain:
         for k, row in enumerate(rows):
             _frequencies_match(oracle._count_step(params, np.full(20_000, k), rng), row)
 
-    def test_warm_up_reaches_the_stationary_distribution(self, params):
+    def test_injected_counts_follow_the_stationary_distribution(self, params):
         rng = np.random.Generator(np.random.Philox(4))
-        k = np.zeros(10_000, dtype=np.int64)
-        for _ in range(oracle._WARMUP_SLOTS):
-            k = oracle._count_step(params, k, rng)
+        k = oracle._stationary_counts(params, 10_000, rng)
         _frequencies_match(k, stationary_distribution(build_normal_matrix(params)))
 
 
@@ -108,3 +107,8 @@ class TestValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(BadParams):
             estimate_metrics_oracle(P3, 100, seed=-1)
+
+    def test_rejects_too_many_users(self):
+        # the stationary draw needs the normal matrix, whose binomials overflow from N = 1030
+        with pytest.raises(BadParams):
+            estimate_metrics_oracle(ProtocolParams(1030, 0.1, 0.01, 0.5), 100, seed=1)
