@@ -46,12 +46,18 @@ EXIT_INFEASIBLE = 4
 
 
 def _fmt_cell(value) -> str:
+    """A table cell; None (a qr-sweep cell that failed to evaluate) is empty."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
 
 
 def _fmt_full(value) -> str:
+    """A CSV cell at full precision; None is empty, as in a table (JSON writes null)."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
@@ -261,10 +267,6 @@ def _cmd_sweep(args) -> int:
     eta = args.eta if args.eta is not None else math.inf
     prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
     rows = sweep(prob, axis, start=args.sweep_from, stop=args.sweep_to, step=args.step)
-    for row in rows:  # None cells (error-marked grid points) render as empty
-        for key, val in row.items():
-            if val is None:
-                row[key] = ""
     _emit(_render_rows(_SWEEP_COLUMNS[axis], rows, args.format), args.output)
     return EXIT_OK
 

@@ -14,12 +14,13 @@ whole grid as an array (`markov.contention_times`), and D_crit too when a
 constraint applies (`markov.critical_delays`); it masks the infeasible
 cells, takes the least-D_crit cell with argmin and the smallest-T_c cell
 by the walk's strict-improvement rule, so grid search beats gradient
-machinery here.  For binding solutions a final 1-D bisection along the
-local utilization gradient lands the solution on the constraint curve to
-|D_crit - eta| <= 0.005; it, the edge bisections, the candidate pick and
-the reported values read one point at a time.  Ties within 1e-9 break
-toward smaller q, then smaller r.  An eta sweep solves the unconstrained
-problem once and each eta from it.
+machinery here.  Each refinement pass, `_refine`, follows its pick while it
+lands on an inner side of the scanned window, so it can track a steep
+constraint curve.  A binding solution more than 0.005 from D_crit = eta
+gets one more `_refine` over the whole square at the finest step.  The
+edge bisections, the candidate pick and the reported values read one point
+at a time.  Ties within 1e-9 break toward smaller q, then smaller r.  An
+eta sweep solves the unconstrained problem once and each eta from it.
 
 The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
@@ -182,6 +183,34 @@ def _argmin_tc(
     return _scan_pick(qs, rs, t, incumbent)
 
 
+def _refine(
+    prob: DesignProblem,
+    best: tuple[float, float, float],
+    q_box: tuple[float, float],
+    r_box: tuple[float, float],
+    span: float,
+    constraint: _Constraint | None,
+) -> tuple[float, float, float]:
+    """Rescan the +-span window around best (clipped to the box) at span/10, then follow the pick.
+
+    While the pick lands on a side of its window that is not a side of the
+    box, the window is centred on it and scanned again; each such move
+    lowers T_c by more than _TIE_TOL, so the loop ends.
+    """
+    step = span / 10.0
+    while True:
+        q0, r0, _ = best
+        qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
+        rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
+        pick = _argmin_tc(prob, qs, rs, constraint, best)
+        q, r, _ = pick
+        inner_q = q in (qs[0], qs[-1]) and q not in q_box
+        inner_r = r in (rs[0], rs[-1]) and r not in r_box
+        if pick is best or not (inner_q or inner_r):
+            return pick
+        best = pick
+
+
 def _search(
     prob: DesignProblem,
     q_box: tuple[float, float],
@@ -191,20 +220,16 @@ def _search(
 ) -> tuple[float, float, float] | None:
     """Smallest-T_c feasible point of a box and its T_c: a grid scan, then local refinement.
 
-    Each of the _REFINE_PASSES passes rescans the incumbent's neighbourhood
-    (clipped to the box) at a tenth of the previous step.  A box side with
-    equal ends pins that coordinate.  Returns None when no scanned point is
-    feasible.
+    Each of the _REFINE_PASSES passes is one `_refine` of the incumbent at a
+    tenth of the previous step.  A box side with equal ends pins that
+    coordinate.  Returns None when no scanned point is feasible.
     """
     best = _argmin_tc(prob, _axis(*q_box, step), _axis(*r_box, step), constraint, None)
     if best is None:
         return None
     for _ in range(_REFINE_PASSES):
-        span, step = step, step / 10.0
-        q0, r0, _ = best
-        qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
-        rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
-        best = _argmin_tc(prob, qs, rs, constraint, best)
+        best = _refine(prob, best, q_box, r_box, step, constraint)
+        step /= 10.0
     return best
 
 
@@ -217,62 +242,6 @@ def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[floa
         else:
             hi = mid
     return lo, hi
-
-
-def _gradient(f: Callable[[float, float], float], q: float, r: float, eps: float) -> np.ndarray:
-    h = 1e-6
-    lo, hi = eps, 1.0 - eps
-    gq = (f(min(q + h, hi), r) - f(max(q - h, lo), r)) / (min(q + h, hi) - max(q - h, lo))
-    gr = (f(q, min(r + h, hi)) - f(q, max(r - h, lo))) / (min(r + h, hi) - max(r - h, lo))
-    return np.array([gq, gr])
-
-
-def _polish_to_constraint(
-    prob: DesignProblem, q: float, r: float, eta: float
-) -> tuple[float, float]:
-    """Bisect from (q, r) along the steepest-ascent direction until D_crit = eta.
-
-    The incumbent sits on the feasible side of the constraint curve within
-    one fine grid step; movement is tiny, so the utilization change is
-    negligible while the constraint residual drops below tolerance.  Near
-    the slack boundary the utilization gradient vanishes, in which case the
-    delay gradient is used instead, and the incumbent is kept if that
-    vanishes too; at a tangency the two directions coincide.
-    """
-    lo, hi = prob.epsilon, 1.0 - prob.epsilon
-    x = np.array([q, r])
-    grad = _gradient(lambda a, b: channel_utilization(_at(prob, a, b)), q, r, lo)
-    if np.linalg.norm(grad) < 1e-8:
-        grad = _gradient(lambda a, b: critical_delay(_at(prob, a, b)), q, r, lo)
-    if np.linalg.norm(grad) < 1e-12:
-        return q, r
-    direction = grad / np.linalg.norm(grad)
-    # keep the ray inside the box (at the corner the r-component would exit)
-    for i in range(2):
-        if (x[i] <= lo and direction[i] < 0) or (x[i] >= hi and direction[i] > 0):
-            direction[i] = 0.0
-    if np.linalg.norm(direction) < 1e-12:
-        return q, r
-    direction /= np.linalg.norm(direction)
-
-    def d_at(t: float) -> float:
-        p = np.clip(x + t * direction, lo, hi)
-        return critical_delay(_at(prob, float(p[0]), float(p[1])))
-
-    t_max = 0.0
-    for i in range(2):
-        if direction[i] > 0:
-            t_max = max(t_max, (hi - x[i]) / direction[i])
-        elif direction[i] < 0:
-            t_max = max(t_max, (x[i] - lo) / -direction[i])
-    t_hi = min(_FINAL_STEP, t_max)
-    while d_at(t_hi) < eta and t_hi < t_max:
-        t_hi = min(t_hi * 2.0, t_max)
-    if d_at(t_hi) < eta:
-        return q, r  # constraint unreachable along this ray; keep incumbent
-    _, t_hi = _bisect(lambda t: d_at(t) < eta, 0.0, t_hi)
-    p = np.clip(x + t_hi * direction, lo, hi)
-    return float(p[0]), float(p[1])
 
 
 def _edge_search(
@@ -342,23 +311,16 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
         return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d,
                               SolutionStatus.INFEASIBLE, eta, eta_star)
     q, r = _pick_candidate(candidates)
-    corner = r <= eps + 1.5 * _FINAL_STEP
-    if corner:
+    if r <= eps + 1.5 * _FINAL_STEP:
         r = eps
     d = critical_delay(_at(prob, q, r))
     if abs(d - eta) > _BINDING_TOL:
-        q, r = _polish_to_constraint(prob, q, r, eta)
+        # the scans can stop short of the constraint curve; follow it over the whole square
+        start = (q, r, contention_time(_at(prob, q, r)))
+        q, r, _ = _refine(prob, start, box, box, 10 * _FINAL_STEP, constraint)
         d = critical_delay(_at(prob, q, r))
-    status = SolutionStatus.BINDING_CORNER if corner else SolutionStatus.BINDING_INTERIOR
-    return DesignSolution(
-        q_opt=q,
-        r_opt=r,
-        c_norm=channel_utilization(_at(prob, q, r)),
-        d_crit=d,
-        status=status,
-        eta=eta,
-        eta_star=eta_star,
-    )
+    status = SolutionStatus.BINDING_CORNER if r == eps else SolutionStatus.BINDING_INTERIOR
+    return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d, status, eta, eta_star)
 
 
 def maximize_utilization(prob: DesignProblem) -> DesignSolution:
@@ -464,6 +426,8 @@ def sweep(
         raise BadParams(f"{axis.value} sweep would have more than {_MAX_SWEEP_ROWS} rows")
     if counts_users:  # the largest N, before any solve; markov rejects N whose binomials overflow
         binomial_pmf(int(start + span * step), 0.5)
+    if axis is SweepAxis.NHAT_RANGE:  # and the true N each nhat solution is evaluated at
+        binomial_pmf(prob.n_users, 0.5)
 
     if axis is SweepAxis.QR_GRID:
         pts = _axis(start, stop, step)

@@ -303,6 +303,17 @@ class TestSweep:
         assert len(lines) == 1 + len(qs) ** 2
         assert min(map(float, qs)) == 0.01 and max(map(float, qs)) == 0.99
 
+    def test_qr_error_cells_are_null_in_json_and_empty_in_csv(self, capsys):
+        args = ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
+                "--from", "-0.25", "--to", "1", "--step", "0.25"]
+        assert cli.main([*args, "--format", "json"]) == 0
+        bad = [row for row in json.loads(capsys.readouterr().out) if row["error"]]
+        assert bad and all(row["c_norm"] is None and row["d_crit"] is None for row in bad)
+        assert cli.main([*args, "--format", "csv"]) == 0
+        cells = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        bad = [row for row in cells if row[4]]
+        assert bad and all(row[2:4] == ["", ""] for row in bad)
+
     def test_eta_sweep_statuses(self):
         out = run_cli(
             "sweep", "--axis", "eta", "--n", "10", "--theta", "0.1",
@@ -350,14 +361,21 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("error: BadParams") and len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("axis", ["n", "nhat"])
-    def test_too_many_users_fails_before_any_solve(self, axis, monkeypatch, capsys):
+    @pytest.mark.parametrize("axis,n_users,start,stop", [
+        pytest.param("n", "3", "1029", "1030", id="n"),
+        pytest.param("nhat", "3", "1029", "1030", id="nhat"),
+        # the true N of an nhat sweep is read only after each nhat is solved
+        pytest.param("nhat", "1030", "3", "4", id="nhat-true-n"),
+    ])
+    def test_too_many_users_fails_before_any_solve(
+        self, axis, n_users, start, stop, monkeypatch, capsys
+    ):
         # N = 1029 alone takes seconds to solve; the range's largest N is checked first
         solves = []
         monkeypatch.setattr(design, "solve_design_problem", lambda prob: solves.append(prob))
         code = cli.main([
-            "sweep", "--axis", axis, "--n", "3", "--theta", "0.1",
-            "--from", "1029", "--to", "1030",
+            "sweep", "--axis", axis, "--n", n_users, "--theta", "0.1",
+            "--from", start, "--to", stop,
         ])
         assert code == 2
         err = capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import critmac.design as design
+import critmac.markov as markov
 from critmac import (
     BadParams,
     DesignProblem,
@@ -161,6 +162,23 @@ class TestConstrainedSolve:
             if d <= eta:
                 best = max(best, c)
         assert sol.c_norm >= best - 1e-6
+
+    @pytest.mark.parametrize("n,theta,eta", [(30, 0.1, 1.59), (40, 0.1, 1.57), (30, 0.5, 1.17)])
+    def test_binding_solution_beats_every_feasible_coarse_cell(self, n, theta, eta):
+        # here the scans stop short of a steep constraint curve; the answer must
+        # still be feasible and at least as good as the 0.01 grid over the square
+        sol = solve_design_problem(DesignProblem(n, theta, eta=eta))
+        axis = 0.01 + 0.01 * np.arange(99)
+        tc = markov.contention_times(n, theta, axis, axis)
+        d = markov.critical_delays(n, theta, axis, axis)
+        best = np.max(np.where(d <= eta, 1.0 / (theta * tc + 1.0), 0.0))
+        assert sol.d_crit <= eta
+        assert sol.c_norm >= best - 1e-9
+
+    def test_status_follows_the_reported_point(self):
+        # the r = eps edge wins the candidate pick here, but the final answer lies off it
+        sol = solve_design_problem(DesignProblem(50, 0.5, eta=0.5))
+        assert (sol.status is SolutionStatus.BINDING_CORNER) == (sol.r_opt == 0.01)
 
 
 ETAS_N3 = [0.15, 0.55, 0.95, 1.35]  # infeasible, corner, interior, slack
