@@ -3,9 +3,10 @@
 The CLI only orchestrates library calls and formats their results; every
 number it emits comes from a library operation.  Output formats: an aligned
 table with 4 decimal places, JSON at full precision, or CSV (the default
-for sweeps).  Exit codes: 0 success, 2 bad arguments (an unwritable output
-path included), 3 singular chain at boundary parameters, 4 infeasible
-design problem.
+for sweeps); a JSON or CSV qr sweep is written from its grids a block of
+rows at a time, after every check has passed.  Exit codes: 0 success, 2
+bad arguments (an unwritable output path included), 3 singular chain at
+boundary parameters, 4 infeasible design problem.
 
 A config file (--config, before or after the subcommand) may supply
 defaults as flat key=value lines whose keys mirror the flag names; explicit
@@ -16,15 +17,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .design import (
     DesignProblem,
+    QRGrid,
     SolutionStatus,
     SweepAxis,
+    qr_grid,
     solve_design_problem,
     sweep,
 )
@@ -43,6 +49,8 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
+# cells of a qr sweep spelled and written at a time (whole q rows, at least one)
+_BLOCK_CELLS = 4096
 
 
 def _fmt_cell(value) -> str:
@@ -65,40 +73,114 @@ def _fmt_full(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    """Strict JSON has no spelling for inf or nan, so non-finite floats become null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json_cell(value) -> str:
+    """A JSON cell as json.dumps spells it; strict JSON has no inf or nan, so those are null."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"no JSON spelling for {type(value).__name__}")
+
+
+_CELLS = {"json": _json_cell, "csv": _fmt_full}
+
+
+def _spell(column, fmt: str) -> list[str]:
+    """The cells of one column spelled for fmt ("json" or "csv").
+
+    A float array (a block of a qr grid) reads NaN as a missing value, as
+    `design.sweep` does when it turns the grids into rows.
+    """
+    cell = _CELLS[fmt]
+    if not isinstance(column, np.ndarray):
+        return list(map(cell, column))
+    flat = column.ravel()
+    cells = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        value = float(flat[i])
+        cells[i] = cell(None if math.isnan(value) else value)
+    return cells
+
+
+def _json_object(keys: list[str], indent: int) -> str:
+    """%-template of a JSON object with these keys, as json.dumps(indent=2) lays one out.
+
+    indent is the object's own indentation: 0 for a document, 2 for a row of a list.
+    """
+    pad = " " * indent
+    names = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
+    items = ",\n".join(f"{pad}  {name}: %s" for name in names)
+    return f"{pad}{{\n{items}\n{pad}}}"
+
+
+def _encode_rows(columns: list[str], blocks: Iterable[list[list[str]]], fmt: str) -> Iterator[str]:
+    """JSON or CSV text of rows, one chunk per block; a block holds each column's spelled cells."""
+    if fmt == "json":
+        row, sep = _json_object(columns, 2), ",\n"
+        head, tail, empty = "[\n", "\n]\n", "[]\n"
+    else:
+        row, sep = ",".join(["%s"] * len(columns)) + "\n", ""
+        head = empty = ",".join(columns) + "\n"
+        tail = ""
+    lead = head
+    for block in blocks:
+        text = sep.join(map(row.__mod__, zip(*block)))
+        if text:
+            yield lead + text
+            lead = sep
+    yield empty if lead is head else tail
 
 
 def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
+    keys = [k for k, _ in pairs]
     if fmt == "json":
-        doc = {k: _json_value(v) for k, v in pairs}
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _json_object(keys, 0) % tuple(_spell([v for _, v in pairs], fmt)) + "\n"
     if fmt == "csv":
-        head = ",".join(k for k, _ in pairs)
-        row = ",".join(_fmt_full(v) for _, v in pairs)
-        return head + "\n" + row + "\n"
-    width = max(len(k) for k, _ in pairs)
+        return _render_rows(keys, [dict(pairs)], fmt)
+    width = max(len(k) for k in keys)
     return "".join(f"{k:<{width}}  {_fmt_cell(v)}\n" for k, v in pairs)
 
 
 def _render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        doc = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if fmt == "csv":
-        out = [",".join(columns)]
-        for row in rows:
-            out.append(",".join(_fmt_full(row[c]) for c in columns))
-        return "\n".join(out) + "\n"
+    if fmt != "table":
+        block = [_spell([row[c] for row in rows], fmt) for c in columns]
+        return "".join(_encode_rows(columns, [block], fmt))
     cells = [[_fmt_cell(row[c]) for c in columns] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
     for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines) + "\n"
+
+
+def _qr_blocks(grid: QRGrid, fmt: str) -> Iterator[list[list[str]]]:
+    """The columns of a qr sweep (q, r, c_norm, d_crit, error), spelled q rows at a time."""
+    side = len(grid.pts)
+    per_block = max(1, _BLOCK_CELLS // side)
+    pts = _spell(grid.pts, fmt)
+    cell = _CELLS[fmt]
+    blank = cell("")
+    for i in range(0, side, per_block):
+        q_rows = slice(i, i + per_block)
+        count = len(pts[q_rows])
+        errors, names = [blank] * (count * side), grid.errors[q_rows].ravel()
+        for k in np.flatnonzero(np.isnan(grid.d_crit[q_rows])).tolist():  # the rare failed cells
+            errors[k] = cell(names[k])
+        yield [
+            [q for q in pts[q_rows] for _ in range(side)],
+            pts * count,
+            _spell(grid.c_norm[q_rows], fmt),
+            _spell(grid.d_crit[q_rows], fmt),
+            errors,
+        ]
 
 
 def _open_output(path: str, flag: str):
@@ -109,12 +191,11 @@ def _open_output(path: str, flag: str):
         raise BadParams(f"cannot write {flag} {path}: {exc.strerror}") from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with _open_output(output, "--output") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(output: str | None, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to the --output file (opened only now), or to stdout."""
+    with _open_output(output, "--output") if output else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _params_from(args) -> ProtocolParams:
@@ -133,7 +214,7 @@ def _cmd_analyze(args) -> int:
     if args.enhanced:
         pairs.append(("d_crit_enhanced", enhanced_critical_delay(params)))
     pairs.append(("f_norm", metrics.f_norm))
-    _emit(_render_pairs(pairs, args.format), args.output)
+    _emit(args.output, [_render_pairs(pairs, args.format)])
     return EXIT_OK
 
 
@@ -153,7 +234,7 @@ def _cmd_optimize(args) -> int:
         ("eta_star", sol.eta_star),
         ("status", sol.status.value),
     ]
-    _emit(_render_pairs(pairs, args.format), args.output)
+    _emit(args.output, [_render_pairs(pairs, args.format)])
     return EXIT_INFEASIBLE if sol.status is SolutionStatus.INFEASIBLE else EXIT_OK
 
 
@@ -207,8 +288,8 @@ def _cmd_simulate(args) -> int:
              "se": res.d_crit_se},
             {"metric": "max_d_crit", "analysis": "", "simulation": res.max_d_crit, "se": ""},
         ]
-        _emit(_render_rows(["metric", "analysis", "simulation", "se"], rows, args.format),
-              args.output)
+        _emit(args.output, [_render_rows(["metric", "analysis", "simulation", "se"], rows,
+                                         args.format)])
         return EXIT_OK
 
     with _trace_sink(args.trace_output) as sink:
@@ -238,7 +319,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         cols = ["round", "injected", "second_arrival", "slots_to_joint_inference",
                 "critical_collisions", "first_finisher", "violations"]
-        _emit(_render_rows(cols, rows, "csv"), args.output)
+        _emit(args.output, [_render_rows(cols, rows, "csv")])
     else:
         pairs: list[tuple[str, object]] = [
             ("scenario", cfg.scenario.value),
@@ -249,7 +330,7 @@ def _cmd_simulate(args) -> int:
             ("max_slots_to_inference", max(entry_first, default=math.nan)),
             ("violations", summary.violation_count),
         ]
-        _emit(_render_pairs(pairs, args.format), args.output)
+        _emit(args.output, [_render_pairs(pairs, args.format)])
     return EXIT_OK
 
 
@@ -266,8 +347,14 @@ def _cmd_sweep(args) -> int:
     axis = SweepAxis(args.axis)
     eta = args.eta if args.eta is not None else math.inf
     prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
-    rows = sweep(prob, axis, start=args.sweep_from, stop=args.sweep_to, step=args.step)
-    _emit(_render_rows(_SWEEP_COLUMNS[axis], rows, args.format), args.output)
+    span = {"start": args.sweep_from, "stop": args.sweep_to, "step": args.step}
+    columns = _SWEEP_COLUMNS[axis]
+    if axis is SweepAxis.QR_GRID and args.format != "table":
+        # the grids whole (8 bytes a cell), then the text a block of q rows at a time
+        grid = qr_grid(prob, **span)
+        _emit(args.output, _encode_rows(columns, _qr_blocks(grid, args.format), args.format))
+    else:  # a table needs its column widths before its first line
+        _emit(args.output, [_render_rows(columns, sweep(prob, axis, **span), args.format)])
     return EXIT_OK
 
 

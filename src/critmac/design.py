@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,7 +58,8 @@ _REFINE_PASSES = 2
 _TIE_TOL = 1e-9
 _BINDING_TOL = 0.005
 _FINAL_STEP = _COARSE_STEP / 10 ** _REFINE_PASSES
-# at 1000 x 1000 rows a qr sweep peaks at 0.55 GB of memory as CSV and 1.7 GB as JSON
+# at 1000 x 1000 rows (N = 3) a qr sweep peaks at 63 MB RSS as CSV and 62 MB as JSON, which
+# the CLI writes a block at a time, and at 852 MB as a table (a subprocess, RUSAGE_CHILDREN)
 _MAX_SWEEP_ROWS = 10**6
 
 
@@ -377,30 +378,14 @@ def _error_name(prob: DesignProblem, q: float, r: float) -> str:
     return ""
 
 
-def sweep(
+def _sweep_range(
     prob: DesignProblem,
     axis: SweepAxis,
-    *,
-    start: float | None = None,
-    stop: float | None = None,
-    step: float | None = None,
-) -> list[dict]:
-    """Tabulate metrics or optimal protocols along one axis.
-
-    QR_GRID tabulates raw C_norm/D_crit over the restricted square for
-    contour plotting (grid points that fail to evaluate are kept with an
-    error marker).  N_RANGE, THETA_RANGE and ETA_RANGE re-solve the design
-    problem along the respective axis.  NHAT_RANGE solves the problem for an
-    estimated user count nhat and evaluates the resulting protocol with the
-    true n_users, flagging delay-constraint violations.
-
-    A given step must be finite and positive, and a whole number on the
-    N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
-    start and stop must be finite with start <= stop (on QR_GRID after they
-    default to eps and 1 - eps), whole numbers on those two axes, and each
-    eta of ETA_RANGE positive, and the largest N of N_RANGE and NHAT_RANGE
-    one the analysis accepts.  A sweep has at most _MAX_SWEEP_ROWS rows.
-    """
+    start: float | None,
+    stop: float | None,
+    step: float | None,
+) -> tuple[float, float, float]:
+    """A sweep's checked (start, stop, step), defaults filled in; see `sweep` for the rules."""
     counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
     if step is None:
         step = 1 if counts_users else 0.01
@@ -428,25 +413,84 @@ def sweep(
         binomial_pmf(int(start + span * step), 0.5)
     if axis is SweepAxis.NHAT_RANGE:  # and the true N each nhat solution is evaluated at
         binomial_pmf(prob.n_users, 0.5)
+    return start, stop, step
 
+
+class QRGrid(NamedTuple):
+    """C_norm and D_crit over pts x pts (q by row, r by column), as a qr sweep tabulates them.
+
+    A cell that fails to evaluate is NaN in d_crit (and in c_norm when T_c
+    fails too), and errors holds the name of the one-point error there;
+    errors is "" at every other cell.
+    """
+
+    pts: np.ndarray
+    c_norm: np.ndarray
+    d_crit: np.ndarray
+    errors: np.ndarray
+
+
+def qr_grid(
+    prob: DesignProblem,
+    *,
+    start: float | None = None,
+    stop: float | None = None,
+    step: float | None = None,
+) -> QRGrid:
+    """The grids of a QR_GRID sweep, checked as `sweep` checks it."""
+    start, stop, step = _sweep_range(prob, SweepAxis.QR_GRID, start, stop, step)
+    pts = _axis(start, stop, step)
+    tc = contention_times(prob.n_users, prob.theta, pts, pts)
+    d = critical_delays(prob.n_users, prob.theta, pts, pts)
+    d[np.isnan(tc)] = np.nan  # D_crit is read only where T_c is
+    c = 1.0 / (prob.theta * tc + 1.0)
+    errors = np.full(d.shape, "", dtype=object)
+    for i, j in zip(*np.nonzero(np.isnan(d))):
+        errors[i, j] = _error_name(prob, float(pts[i]), float(pts[j]))
+    return QRGrid(pts, c, d, errors)
+
+
+def sweep(
+    prob: DesignProblem,
+    axis: SweepAxis,
+    *,
+    start: float | None = None,
+    stop: float | None = None,
+    step: float | None = None,
+) -> list[dict]:
+    """Tabulate metrics or optimal protocols along one axis.
+
+    QR_GRID tabulates raw C_norm/D_crit over the restricted square for
+    contour plotting (grid points that fail to evaluate are kept with an
+    error marker); its rows are the cells of `qr_grid`, NaN as None.
+    N_RANGE, THETA_RANGE and ETA_RANGE re-solve the design problem along
+    the respective axis.  NHAT_RANGE solves the problem for an estimated
+    user count nhat and evaluates the resulting protocol with the true
+    n_users, flagging delay-constraint violations.
+
+    A given step must be finite and positive, and a whole number on the
+    N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
+    start and stop must be finite with start <= stop (on QR_GRID after they
+    default to eps and 1 - eps), whole numbers on those two axes, and each
+    eta of ETA_RANGE positive, and the largest N of N_RANGE and NHAT_RANGE
+    one the analysis accepts.  A sweep has at most _MAX_SWEEP_ROWS rows.
+    """
     if axis is SweepAxis.QR_GRID:
-        pts = _axis(start, stop, step)
-        tc = contention_times(prob.n_users, prob.theta, pts, pts)
-        d = critical_delays(prob.n_users, prob.theta, pts, pts)
-        d[np.isnan(tc)] = np.nan  # D_crit is read only where T_c is
-        c = 1.0 / (prob.theta * tc + 1.0)
-        pts = pts.tolist()
+        grid = qr_grid(prob, start=start, stop=stop, step=step)
+        pts = grid.pts.tolist()
         rows = []
-        for q, c_row, d_row in zip(pts, c.tolist(), d.tolist()):
-            for r, c_norm, d_crit in zip(pts, c_row, d_row):
+        for q, c_row, d_row, e_row in zip(pts, grid.c_norm.tolist(), grid.d_crit.tolist(),
+                                           grid.errors.tolist()):
+            for r, c_norm, d_crit, error in zip(pts, c_row, d_row, e_row):
                 rows.append({
                     "q": q,
                     "r": r,
                     "c_norm": None if math.isnan(c_norm) else c_norm,
                     "d_crit": None if math.isnan(d_crit) else d_crit,
-                    "error": _error_name(prob, q, r) if math.isnan(d_crit) else "",
+                    "error": error,
                 })
         return rows
+    start, stop, step = _sweep_range(prob, axis, start, stop, step)
 
     if axis is SweepAxis.N_RANGE:
         ns = range(int(start), int(stop) + 1, int(step))

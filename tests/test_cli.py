@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critmac import (
     CriticalTrafficModel,
@@ -387,6 +390,168 @@ class TestSweep:
         code = cli.main(["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1", "--from", "0.995"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: BadParams")
+
+
+def json_reference(doc) -> str:
+    """JSON as `json.dumps(indent=2)` writes it, non-finite floats as null (strict JSON)."""
+
+    def finite(value):
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    if isinstance(doc, dict):
+        doc = {k: finite(v) for k, v in doc.items()}
+    else:
+        doc = [{k: finite(v) for k, v in row.items()} for row in doc]
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def csv_cell_reference(value) -> str:
+    """A CSV cell at full precision: empty for None, lower-case booleans, repr for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def csv_reference(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(csv_cell_reference(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, -1e22, 0.1, 1.0 / 3.0, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf]
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EDGE_FLOATS),
+    # quotes, backslashes, control characters, non-ASCII and astral characters, "%"
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é✓", "\U0001f600", "%s", "%%", ""]),
+)
+KEYS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=6)
+
+
+class TestEncoding:
+    """The one column encoder against `json.dumps` and the plain CSV join."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(KEYS, min_size=1, max_size=5, unique=True).flatmap(
+        lambda keys: st.tuples(st.just(keys), st.lists(st.lists(CELLS, min_size=len(keys),
+                                                                max_size=len(keys)), max_size=6))))
+    def test_rows_match_json_dumps_and_the_csv_join(self, case):
+        columns, cells = case
+        rows = [dict(zip(columns, row)) for row in cells]
+        assert cli._render_rows(columns, rows, "json") == json_reference(rows)
+        assert cli._render_rows(columns, rows, "csv") == csv_reference(columns, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(KEYS, CELLS), min_size=1, max_size=6, unique_by=lambda kv: kv[0]))
+    def test_pairs_match_json_dumps_and_the_csv_join(self, pairs):
+        assert cli._render_pairs(pairs, "json") == json_reference(dict(pairs))
+        keys = [k for k, _ in pairs]
+        assert cli._render_pairs(pairs, "csv") == csv_reference(keys, [dict(pairs)])
+
+    @pytest.mark.parametrize("fmt,text", [("json", "[]\n"), ("csv", "q,r\n")])
+    def test_no_rows(self, fmt, text):
+        assert cli._render_rows(["q", "r"], [], fmt) == text
+        if fmt == "json":
+            assert text == json_reference([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=12))
+    def test_float_grid_reads_nan_as_missing(self, values):
+        # a grid block is spelled as the rows of design.sweep hold it: NaN as None
+        grid = np.array(values, dtype=float).reshape(-1, 1 if len(values) % 2 else 2)
+        cells = [None if math.isnan(v) else v for v in values]
+        for fmt in ("json", "csv"):
+            assert cli._spell(grid, fmt) == cli._spell(cells, fmt)
+
+
+def peak_rss_mb(*args) -> float:
+    """Peak RSS of one CLI run, read in a fresh interpreter that runs the CLI as its only child."""
+    probe = ("import resource, subprocess, sys; "
+             "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", probe, *CLI, *args],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+class _Writes:
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+class TestStreaming:
+    QR = ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
+          "--from", "-0.25", "--to", "1.2", "--step", "0.05"]  # 30 x 30, error cells included
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocks_write_the_bytes_of_one_block(self, fmt, monkeypatch):
+        side = 30
+        written = {}
+        for name, cells in (("one", 10**9), ("rows", 1), ("pairs", 2 * side)):
+            monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(sys, "stdout", _Writes())
+            assert cli.main([*self.QR, "--format", fmt]) == 0
+            written[name] = sys.stdout.chunks
+        monkeypatch.undo()
+        whole = "".join(written["one"])
+        assert whole.count("\n") > side * side
+        for name, per_block in (("rows", 1), ("pairs", 2)):
+            assert "".join(written[name]) == whole
+            # no write holds more rows than one block of q rows
+            rows = [chunk.count('"q": ') if fmt == "json" else chunk.count("\n")
+                    for chunk in written[name]]
+            assert max(rows) <= per_block * side + (fmt == "csv")  # the CSV header
+            assert len(rows) >= side // per_block
+
+    def test_streamed_json_holds_the_rows_of_design_sweep(self, capsys):
+        assert cli.main([*self.QR, "--format", "json"]) == 0
+        rows = design.sweep(design.DesignProblem(4, 0.1), design.SweepAxis.QR_GRID,
+                            start=-0.25, stop=1.2, step=0.05)
+        assert any(row["error"] for row in rows)
+        assert strict_json(capsys.readouterr().out) == rows
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "qr", "--step", "1e-9", "--format", "json"],
+        ["--axis", "qr", "--step", "0", "--format", "csv"],
+        ["--axis", "qr", "--n", "1030", "--step", "0.2", "--format", "csv"],
+        ["--axis", "qr", "--from", "0.9", "--to", "0.1", "--format", "table"],
+        ["--axis", "eta", "--from", "-1", "--to", "0.5", "--format", "json"],
+        ["--axis", "n", "--from", "3", "--to", "1030", "--format", "csv"],
+    ])
+    def test_refused_sweep_leaves_the_output_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"q,r\n0.5,0.5\n")
+        if "--n" not in argv:
+            argv = ["--n", "3", *argv]
+        assert cli.main(["sweep", "--theta", "0.1", *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: BadParams")
+        assert out.read_bytes() == b"q,r\n0.5,0.5\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_grid(self, fmt, tmp_path):
+        def peak(side):
+            step = repr(0.98 / (side - 1))  # side points from 0.01 to 0.99
+            return peak_rss_mb("sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
+                               "--step", step, "--format", fmt,
+                               "--output", str(tmp_path / f"{side}.{fmt}"))
+
+        small, large = peak(10), peak(300)
+        assert (tmp_path / f"300.{fmt}").read_text().count("0.99") > 300
+        assert large - small < 30, f"{fmt}: {small:.1f} MB at 10 x 10, {large:.1f} MB at 300 x 300"
 
 
 @pytest.mark.parametrize("argv", [

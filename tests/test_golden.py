@@ -9,7 +9,9 @@ design cases sit at N = 3, theta = 0.1 with one eta per regime
 unconstrained N = 50 solve, the N = 10 eta = 0.65 solve whose optimum sits
 past the D_crit peak along r = eps, and a (q, r) grid that mixes interior
 points, boundary points (SingularSystem) and out-of-range points
-(BadParams).  The simulate cases cover the baseline and enhanced rules at
+(BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
+error cells fall in several of the blocks a qr sweep is written in, as
+CSV and as JSON.  The simulate cases cover the baseline and enhanced rules at
 N = 10 and 50, a 200-round run that spans several batches of rounds, a
 normal phase shorter than the T_c start margin, the enhanced rules without
 post-critical suppression, and all three two-critical scenarios.
@@ -56,6 +58,15 @@ CASES = {
     "sweep-qr-boundary": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
                            "--from", "-0.25", "--to", "1", "--step", "0.25", "--format", "csv"],
                           False, 0),
+    "sweep-qr-boundary-json": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
+                                "--from", "-0.25", "--to", "1", "--step", "0.25",
+                                "--format", "json"], False, 0),
+    "sweep-qr-blocks-csv": (["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
+                             "--from", "0", "--to", "1", "--step", "0.01", "--format", "csv"],
+                            False, 0),
+    "sweep-qr-blocks-json": (["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
+                              "--from", "0", "--to", "1", "--step", "0.01", "--format", "json"],
+                             False, 0),
     "simulate-n50-enhanced": (["simulate", *P50, "--rounds", "10", "--seed", "11",
                                "--enhanced", "--format", "json"], True, 0),
     "simulate-baseline-200": (["simulate", *P10, "--rounds", "200", "--seed", "17",
@@ -122,6 +133,12 @@ GOLDEN = {
         "59ead1ecba5e46a21e87187dc4df8e4dc9b591d088d372940a14bb24388fd974", None),
     "sweep-qr-boundary": (
         "800a14d9000b71e1a44c934916dd27f341a0b5c0ce132267dde2aaf9f4952e78", None),
+    "sweep-qr-boundary-json": (
+        "b49a1e8e64c6ef4b7aed38eed0f50cc47c16997a264d16b7573fb77f181929d8", None),
+    "sweep-qr-blocks-csv": (
+        "804482ca01cfb5d5e8f02463342594b43a5cd17138043287a6d4ee24cc73d454", None),
+    "sweep-qr-blocks-json": (
+        "12303412a2225c70516b69e6a77d4dd6682cc581ec4d2f7ebeb31e7c3070f65f", None),
 }
 
 
