@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -428,6 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused: argparse keeps no state between parses."""
+    return build_parser()
+
+
 def _config_tokens(path: str) -> list[str]:
     tokens = []
     for raw in Path(path).read_text().splitlines():
@@ -467,8 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         # explicit flags, parsed later, override them
         argv = argv[:i] + argv[end:]
         argv = argv[:1] + tokens + argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BadParams as exc:

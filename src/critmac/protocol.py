@@ -140,10 +140,10 @@ class UserArrays:
     def initial(cls, shape: tuple[int, ...]) -> "UserArrays":
         """Users that start a round: normal traffic, idle observations."""
         codes = {"last", "prev", "g_observation"}  # int8 observation codes
-        counts = {"failures", "remaining"}  # int64; the rest are flags
+        counts = {"failures", "remaining"}  # int32; the rest are flags
         return cls(**{
             f.name: np.zeros(
-                shape, np.int8 if f.name in codes else np.int64 if f.name in counts else bool
+                shape, np.int8 if f.name in codes else np.int32 if f.name in counts else bool
             )
             for f in fields(cls)
         })
@@ -166,7 +166,10 @@ def channel_feedback(tx: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     t = tx.view(np.int8)
     # a transmitter: SUCCESS_CODE (2) + 1 if anyone else transmitted;
     # a listener: IDLE_CODE (0) + 1 if anyone transmitted
-    return (t << 1) + (k > t).view(np.int8)
+    obs = (k > t).view(np.int8)
+    obs += t
+    obs += t
+    return obs
 
 
 def normal_rule_table(params: ProtocolParams) -> np.ndarray:
@@ -212,11 +215,15 @@ def transmission_probabilities(
         wait |= (last == FAILURE_CODE) & (users.prev == SUCCESS_CODE)
         if cfg.suppress_after_critical:
             wait |= users.prev_critical
-        wait |= users.yield_after_idle & (last == IDLE_CODE)
-        p[wait] = 0.0
+        if users.yield_after_idle.any():
+            wait |= users.yield_after_idle & (last == IDLE_CODE)
+        np.putmask(p, wait, 0.0)
     critical = users.critical
     if critical.any():
-        p = np.where(critical, np.where(users.g_mode, rule_g(users.g_observation), 1.0), p)
+        np.putmask(p, critical, 1.0)
+        if users.g_mode.any():
+            g_mode = critical & users.g_mode
+            p[g_mode] = rule_g(users.g_observation[g_mode])
     return p
 
 

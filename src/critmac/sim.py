@@ -19,9 +19,12 @@ masked state updates.  Every round takes one slot per step from its start
 until it ends, so the rounds still running are always at the same slot.
 The round structure (normal phase, the simultaneous scenario's
 collision-free boundary, critical arrivals and the second injection, the
-scenario tail) is applied between steps, to each round separately.  Rounds
-run in batches of as many rounds as fit ``markov._STACK_ELEMENTS`` uniforms
-(2^17 float64), so memory does not grow with the number of rounds.
+scenario tail) is applied between steps, to each round separately.  A
+batch holds as many rounds as its memory allows (:func:`_batch_rounds`):
+its block of uniforms and its rounds' own state (generators, trace cells)
+each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So memory does
+not grow with the number of rounds, and each lockstep step, whose cost is
+mostly fixed, serves hundreds of rounds.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
@@ -191,14 +194,31 @@ def _expected_slots(cfg: SimConfig) -> int:
     return cfg.normal_phase_slots + critical_slots + _EXTRA_ROWS
 
 
-def _batch_rounds(cfg: SimConfig) -> int:
-    """Rounds per batch: as many as fit their first blocks of uniforms in the stack budget."""
-    return max(1, markov._STACK_ELEMENTS // (_expected_slots(cfg) * cfg.params.n_users))
+def _batch_rounds(cfg: SimConfig, keep_trace: bool) -> int:
+    """Rounds per batch, from what a round costs in memory.
+
+    Two parts of a batch grow with its rounds, and each is held within
+    ``markov._STACK_ELEMENTS`` float64.  The block of uniforms is kept
+    within it by :meth:`SlotEngine._uniforms`; a batch leaves each round
+    at least ``_EXTRA_ROWS`` rows of it.  Each round's own state, its
+    generator (about 1.7 KB, charged as ``_EXTRA_ROWS ** 2`` floats) and,
+    when traced, its packed cells (kept once per step and once as the
+    batch's array) and phase flags, must fit the budget as well.  So a
+    batch holds about twice the budget, whatever the number of rounds.
+    """
+    n = cfg.params.n_users
+    own = _EXTRA_ROWS**2
+    if keep_trace:
+        own += _expected_slots(cfg) * (2 * n + 1) // 8
+    return max(1, markov._STACK_ELEMENTS // max(_EXTRA_ROWS * n, own))
 
 
 # packed per-user cell of a trace: action << 3 | observation code << 1 | critical
 def _pack(tx: np.ndarray, obs: np.ndarray, critical: np.ndarray) -> np.ndarray:
-    return (tx.astype(np.uint8) << 3) | (obs.astype(np.uint8) << 1) | critical
+    packed = tx.view(np.uint8) << 3
+    packed |= obs.view(np.uint8) << 1
+    packed |= critical
+    return packed
 
 
 @dataclass(eq=False)
@@ -251,7 +271,8 @@ class SlotEngine:
     :meth:`step`.  Two-critical inference (mode switching to ``rule_g``)
     runs only when ``two_critical_inference`` is set, which the scenario
     runner enables; single-critical experiments never evaluate those
-    triggers.
+    triggers.  Failure runs (``users.failures``) are counted only under the
+    enhanced rules or the inference, the only rules that read them.
     """
 
     def __init__(
@@ -272,9 +293,13 @@ class SlotEngine:
         self.slot = 0
         self.events: list[list[tuple[int, str, int]]] = [[] for _ in self.rngs]
         self._rows = rows
-        self._block = np.empty((len(self.rngs), 0, params.n_users))
+        self._buffer = np.empty(0)
+        self._block = self._buffer.reshape(len(self.rngs), 0, params.n_users)
         self._block_start = 0
         self._block_rows: np.ndarray | None = None  # block row of each running round
+        self._ones = np.ones(params.n_users)
+        # only the enhanced rules and the two-critical inference read failure runs
+        self._count_failures = enhancement.enabled or two_critical_inference
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep running only the rounds where `mask` (over the running rounds) is set."""
@@ -304,7 +329,12 @@ class SlotEngine:
             left = self._rows - self.slot
             rows = left if left > 0 else _EXTRA_ROWS
             rows = max(1, min(rows, markov._STACK_ELEMENTS // (len(self.rounds) * n)))
-            self._block = np.empty((len(self.rounds), rows, n))
+            size = len(self.rounds) * rows * n
+            if self._buffer.size < size:
+                self._buffer = self._block = None  # release the spent block first
+                self._buffer = np.empty(size)
+            # later blocks refill the first one's memory
+            self._block = self._buffer[:size].reshape(len(self.rounds), rows, n)
             for j, r in enumerate(self.rounds.tolist()):
                 self.rngs[r].random(out=self._block[j])
             self._block_start, self._block_rows, row = self.slot, None, 0
@@ -316,13 +346,15 @@ class SlotEngine:
         """Advance every running round one slot; returns (actions, observations, transmitters)."""
         s = self.users
         tx = self._uniforms() < transmission_probabilities(self.params, self.enh, s)
-        k = tx.sum(axis=1)
+        # a row count as a product with ones is exact, and cheaper than tx.sum(axis=1)
+        k = (tx @ self._ones).astype(np.int32)
         obs = channel_feedback(tx, k[:, None])
         self.slot += 1
 
         s.prev, s.last = s.last, obs
         failure = obs == FAILURE_CODE
-        s.failures = (s.failures + 1) * failure
+        if self._count_failures:
+            s.failures = (s.failures + 1) * failure
         critical = s.critical
         np.copyto(s.prev_critical, critical)
         if s.yield_after_idle.any():
@@ -441,7 +473,8 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     # the first critical user's observation that lets the second one arrive
     trigger = SUCCESS_CODE if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS else FAILURE_CODE
     injected = np.zeros(size, dtype=bool)
-    stage_slots = np.zeros(size, dtype=np.int64)  # slots run in the current stage
+    # slots run in the current stage, kept in the two-critical scenarios
+    stage_slots = np.zeros(size, dtype=np.int64)
     collisions = np.zeros(size, dtype=np.int64)
     critical_slots = np.zeros(size, dtype=np.int64)
     slots = np.full(size, w, dtype=np.int64)
@@ -460,6 +493,7 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         pos = engine.rounds
         users = engine.users
         at = np.arange(len(pos))
+        f = first[pos]
         st = stage[pos]
         if simultaneous:
             ready = (st == _GUARD) & (last_k < 2)
@@ -470,7 +504,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
                 st = stage[pos]
         elif two_crit:
             # inject only on an in-phase observation of the first critical user
-            f = first[pos]
             ready = (
                 (st == _CRITICAL)
                 & ~injected[pos]
@@ -482,7 +515,11 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
                 sel = np.flatnonzero(ready)
                 engine.set_critical(sel, second[pos[sel]], lengths[pos[sel], 1])
                 injected[pos[sel]] = True
-        over = (st == _CRITICAL) & ~users.critical.any(axis=1)
+        # a round's only critical users are its first and second ones
+        live = users.critical[at, f]
+        if two_crit:
+            live |= users.critical[at, second[pos]]
+        over = (st == _CRITICAL) & ~live
         if two_crit:
             tail = over & injected[pos]
             stage[pos[tail]] = _TAIL
@@ -497,21 +534,27 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
             if not len(pos):
                 break
             at = np.arange(len(pos))
+            f = first[pos]
         st = stage[pos]
 
         tx, obs, k = engine.step()
         last_k = k
-        stage_slots[pos] += 1
+        if two_crit:
+            stage_slots[pos] += 1
         in_critical = st == _CRITICAL
         if keep_trace:
             steps.append((pos, _pack(tx, obs, engine.users.prev_critical), in_critical))
         crit_pos = pos[in_critical]
         critical_slots[crit_pos] += 1
-        f = first[pos]
-        collisions[crit_pos] += (tx[at, f] & (obs[at, f] == FAILURE_CODE))[in_critical]
-        if critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS:
+        # a failure is always the user's own transmission
+        collisions[crit_pos] += (obs[at, f] == FAILURE_CODE)[in_critical]
+        # no stage outlasts the slots since the normal phase ended
+        ran = engine.slot - w
+        if ran > _MAX_CRITICAL_SLOTS and critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS:
             raise RuntimeError("critical phase failed to terminate")
-        if simultaneous and stage_slots[pos[st == _GUARD]].max(initial=0) > _GUARD_SLOTS:
+        if simultaneous and ran > _GUARD_SLOTS and (
+            stage_slots[pos[st == _GUARD]].max(initial=0) > _GUARD_SLOTS
+        ):
             raise RuntimeError("no collision-free boundary found")
 
     cells = critical_phase = None
@@ -606,10 +649,22 @@ class ExperimentResult:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of `values`, which it overwrites.
+
+    Bit for bit ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``: the
+    deviations are formed and squared in place, as numpy's variance forms
+    them in a copy, so a long run's samples are not held twice.
+    """
+    n = len(values)
     m = float(values.mean())
-    if len(values) < 2:
+    if n < 2:
         return m, math.inf
-    return m, float(values.std(ddof=1) / math.sqrt(len(values)))
+    mean = np.add.reduce(values, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    values -= mean
+    values *= values
+    var = np.add.reduce(values) / (n - 1)
+    return m, float(np.sqrt(var) / math.sqrt(n))
 
 
 def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> ExperimentResult:
@@ -619,15 +674,20 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
     the documented trace format (see :func:`write_trace_header`).
     """
     trials = stops = 0
+    # per-round counts, in the smallest types that hold them: a success count
+    # or a period is at most the normal phase, a collision count the cap
+    counts = np.min_scalar_type(cfg.normal_phase_slots)
+    successes = np.empty(cfg.rounds, counts)
+    collisions = np.empty(cfg.rounds, np.min_scalar_type(_MAX_CRITICAL_SLOTS))
     tc_samples: list[np.ndarray] = []
+    # every period, kept only until one starts early enough to be a T_c sample
     all_periods: list[np.ndarray] = []
-    fractions = np.empty(cfg.rounds)
-    collisions = np.empty(cfg.rounds)
+    have_tc = False
     margin = cfg.normal_phase_slots - TC_START_MARGIN
     keep_trace = trace_sink is not None
     if keep_trace:
         write_trace_header(trace_sink, cfg.params.n_users)
-    size = _batch_rounds(cfg)
+    size = _batch_rounds(cfg, keep_trace)
     for start in range(0, cfg.rounds, size):
         indices = range(start, min(start + size, cfg.rounds))
         batch = _run_batch(cfg, indices, keep_trace)
@@ -637,10 +697,13 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
         ph = _normal_phase_stats(batch.flags)
         trials += int(ph.trials.sum())
         stops += int(ph.stops.sum())
-        all_periods.append(ph.period_length)
-        tc_samples.append(ph.period_length[ph.period_start <= margin])
-        fractions[indices.start:indices.stop] = ph.successes / cfg.normal_phase_slots
+        tc_samples.append(ph.period_length[ph.period_start <= margin].astype(counts))
+        if not have_tc:
+            all_periods.append(ph.period_length)
+            have_tc = len(tc_samples[-1]) > 0
+        successes[indices.start:indices.stop] = ph.successes
         collisions[indices.start:indices.stop] = batch.collisions
+        del batch  # before the next batch is run
 
     # T_s = trials/stops inverts the estimated run-stop probability; its SE
     # follows from the binomial variance of the stop count by the delta method.
@@ -651,12 +714,12 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
         if trials and stops
         else math.inf
     )
-    tc_arr = np.concatenate(tc_samples).astype(float)
-    if not len(tc_arr):
-        tc_arr = np.concatenate(all_periods).astype(float)  # phase too short for the start margin
+    # phase too short for the start margin: every period is a sample
+    tc_arr = np.concatenate(tc_samples if have_tc else all_periods, dtype=float)
+    del tc_samples, all_periods
     t_c, t_c_se = _mean_se(tc_arr) if len(tc_arr) else (math.nan, math.inf)
-    c_norm, c_norm_se = _mean_se(fractions)
-    d_crit, d_crit_se = _mean_se(collisions)
+    c_norm, c_norm_se = _mean_se(successes / cfg.normal_phase_slots)
+    d_crit, d_crit_se = _mean_se(collisions.astype(float))
     return ExperimentResult(
         t_s=t_s,
         t_s_se=t_s_se,
@@ -879,7 +942,7 @@ def simulate_two_critical(
     while valid < cfg.rounds and idx < limit:
         missing = cfg.rounds - valid
         size = math.ceil(2 * missing * idx / max(valid, 1)) if idx else missing
-        size = max(1, min(size, _batch_rounds(cfg), limit - idx))
+        size = max(1, min(size, _batch_rounds(cfg, keep_trace=True), limit - idx))
         batch = _run_batch(cfg, range(idx, idx + size), keep_trace=True)
         for j in range(size):
             if valid == cfg.rounds:

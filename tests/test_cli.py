@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -284,6 +285,22 @@ class TestSimulate:
         assert CriticalTrafficModel.geometric(5000).value == 5000
         # base rules: nine colliders clear after about 2828 slots on average
         SimConfig(params=ProtocolParams(10, 0.1, 0.3, 0.999))
+
+    @pytest.mark.parametrize("n,q,r,rounds,trace", [
+        (3, "0.3397", "0.4896", 20_000, False),
+        (3, "0.3397", "0.4896", 20_000, True),
+        (50, "0.0213", "0.4754", 2_000, False),
+    ], ids=["n3", "n3-traced", "n50"])
+    def test_peak_memory_does_not_grow_with_the_rounds(self, n, q, r, rounds, trace):
+        # a batch's memory is bounded whatever the number of rounds; beyond
+        # it a run keeps a few bytes per round and per T_c sample
+        def peak(count):
+            args = ["simulate", "--n", str(n), "--theta", "0.1", "--q", q, "--r", r,
+                    "--rounds", str(count), "--seed", "3"]
+            return peak_rss_mb(*args, *(["--trace-output", os.devnull] if trace else []))
+
+        small, large = peak(200), peak(rounds)
+        assert large - small < 2, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at {rounds}"
 
     def test_scenario_requires_enhancement(self):
         proc = run_cli(
@@ -635,6 +652,39 @@ class TestConfigFile:
             "--format", "json", "--output", str(out_path),
         )
         assert json.loads(out_path.read_text())["t_s"] == 5.0
+
+
+def test_reused_parser_gives_the_bytes_of_fresh_ones(capsys):
+    # main builds its parser once; a parse leaves nothing behind for the
+    # next one, also when it ends in exit 2
+    simulate = ["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3"]
+    calls = [
+        [*simulate, "--r", "0.4", "--rounds", "4", "--format", "json"],
+        ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1", "--step", "0.3"],
+        [*simulate, "--r", "0.4", "--rounds", "3", "--seed", "5", "--enhanced", "--b", "3",
+         "--x-geometric", "4", "--format", "csv"],
+        simulate,  # BadParams: --q without --r
+        ["simulate", "--n", "three", "--theta", "0.1"],  # argparse refuses it
+        [*simulate, "--r", "0.4", "--rounds", "4", "--format", "json"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -27,7 +27,7 @@ from critmac import (
     run_experiment,
     simulate_two_critical,
 )
-from critmac import markov
+from critmac import markov, sim
 from critmac.protocol import (
     BUSY_CODE,
     CRITICAL,
@@ -145,22 +145,26 @@ def experiment_outputs(cfg):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(cfg=configs(), budget=st.integers(1, 4000))
-def test_results_independent_of_batch_size(cfg, budget, monkeypatch):
+@given(cfg=configs(), size=st.integers(1, 7), budget=st.integers(1, 4000) | st.just(2**17))
+def test_results_independent_of_batch_size(cfg, size, budget, monkeypatch):
     whole = experiment_outputs(cfg)
     with monkeypatch.context() as m:
-        # batches of a few rounds, and uniform blocks of a few rows
+        # batches of one round, of a few, or of the whole run (at most six
+        # rounds), with uniform blocks from one row up to whole rounds
+        m.setattr(sim, "_batch_rounds", lambda cfg, keep_trace: size)
         m.setattr(markov, "_STACK_ELEMENTS", budget)
         assert experiment_outputs(cfg) == whole
 
 
 def test_single_round_batches_match_full_batches(monkeypatch):
-    # 200 N = 10 rounds in batches of about 90 rounds, or of one round each
+    # 200 N = 10 rounds: the default batch holds all of them, traced or
+    # not, and gives what batches of one round each give
     cfg = SimConfig(params=ProtocolParams(10, 0.1, 0.1051, 0.4786), rounds=200, seed=17)
-    assert 50 < _batch_rounds(cfg) < 200
+    assert _batch_rounds(cfg, keep_trace=False) >= cfg.rounds
+    assert _batch_rounds(cfg, keep_trace=True) >= cfg.rounds
     whole = experiment_outputs(cfg)
     monkeypatch.setattr(markov, "_STACK_ELEMENTS", 1)
-    assert _batch_rounds(cfg) == 1
+    assert _batch_rounds(cfg, keep_trace=True) == 1
     assert experiment_outputs(cfg) == whole
 
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import engine_reference
 from critmac import (
@@ -33,6 +34,7 @@ from critmac.protocol import (
 )
 from critmac.sim import (
     SlotEngine,
+    _mean_se,
     _round_rng,
     run_round,
     write_trace_header,
@@ -286,6 +288,16 @@ class TestExperiment:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1" and first[2] == "normal"
         assert set(first[3::3]) <= {"T", "W"}
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60).map(float) | st.floats(-1e6, 1e6), min_size=1,
+                    max_size=700))
+    def test_mean_se_has_the_bits_of_numpy_mean_and_std(self, values):
+        # lengths past numpy's pairwise-summation blocks (8 and 128 values)
+        arr = np.array(values)
+        se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else math.inf
+        assert repr(_mean_se(arr.copy())) == repr((float(arr.mean()), float(se)))
 
 
 class TestTrafficModel:
