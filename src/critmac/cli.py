@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused: argparse keeps no state between parses."""
+    """The parser, built on the first `main` call; a parse leaves no state in it."""
     return build_parser()
 
 

@@ -548,9 +548,11 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         critical_slots[crit_pos] += 1
         # a failure is always the user's own transmission
         collisions[crit_pos] += (obs[at, f] == FAILURE_CODE)[in_critical]
-        # no stage outlasts the slots since the normal phase ended
+        # no stage has run longer than the slots since the normal phase
         ran = engine.slot - w
-        if ran > _MAX_CRITICAL_SLOTS and critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS:
+        if ran > _MAX_CRITICAL_SLOTS and (
+            critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS
+        ):
             raise RuntimeError("critical phase failed to terminate")
         if simultaneous and ran > _GUARD_SLOTS and (
             stage_slots[pos[st == _GUARD]].max(initial=0) > _GUARD_SLOTS
@@ -651,9 +653,9 @@ class ExperimentResult:
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of `values`, which it overwrites.
 
-    Bit for bit ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``: the
-    deviations are formed and squared in place, as numpy's variance forms
-    them in a copy, so a long run's samples are not held twice.
+    Bit for bit ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``, but
+    the deviations are formed and squared in place, not in a copy, so a
+    long run's samples are held once.
     """
     n = len(values)
     m = float(values.mean())
