@@ -718,7 +718,6 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
     )
     # phase too short for the start margin: every period is a sample
     tc_arr = np.concatenate(tc_samples if have_tc else all_periods, dtype=float)
-    del tc_samples, all_periods
     t_c, t_c_se = _mean_se(tc_arr) if len(tc_arr) else (math.nan, math.inf)
     c_norm, c_norm_se = _mean_se(successes / cfg.normal_phase_slots)
     d_crit, d_crit_se = _mean_se(collisions.astype(float))
