@@ -11,7 +11,9 @@ past the D_crit peak along r = eps, and a (q, r) grid that mixes interior
 points, boundary points (SingularSystem) and out-of-range points
 (BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
 error cells fall in several of the blocks a qr sweep is written in, as
-CSV and as JSON.  The simulate cases cover the baseline and enhanced rules at
+CSV and as JSON.  The table cases pin the aligned layout: both qr grids,
+the eta sweep, a single- and a two-critical simulate report and a binding
+optimize.  The simulate cases cover the baseline and enhanced rules at
 N = 10 and 50, a 200-round run that spans several batches of rounds, a
 normal phase shorter than the T_c start margin, the enhanced rules without
 post-critical suppression, and all three two-critical scenarios.
@@ -83,6 +85,23 @@ CASES = {
     "scenario-simultaneous-json": (["simulate", *P10, "--rounds", "12", "--seed", "37",
                                     "--enhanced", "--scenario", "two-critical-simultaneous",
                                     "--format", "json"], True, 0),
+    "simulate-baseline-table": (["simulate", *P10, "--rounds", "30", "--seed", "5",
+                                 "--format", "table"], False, 0),
+    "scenario-during-success-table": (["simulate", *P10, "--rounds", "12", "--seed", "3",
+                                       "--enhanced", "--scenario",
+                                       "two-critical-during-success", "--format", "table"],
+                                      False, 0),
+    "optimize-interior-table": (["optimize", "--n", "3", "--theta", "0.1", "--eta", "1.0",
+                                 "--format", "table"], False, 0),
+    "sweep-eta-table": (["sweep", "--axis", "eta", "--n", "3", "--theta", "0.1",
+                         "--from", "0.5", "--to", "1.3", "--step", "0.4", "--format", "table"],
+                        False, 0),
+    "sweep-qr-boundary-table": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
+                                 "--from", "-0.25", "--to", "1", "--step", "0.25",
+                                 "--format", "table"], False, 0),
+    "sweep-qr-blocks-table": (["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
+                               "--from", "0", "--to", "1", "--step", "0.01",
+                               "--format", "table"], False, 0),
 }
 
 # case id -> (report digest, trace digest or None)
@@ -93,6 +112,8 @@ GOLDEN = {
         "e3590a8f4acf6ebbf1de7f8e1c6e1b0147259c45d4bfe74b95a8c7f239aa3f73", None),
     "optimize-interior": (
         "b5ee790ce7f1084105e9ea0c3fb9bdff18774fbfafcd49ab41e327d5d7e651c6", None),
+    "optimize-interior-table": (
+        "38febf06cf45bef6fdee41e83becee97eac64b54f0a533bd90fe4db9f15c55f4", None),
     "optimize-n10-eta065": (
         "cc8cbbd2ed76e82a3dedc2ea276f397140ee59010c73bc7b2aadafd25fd048e9", None),
     "optimize-n50": (
@@ -105,6 +126,8 @@ GOLDEN = {
     "scenario-during-success": (
         "1f03fcae55665ee714490aa93b0baedba44d4b4ff7a78d88a5eb596c786ca58a",
         "173a900d5ffc5212f735dcdd2dd425e8c794c42a6e11865a364a67e04d04a317"),
+    "scenario-during-success-table": (
+        "9f4978586db35fed38e8fc2bbcd45a9d669d140106316089ee3f5574a8b4683d", None),
     "scenario-simultaneous-geometric": (
         "dd351399c59bc3d16fe79431a83224863be964fc7e9b2664d0794e23e1670386",
         "a239bb720276b3f47de7faf5a8afb44ea5045ae81544ffad21d66559dd85bde6"),
@@ -117,6 +140,8 @@ GOLDEN = {
     "simulate-baseline-200": (
         "108f256c27cf449624b9cbebd9dff48f774d4ae794d4cf3fa5188b3bc162113b",
         "32527df387805dbeb0cab710fea8331fd28417af1042e37ff1a514901788e453"),
+    "simulate-baseline-table": (
+        "c9b08c5286264bb0104b570c01a1a149d448371213ef76f8583d0d16dc0ac318", None),
     "simulate-enhanced-b3": (
         "e409e541fcc735b052d04be05ab419fdd2dd1540fa9865b9761664c6bdbd52fb",
         "c0416a3ef4eb098977973d6fbc50285e0e8e44f2f3e0142aca722772dc7b8ce4"),
@@ -131,14 +156,20 @@ GOLDEN = {
         "8e16e6a3c9f6f87dafc42c040f16d9b27132d0d781826aa8e5453876aff8544d"),
     "sweep-eta": (
         "59ead1ecba5e46a21e87187dc4df8e4dc9b591d088d372940a14bb24388fd974", None),
-    "sweep-qr-boundary": (
-        "800a14d9000b71e1a44c934916dd27f341a0b5c0ce132267dde2aaf9f4952e78", None),
-    "sweep-qr-boundary-json": (
-        "b49a1e8e64c6ef4b7aed38eed0f50cc47c16997a264d16b7573fb77f181929d8", None),
+    "sweep-eta-table": (
+        "0e8a49315bcfc946bdd418bdd4d0feac948253e4839ce09756cf7d2d3c786de4", None),
     "sweep-qr-blocks-csv": (
         "804482ca01cfb5d5e8f02463342594b43a5cd17138043287a6d4ee24cc73d454", None),
     "sweep-qr-blocks-json": (
         "12303412a2225c70516b69e6a77d4dd6682cc581ec4d2f7ebeb31e7c3070f65f", None),
+    "sweep-qr-blocks-table": (
+        "b690924d63f0c6f1e173632dd5fc0f40f474bd24c0c8c1480cea66caa8647a9b", None),
+    "sweep-qr-boundary": (
+        "800a14d9000b71e1a44c934916dd27f341a0b5c0ce132267dde2aaf9f4952e78", None),
+    "sweep-qr-boundary-json": (
+        "b49a1e8e64c6ef4b7aed38eed0f50cc47c16997a264d16b7573fb77f181929d8", None),
+    "sweep-qr-boundary-table": (
+        "1934243e031b2380ea077c5bfb50d88f4bac31ba4f20cd0c6d7949fc350cc5b1", None),
 }
 
 
