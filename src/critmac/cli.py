@@ -3,7 +3,7 @@
 The CLI only orchestrates library calls and formats their results; every
 number it emits comes from a library operation.  Output formats: an aligned
 table with 4 decimal places, JSON at full precision, or CSV (the default
-for sweeps); a JSON or CSV qr sweep is written from its grids a block of
+for sweeps); a qr sweep of any format is written from its grids a block of
 rows at a time, after every check has passed.  Exit codes: 0 success, 2
 bad arguments (an unwritable output path included), 3 singular chain at
 boundary parameters, 4 infeasible design problem.
@@ -22,7 +22,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -91,11 +91,11 @@ def _json_cell(value) -> str:
     raise TypeError(f"no JSON spelling for {type(value).__name__}")
 
 
-_CELLS = {"json": _json_cell, "csv": _fmt_full}
+_CELLS = {"json": _json_cell, "csv": _fmt_full, "table": _fmt_cell}
 
 
 def _spell(column, fmt: str) -> list[str]:
-    """The cells of one column spelled for fmt ("json" or "csv").
+    """The cells of one column spelled for fmt ("json", "csv" or "table").
 
     A float array (a block of a qr grid) reads NaN as a missing value, as
     `design.sweep` does when it turns the grids into rows.
@@ -104,7 +104,7 @@ def _spell(column, fmt: str) -> list[str]:
     if not isinstance(column, np.ndarray):
         return list(map(cell, column))
     flat = column.ravel()
-    cells = list(map(float.__repr__, flat.tolist()))
+    cells = list(map("%.4f".__mod__ if fmt == "table" else float.__repr__, flat.tolist()))
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         value = float(flat[i])
         cells[i] = cell(None if math.isnan(value) else value)
@@ -122,17 +122,22 @@ def _json_object(keys: list[str], indent: int) -> str:
     return f"{pad}{{\n{items}\n{pad}}}"
 
 
-def _encode_rows(columns: list[str], blocks: Iterable[list[list[str]]], fmt: str) -> Iterator[str]:
-    """JSON or CSV text of rows, one chunk per block; a block holds each column's spelled cells."""
+def _encode_rows(columns: list[str], blocks: Callable[[], Iterable], fmt: str) -> Iterator[str]:
+    """Text of rows, one chunk per block of blocks(); a block holds each column's spelled cells."""
     if fmt == "json":
         row, sep = _json_object(columns, 2), ",\n"
         head, tail, empty = "[\n", "\n]\n", "[]\n"
-    else:
-        row, sep = ",".join(["%s"] * len(columns)) + "\n", ""
-        head = empty = ",".join(columns) + "\n"
-        tail = ""
+    else:  # the header is a row of the column names
+        row = ",".join(["%s"] * len(columns)) + "\n"
+        if fmt == "table":  # a first read of the blocks for the widths; %-ws pads as ljust(w)
+            widths = [len(c) for c in columns]
+            for block in blocks():
+                widths = [max([w, *map(len, cells)]) for w, cells in zip(widths, block)]
+            row = "  ".join(f"%-{w}s" for w in widths) + "\n"
+        sep, tail = "", ""
+        head = empty = row % tuple(columns)
     lead = head
-    for block in blocks:
+    for block in blocks():
         text = sep.join(map(row.__mod__, zip(*block)))
         if text:
             yield lead + text
@@ -151,15 +156,8 @@ def _render_pairs(pairs: list[tuple[str, object]], fmt: str) -> str:
 
 
 def _render_rows(columns: list[str], rows: list[dict], fmt: str) -> str:
-    if fmt != "table":
-        block = [_spell([row[c] for row in rows], fmt) for c in columns]
-        return "".join(_encode_rows(columns, [block], fmt))
-    cells = [[_fmt_cell(row[c]) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-    for r in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    block = [_spell([row[c] for row in rows], fmt) for c in columns]
+    return "".join(_encode_rows(columns, lambda: [block], fmt))
 
 
 def _qr_blocks(grid: QRGrid, fmt: str) -> Iterator[list[list[str]]]:
@@ -350,11 +348,11 @@ def _cmd_sweep(args) -> int:
     prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
     span = {"start": args.sweep_from, "stop": args.sweep_to, "step": args.step}
     columns = _SWEEP_COLUMNS[axis]
-    if axis is SweepAxis.QR_GRID and args.format != "table":
+    if axis is SweepAxis.QR_GRID:
         # the grids whole (8 bytes a cell), then the text a block of q rows at a time
-        grid = qr_grid(prob, **span)
-        _emit(args.output, _encode_rows(columns, _qr_blocks(grid, args.format), args.format))
-    else:  # a table needs its column widths before its first line
+        blocks = functools.partial(_qr_blocks, qr_grid(prob, **span), args.format)
+        _emit(args.output, _encode_rows(columns, blocks, args.format))
+    else:
         _emit(args.output, [_render_rows(columns, sweep(prob, axis, **span), args.format)])
     return EXIT_OK
 

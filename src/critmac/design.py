@@ -58,8 +58,8 @@ _REFINE_PASSES = 2
 _TIE_TOL = 1e-9
 _BINDING_TOL = 0.005
 _FINAL_STEP = _COARSE_STEP / 10 ** _REFINE_PASSES
-# at 1000 x 1000 rows (N = 3) a qr sweep peaks at 63 MB RSS as CSV and 62 MB as JSON, which
-# the CLI writes a block at a time, and at 852 MB as a table (a subprocess, RUSAGE_CHILDREN)
+# at 1000 x 1000 rows (N = 3) a qr sweep, which the CLI writes a block at a time in every
+# format, peaks at 62 MB RSS as CSV, JSON or a table (a subprocess, RUSAGE_CHILDREN)
 _MAX_SWEEP_ROWS = 10**6
 
 
@@ -409,6 +409,8 @@ def _sweep_range(
     side = round(span) + 1 if span < _MAX_SWEEP_ROWS else math.inf
     if (side * side if axis is SweepAxis.QR_GRID else side) > _MAX_SWEEP_ROWS:
         raise BadParams(f"{axis.value} sweep would have more than {_MAX_SWEEP_ROWS} rows")
+    if axis is SweepAxis.THETA_RANGE:  # the largest theta, before any solve (stop may lie past it)
+        replace(prob, theta=float(_axis(start, stop, step)[-1]))
     if counts_users:  # the largest N, before any solve; markov rejects N whose binomials overflow
         binomial_pmf(int(start + span * step), 0.5)
     if axis is SweepAxis.NHAT_RANGE:  # and the true N each nhat solution is evaluated at
@@ -472,8 +474,9 @@ def sweep(
     N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
     start and stop must be finite with start <= stop (on QR_GRID after they
     default to eps and 1 - eps), whole numbers on those two axes, and each
-    eta of ETA_RANGE positive, and the largest N of N_RANGE and NHAT_RANGE
-    one the analysis accepts.  A sweep has at most _MAX_SWEEP_ROWS rows.
+    eta of ETA_RANGE positive, each theta of THETA_RANGE in (0, 1], and the
+    largest N of N_RANGE and NHAT_RANGE one the analysis accepts.  A sweep
+    has at most _MAX_SWEEP_ROWS rows.
     """
     if axis is SweepAxis.QR_GRID:
         grid = qr_grid(prob, start=start, stop=stop, step=step)

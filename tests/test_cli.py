@@ -386,11 +386,13 @@ class TestSweep:
         pytest.param("nhat", "3", "1029", "1030", id="nhat"),
         # the true N of an nhat sweep is read only after each nhat is solved
         pytest.param("nhat", "1030", "3", "4", id="nhat-true-n"),
+        # theta = 1.01 is past the last valid theta, and every theta <= 1 takes a solve
+        pytest.param("theta", "50", "0.1", "1.5", id="theta"),
     ])
     def test_too_many_users_fails_before_any_solve(
         self, axis, n_users, start, stop, monkeypatch, capsys
     ):
-        # N = 1029 alone takes seconds to solve; the range's largest N is checked first
+        # N = 1029 alone takes seconds to solve; the range's last point is checked first
         solves = []
         monkeypatch.setattr(design, "solve_design_problem", lambda prob: solves.append(prob))
         code = cli.main([
@@ -439,6 +441,25 @@ def csv_reference(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_cell_reference(value) -> str:
+    """A table cell: empty for None, 4 decimals for floats, str for the rest."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return str(value)
+
+
+def table_reference(columns, rows) -> str:
+    """The aligned table: ljust-padded cells two spaces apart, the header alone for no rows."""
+    cells = [[table_cell_reference(row[c]) for c in columns] for row in rows]
+    widths = [max([len(c), *(len(r[i]) for r in cells)]) for i, c in enumerate(columns)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
+    for r in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    return "\n".join(lines) + "\n"
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e22, -1e22, 0.1, 1.0 / 3.0, 1.7976931348623157e308,
                math.nan, math.inf, -math.inf]
 CELLS = st.one_of(
@@ -455,7 +476,7 @@ KEYS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=6)
 
 
 class TestEncoding:
-    """The one column encoder against `json.dumps` and the plain CSV join."""
+    """The one column encoder against `json.dumps`, the plain CSV join and the ljust table."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(KEYS, min_size=1, max_size=5, unique=True).flatmap(
@@ -466,6 +487,7 @@ class TestEncoding:
         rows = [dict(zip(columns, row)) for row in cells]
         assert cli._render_rows(columns, rows, "json") == json_reference(rows)
         assert cli._render_rows(columns, rows, "csv") == csv_reference(columns, rows)
+        assert cli._render_rows(columns, rows, "table") == table_reference(columns, rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(KEYS, CELLS), min_size=1, max_size=6, unique_by=lambda kv: kv[0]))
@@ -474,7 +496,7 @@ class TestEncoding:
         keys = [k for k, _ in pairs]
         assert cli._render_pairs(pairs, "csv") == csv_reference(keys, [dict(pairs)])
 
-    @pytest.mark.parametrize("fmt,text", [("json", "[]\n"), ("csv", "q,r\n")])
+    @pytest.mark.parametrize("fmt,text", [("json", "[]\n"), ("csv", "q,r\n"), ("table", "q  r\n")])
     def test_no_rows(self, fmt, text):
         assert cli._render_rows(["q", "r"], [], fmt) == text
         if fmt == "json":
@@ -486,7 +508,7 @@ class TestEncoding:
         # a grid block is spelled as the rows of design.sweep hold it: NaN as None
         grid = np.array(values, dtype=float).reshape(-1, 1 if len(values) % 2 else 2)
         cells = [None if math.isnan(v) else v for v in values]
-        for fmt in ("json", "csv"):
+        for fmt in ("json", "csv", "table"):
             assert cli._spell(grid, fmt) == cli._spell(cells, fmt)
 
 
@@ -514,7 +536,7 @@ class TestStreaming:
     QR = ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
           "--from", "-0.25", "--to", "1.2", "--step", "0.05"]  # 30 x 30, error cells included
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_blocks_write_the_bytes_of_one_block(self, fmt, monkeypatch):
         side = 30
         written = {}
@@ -531,7 +553,7 @@ class TestStreaming:
             # no write holds more rows than one block of q rows
             rows = [chunk.count('"q": ') if fmt == "json" else chunk.count("\n")
                     for chunk in written[name]]
-            assert max(rows) <= per_block * side + (fmt == "csv")  # the CSV header
+            assert max(rows) <= per_block * side + (fmt != "json")  # the CSV or table header
             assert len(rows) >= side // per_block
 
     def test_streamed_json_holds_the_rows_of_design_sweep(self, capsys):
@@ -558,7 +580,7 @@ class TestStreaming:
         assert capsys.readouterr().err.startswith("error: BadParams")
         assert out.read_bytes() == b"q,r\n0.5,0.5\n"
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_peak_memory_does_not_grow_with_the_grid(self, fmt, tmp_path):
         def peak(side):
             step = repr(0.98 / (side - 1))  # side points from 0.01 to 0.99

@@ -299,6 +299,13 @@ class TestSweeps:
         rs = {r["r_opt"] for r in rows}
         assert len(qs) == 1 and len(rs) == 1
 
+    def test_theta_range_checks_its_last_point_not_its_stop(self):
+        prob = DesignProblem(3, 0.1)
+        rows = sweep(prob, SweepAxis.THETA_RANGE, start=0.99, stop=1.004, step=0.01)
+        assert [r["theta"] for r in rows] == [0.99, 1.0]
+        with pytest.raises(BadParams, match="got 1.006"):
+            sweep(prob, SweepAxis.THETA_RANGE, start=0.99, stop=1.006, step=0.01)
+
     def test_eta_range_slack_constant(self):
         rows = sweep(DesignProblem(10, 0.1), SweepAxis.ETA_RANGE, start=1.6, stop=1.8, step=0.1)
         assert all(r["status"] == "slack-interior" for r in rows)
