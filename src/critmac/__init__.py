@@ -10,23 +10,19 @@ from .design import (
     DesignSolution,
     SolutionStatus,
     SweepAxis,
-    critical_eta,
     maximize_utilization,
     solve_design_problem,
     sweep,
 )
 from .errors import BadParams, ScenarioUnsatisfiable, SingularSystem
 from .markov import (
-    DelayDecomposition,
     PerformanceMetrics,
     TransitionMatrix,
-    build_critical_matrix,
     build_normal_matrix,
     channel_utilization,
     contention_time,
     critical_delay,
     critical_hitting_times,
-    delay_decomposition,
     enhanced_critical_delay,
     evaluate_metrics,
     stationary_distribution,
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams",
     "CriticalTrafficModel",
-    "DelayDecomposition",
     "DesignProblem",
     "DesignSolution",
     "EnhancementConfig",
@@ -75,14 +70,11 @@ __all__ = [
     "SweepAxis",
     "TrafficType",
     "TransitionMatrix",
-    "build_critical_matrix",
     "build_normal_matrix",
     "channel_utilization",
     "contention_time",
     "critical_delay",
-    "critical_eta",
     "critical_hitting_times",
-    "delay_decomposition",
     "enhanced_critical_delay",
     "estimate_metrics_oracle",
     "evaluate_metrics",

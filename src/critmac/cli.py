@@ -97,8 +97,7 @@ _CELLS = {"json": _json_cell, "csv": _fmt_full, "table": _fmt_cell}
 def _spell(column, fmt: str) -> list[str]:
     """The cells of one column spelled for fmt ("json", "csv" or "table").
 
-    A float array (a block of a qr grid) reads NaN as a missing value, as
-    `design.sweep` does when it turns the grids into rows.
+    A float array (a block of a qr grid) reads NaN as a missing value.
     """
     cell = _CELLS[fmt]
     if not isinstance(column, np.ndarray):

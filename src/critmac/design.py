@@ -340,11 +340,6 @@ def maximize_utilization(prob: DesignProblem) -> DesignSolution:
     )
 
 
-def critical_eta(prob: DesignProblem) -> float:
-    """D_crit at the unconstrained optimum: the slack/binding threshold eta*."""
-    return maximize_utilization(prob).d_crit
-
-
 def solve_design_problem(prob: DesignProblem) -> DesignSolution:
     """Solve the constrained design problem; Infeasible is a status, not an error."""
     return _solve(prob, prob.eta, maximize_utilization(prob))
@@ -385,7 +380,7 @@ def _sweep_range(
     stop: float | None,
     step: float | None,
 ) -> tuple[float, float, float]:
-    """A sweep's checked (start, stop, step), defaults filled in; see `sweep` for the rules."""
+    """A sweep's checked (start, stop, step), defaults filled in; see `sweep` and `qr_grid`."""
     counts_users = axis in (SweepAxis.N_RANGE, SweepAxis.NHAT_RANGE)
     if step is None:
         step = 1 if counts_users else 0.01
@@ -439,7 +434,13 @@ def qr_grid(
     stop: float | None = None,
     step: float | None = None,
 ) -> QRGrid:
-    """The grids of a QR_GRID sweep, checked as `sweep` checks it."""
+    """C_norm and D_crit over pts x pts for contour plotting: the library's qr sweep.
+
+    pts runs from start to stop (eps and 1 - eps when omitted, and then
+    finite with start <= stop) by step (0.01 when omitted, else finite and
+    positive), and the grid has at most _MAX_SWEEP_ROWS cells.  Points that
+    fail to evaluate are kept, NaN with the name of their error (see QRGrid).
+    """
     start, stop, step = _sweep_range(prob, SweepAxis.QR_GRID, start, stop, step)
     pts = _axis(start, stop, step)
     tc = contention_times(prob.n_users, prob.theta, pts, pts)
@@ -460,39 +461,23 @@ def sweep(
     stop: float | None = None,
     step: float | None = None,
 ) -> list[dict]:
-    """Tabulate metrics or optimal protocols along one axis.
+    """Tabulate optimal protocols along one axis, one dict row per point.
 
-    QR_GRID tabulates raw C_norm/D_crit over the restricted square for
-    contour plotting (grid points that fail to evaluate are kept with an
-    error marker); its rows are the cells of `qr_grid`, NaN as None.
     N_RANGE, THETA_RANGE and ETA_RANGE re-solve the design problem along
     the respective axis.  NHAT_RANGE solves the problem for an estimated
     user count nhat and evaluates the resulting protocol with the true
-    n_users, flagging delay-constraint violations.
+    n_users, flagging delay-constraint violations.  A (q, r) grid is no row
+    sweep: QR_GRID raises BadParams, and `qr_grid` computes it.
 
     A given step must be finite and positive, and a whole number on the
     N_RANGE and NHAT_RANGE axes; omitted, it is 0.01 (1 on those two axes).
-    start and stop must be finite with start <= stop (on QR_GRID after they
-    default to eps and 1 - eps), whole numbers on those two axes, and each
-    eta of ETA_RANGE positive, each theta of THETA_RANGE in (0, 1], and the
-    largest N of N_RANGE and NHAT_RANGE one the analysis accepts.  A sweep
-    has at most _MAX_SWEEP_ROWS rows.
+    start and stop must be finite with start <= stop, whole numbers on those
+    two axes, and each eta of ETA_RANGE positive, each theta of THETA_RANGE
+    in (0, 1], and the largest N of N_RANGE and NHAT_RANGE one the analysis
+    accepts.  A sweep has at most _MAX_SWEEP_ROWS rows.
     """
     if axis is SweepAxis.QR_GRID:
-        grid = qr_grid(prob, start=start, stop=stop, step=step)
-        pts = grid.pts.tolist()
-        rows = []
-        for q, c_row, d_row, e_row in zip(pts, grid.c_norm.tolist(), grid.d_crit.tolist(),
-                                           grid.errors.tolist()):
-            for r, c_norm, d_crit, error in zip(pts, c_row, d_row, e_row):
-                rows.append({
-                    "q": q,
-                    "r": r,
-                    "c_norm": None if math.isnan(c_norm) else c_norm,
-                    "d_crit": None if math.isnan(d_crit) else d_crit,
-                    "error": error,
-                })
-        return rows
+        raise BadParams("a qr sweep is a grid, not rows: call qr_grid")
     start, stop, step = _sweep_range(prob, axis, start, stop, step)
 
     if axis is SweepAxis.N_RANGE:

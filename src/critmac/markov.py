@@ -16,7 +16,11 @@ simultaneous transmissions in a slot:
 D_crit, the expected number of collisions a critical user suffers, follows
 by conditioning on the outcome (l, a) of the last normal-phase slot: l other
 transmitters and own action a (T/W), with d(l, a) the conditional expected
-collision count and v(l, a) the stationary probability of that outcome.
+collision count and v(l, a) = (l+1)/N w(l+1) (a = T) or (N-l)/N w(l) (a = W)
+the stationary probability of that outcome.  With m the critical chain's
+hitting times, d(l, T) = d(l, W) = m_l - 1 for l >= 2, d(1, T) = m_1 - 1,
+d(1, W) = (1 - theta) m_1 (1 - theta under the enhanced rules), d(0, T) = 0
+and d(0, W) = sum_k Binomial(N-1, q)_k m_k.
 
 Only the idle row depends on q, and every other row is lower-triangular.
 So each metric is a set of tables over the states that depend on
@@ -28,8 +32,7 @@ point with Binomial(N, q).  With L the normal chain over the states 1..N:
   slot), so T_c = (1 + sum_k P_0k A_k) / (P_01 + sum_k P_0k C_k).
 * D_crit, in renewal form over cycles from the idle slot.  With c_j the
   coefficient of w_j in sum v(l, a) d(l, a), (I - L) g = c and
-  (I - L) s = 1: D_crit = (d(0, W) + P_0[1:] g) / (1 + P_0[1:] s), where
-  d(0, W) = sum_k Binomial(N-1, q)_k m_k.
+  (I - L) s = 1: D_crit = (d(0, W) + P_0[1:] g) / (1 + P_0[1:] s).
 
 Row k of each system is divided by 1 - P_kk, summed from the row's entries
 left of the diagonal.  With a unit diagonal that no entry below it exceeds,
@@ -38,9 +41,11 @@ no digits cancel, even for q or r next to 0 or 1.  `contention_times` and
 `critical_delays` evaluate the grid qs x rs, a (len(qs), len(rs)) array:
 one table solve per r and one Binomial row per q, contracted cell by cell
 in the same arithmetic as the one-point functions, so each cell has their
-bits.  The dense chains, `stationary_distribution` and
-`delay_decomposition` are the explicit form.  The float Pascal table
-C(N, k) overflows from N = 1030 on, and such N is rejected with BadParams.
+bits.  The dense normal chain and `stationary_distribution` are the
+explicit form, which the oracle draws from; the explicit (d, v) contraction
+and the critical chain are test references (tests/explicit_forms.py).  The
+float Pascal table C(N, k) overflows from N = 1030 on, and such N is
+rejected with BadParams.
 
 SingularSystem is raised exactly where there is no unique finite answer:
 T_c and D_crit at boundary q or r (0 or 1), where an idle or colliding
@@ -70,22 +75,14 @@ _STACK_ELEMENTS = 2 ** 17
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic matrix over transmission-count states.
-
-    ``states[i]`` is the transmission count labelling row/column i; rows are
-    kept in natural state order (the block forms used in derivations are a
-    display convention only).
-    """
+    """Row-stochastic matrix over transmission-count states: row and column i are count i."""
 
     entries: np.ndarray
-    states: tuple[int, ...]
 
     def __post_init__(self) -> None:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise BadParams(f"transition matrix must be square, got shape {e.shape}")
-        if len(self.states) != e.shape[0]:
-            raise BadParams("state labels do not match matrix dimension")
         if np.any(e < -0.0) or np.any(e > 1.0 + 1e-15):
             raise BadParams("transition probabilities must lie in [0, 1]")
         if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-12:
@@ -109,25 +106,6 @@ class PerformanceMetrics:
     c_norm: float
     d_crit: float
     f_norm: float
-
-
-@dataclass(frozen=True, eq=False)
-class DelayDecomposition:
-    """Tables d(l, a), v(l, a) and the hitting-time vector m.
-
-    Keys run over l = 0..N-1 and a in {"T", "W"}.  v is a complete
-    probability decomposition of the last normal-phase slot (its values sum
-    to 1); m_vector[k-1] is the expected number of slots until the critical
-    user's first success starting from k colliding normal users.
-    """
-
-    d_table: dict[tuple[int, str], float]
-    v_table: dict[tuple[int, str], float]
-    m_vector: np.ndarray
-
-    def delay(self) -> float:
-        """Contract the tables: sum of v(l, a) * d(l, a), in v's key order."""
-        return float(sum(self.v_table[key] * self.d_table[key] for key in self.v_table))
 
 
 _COEFFICIENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -203,7 +181,8 @@ def _delay_tables(n: int, theta: float, rs: np.ndarray, enhanced: bool = False) 
     """m, g and s of each r; `enhanced` sets d(1, W) = 1 - theta.
 
     m solves the leading N-1 rows, the critical chain's, and
-    c_j = j/N d(j-1, T) + (N-j)/N d(j, W), j = 1..N (see delay_decomposition).
+    c_j = j/N d(j-1, T) + (N-j)/N d(j, W), j = 1..N, is the coefficient of
+    w_j in sum v(l, a) d(l, a) (see the module docstring).
     """
     a, den = _unit_block(n, rs)
     m = np.linalg.solve(a[:, :-1, :-1], 1.0 / den[:, :-1, None])[..., 0]
@@ -288,19 +267,7 @@ def build_normal_matrix(params: ProtocolParams) -> TransitionMatrix:
     p = _binomial_block(n, [params.r])[0]
     p[0] = binomial_pmf(n, params.q)
     p[1, :2] = params.theta, 1.0 - params.theta
-    return TransitionMatrix(p, tuple(range(n + 1)))
-
-
-def build_critical_matrix(params: ProtocolParams) -> TransitionMatrix:
-    """Critical-phase chain over states 0..N-1 (transmissions by normal users).
-
-    Row k is Binomial(k, r): non-colliding normal users observe busy and
-    wait, so only the k colliders may retransmit.  State 0 is absorbing (the
-    critical user succeeds and is never interrupted again).
-    """
-    _require_analysis_params(params)
-    n = params.n_users
-    return TransitionMatrix(_binomial_block(n - 1, [params.r])[0], tuple(range(n)))
+    return TransitionMatrix(p)
 
 
 def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
@@ -368,38 +335,6 @@ def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise SingularSystem("the hitting times are not finite")
     return m
-
-
-def delay_decomposition(params: ProtocolParams, w_norm: np.ndarray) -> DelayDecomposition:
-    """Tables d(l, a) and v(l, a) for the critical-delay contraction.
-
-    (l, a) describes the last slot before the critical event: l transmissions
-    by other users and own action a.  With m the hitting-time vector:
-
-    * d(l, T) = d(l, W) = m_l - 1 for l >= 2 (the chain starts at state l,
-      and the collision of that last slot is not counted),
-    * d(1, T) = m_1 - 1; d(1, W) = (1 - theta) m_1 (the successful user
-      retransmits with probability 1 - theta),
-    * d(0, T) = 0 (the critical user's own success silences everyone),
-    * d(0, W) = sum_k C(N-1, k) q^k (1-q)^(N-1-k) m_k (contention restarts
-      after the idle slot).
-
-    v weighs these outcomes under the stationary slot distribution w:
-    v(l, T) = (l+1)/N * w(l+1) and v(l, W) = (N-l)/N * w(l).
-    """
-    _require_analysis_params(params)
-    n, theta = params.n_users, params.theta
-    if len(w_norm) != n + 1:
-        raise BadParams(f"w_norm must have length n_users + 1 = {n + 1}, got {len(w_norm)}")
-    m = critical_hitting_times(params)
-    w = np.asarray(w_norm, dtype=float).tolist()
-    h = (m - 1.0).tolist()
-    d = {(0, "T"): 0.0, (0, "W"): float(np.sum(binomial_pmf(n - 1, params.q)[1:] * m)),
-         (1, "T"): h[0], (1, "W"): float((1.0 - theta) * m[0])}
-    d.update({(l, a): h[l - 1] for l in range(2, n) for a in "TW"})
-    v = {(l, a): (l + 1) / n * w[l + 1] if a == "T" else (n - l) / n * w[l]
-         for l in range(n) for a in "TW"}
-    return DelayDecomposition(d_table=d, v_table=v, m_vector=m)
 
 
 def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:

@@ -22,9 +22,11 @@ collision-free boundary, critical arrivals and the second injection, the
 scenario tail) is applied between steps, to each round separately.  A
 batch holds as many rounds as its memory allows (:func:`_batch_rounds`):
 its block of uniforms and its rounds' own state (generators, trace cells)
-each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So memory does
-not grow with the number of rounds, and each lockstep step, whose cost is
-mostly fixed, serves hundreds of rounds.
+each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So a batch's
+memory does not grow with the number of rounds, and each lockstep step,
+whose cost is mostly fixed, serves hundreds of rounds.  A run's records do
+grow: per-round counts, contention periods and scenario reports, with its
+rounds and normal-phase slots, up to the bounds that :class:`SimConfig` sets.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
@@ -164,6 +166,17 @@ class SimConfig:
             raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.normal_phase_slots < 1:
             raise BadParams("normal_phase_slots must be >= 1")
+        # a run's records grow with its rounds (about 65 B a round, 1 KB a
+        # scenario round), a batch's normal-phase statistics with its slots
+        # (about 9 B per round and slot); at N = 3, 10**6 rounds of 100 slots
+        # peak at 102 MB and 10**4 rounds of 10**4 slots at 151 MB
+        for name, size, cap in (
+            ("rounds", self.rounds, 10**6),
+            ("normal_phase_slots", self.normal_phase_slots, 10**4),
+            ("rounds * normal_phase_slots", self.rounds * self.normal_phase_slots, 10**8),
+        ):
+            if size > cap:
+                raise BadParams(f"{name} must be at most {cap}, got {size}")
         two_crit = self.scenario in TWO_CRITICAL_SCENARIOS
         if two_crit and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
@@ -185,6 +198,8 @@ class SimConfig:
                 f"two critical lengths of {int(self.traffic_model.value)} slots exceed the "
                 f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
             )
+        if two_crit and not self.enhancement.enabled:
+            raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
 
 
 def _expected_slots(cfg: SimConfig) -> int:
@@ -438,8 +453,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     n, w = params.n_users, cfg.normal_phase_slots
     two_crit = scenario in TWO_CRITICAL_SCENARIOS
     simultaneous = scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS
-    if two_crit and not cfg.enhancement.enabled:
-        raise ScenarioUnsatisfiable("two-critical scenarios require the enhanced rules")
 
     rngs = [_round_rng(cfg.seed, i) for i in indices]
     size = len(rngs)
@@ -921,8 +934,8 @@ def simulate_two_critical(
     during-success / during-collision conditions are state-dependent, so a
     round may end before its condition occurs); invalid rounds are reported
     but carry no verification.  At most 5 * cfg.rounds rounds are attempted.
-    Raises ScenarioUnsatisfiable when the enhancement is disabled, since the
-    inference rules rely on it.  With ``trace_sink`` set, every slot of
+    (SimConfig refuses a two-critical scenario without the enhanced rules,
+    which the inference relies on.)  With ``trace_sink`` set, every slot of
     every attempted round is streamed to it in the documented trace format.
 
     Rounds run in batches: the first holds as many rounds as are asked
@@ -932,8 +945,6 @@ def simulate_two_critical(
     """
     if cfg.scenario not in TWO_CRITICAL_SCENARIOS:
         raise BadParams(f"scenario {cfg.scenario} is not a two-critical scenario")
-    if not cfg.enhancement.enabled:
-        raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
     if trace_sink is not None:
         write_trace_header(trace_sink, cfg.params.n_users)
     reports: list[ScenarioRoundReport] = []

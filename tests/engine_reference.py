@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from critmac.errors import BadParams, ScenarioUnsatisfiable
+from critmac.errors import BadParams
 from critmac.protocol import (
     BUSY,
     CRITICAL,
@@ -268,8 +268,6 @@ def run_round(cfg: SimConfig, round_index: int):
     rng = _round_rng(cfg.seed, round_index)
     n = cfg.params.n_users
     two_crit = cfg.scenario in TWO_CRITICAL_SCENARIOS
-    if two_crit and not cfg.enhancement.enabled:
-        raise ScenarioUnsatisfiable("two-critical scenarios require the enhanced rules")
 
     first = int(rng.integers(n))
     if two_crit:

@@ -46,8 +46,6 @@ from critmac import (
     channel_utilization,
     contention_time,
     critical_delay,
-    critical_eta,
-    delay_decomposition,
     enhanced_critical_delay,
     estimate_metrics_oracle,
     maximize_utilization,
@@ -58,6 +56,7 @@ from critmac import (
     sweep,
 )
 from critmac.sim import TWO_CRITICAL_SCENARIOS
+from explicit_forms import delay_decomposition
 
 SEED = 42
 
@@ -152,7 +151,7 @@ def test_criterion_2_optimizer_regression():
         assert sol.r_opt == pytest.approx(r_ref, abs=0.005)
         if n == 10:
             assert sol.c_norm == pytest.approx(0.804, abs=0.002)
-    assert critical_eta(DesignProblem(10, 0.1)) == pytest.approx(1.531, abs=0.01)
+    assert maximize_utilization(DesignProblem(10, 0.1)).d_crit == pytest.approx(1.531, abs=0.01)
     print(
         f"\nACCEPTANCE 2 (optimizer regression): PASS — optima within 0.005, "
         f"C* within 0.002, eta* = 1.531 +- 0.01; worst solve {worst:.1f}s < 30s"

@@ -311,6 +311,23 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "ScenarioUnsatisfiable" in proc.stderr
 
+    @pytest.mark.parametrize("refusal", [
+        ["--scenario", "two-critical-simultaneous"],
+        ["--rounds", "100000000000"],
+        ["--normal-slots", "10001"],
+        ["--rounds", "20000", "--normal-slots", "5001"],
+    ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "rounds-times-slots"])
+    def test_refused_simulate_leaves_the_output_files(self, refusal, tmp_path):
+        out, trace = tmp_path / "kept.csv", tmp_path / "kept-trace.csv"
+        out.write_bytes(b"metric,analysis\n")
+        trace.write_bytes(b"round,slot\n")
+        proc = run_cli("simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+                       *refusal, "--output", str(out), "--trace-output", str(trace),
+                       check=False)
+        assert_one_line_error(proc, 2)
+        assert out.read_bytes() == b"metric,analysis\n"
+        assert trace.read_bytes() == b"round,slot\n"
+
 
 class TestSweep:
     def test_qr_csv(self):
@@ -505,7 +522,7 @@ class TestEncoding:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=12))
     def test_float_grid_reads_nan_as_missing(self, values):
-        # a grid block is spelled as the rows of design.sweep hold it: NaN as None
+        # a grid block is spelled as its cells with NaN as None
         grid = np.array(values, dtype=float).reshape(-1, 1 if len(values) % 2 else 2)
         cells = [None if math.isnan(v) else v for v in values]
         for fmt in ("json", "csv", "table"):
@@ -556,10 +573,17 @@ class TestStreaming:
             assert max(rows) <= per_block * side + (fmt != "json")  # the CSV or table header
             assert len(rows) >= side // per_block
 
-    def test_streamed_json_holds_the_rows_of_design_sweep(self, capsys):
+    def test_streamed_json_holds_the_cells_of_qr_grid(self, capsys):
         assert cli.main([*self.QR, "--format", "json"]) == 0
-        rows = design.sweep(design.DesignProblem(4, 0.1), design.SweepAxis.QR_GRID,
-                            start=-0.25, stop=1.2, step=0.05)
+        grid = design.qr_grid(design.DesignProblem(4, 0.1), start=-0.25, stop=1.2, step=0.05)
+        pts = grid.pts.tolist()
+        rows = [
+            {"q": q, "r": r, "c_norm": None if math.isnan(c) else c,
+             "d_crit": None if math.isnan(d) else d, "error": error}
+            for q, c_row, d_row, e_row in zip(pts, grid.c_norm.tolist(), grid.d_crit.tolist(),
+                                              grid.errors.tolist())
+            for r, c, d, error in zip(pts, c_row, d_row, e_row)
+        ]
         assert any(row["error"] for row in rows)
         assert strict_json(capsys.readouterr().out) == rows
 

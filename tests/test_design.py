@@ -19,7 +19,6 @@ from critmac import (
     SweepAxis,
     channel_utilization,
     critical_delay,
-    critical_eta,
     maximize_utilization,
     solve_design_problem,
     sweep,
@@ -68,7 +67,8 @@ class TestCriticalEta:
         "n,expected", [(3, 1.1786), (10, 1.531), (50, 1.6468)]
     )
     def test_published_values(self, n, expected):
-        assert critical_eta(DesignProblem(n, 0.1)) == pytest.approx(expected, abs=0.01)
+        eta_star = maximize_utilization(DesignProblem(n, 0.1)).d_crit
+        assert eta_star == pytest.approx(expected, abs=0.01)
 
 
 class TestConstrainedSolve:
@@ -258,29 +258,31 @@ class TestScanPick:
 
 class TestSweeps:
     def test_qr_grid_contains_optimum(self):
-        rows = sweep(DesignProblem(10, 0.1), SweepAxis.QR_GRID, step=0.05)
-        ok = [r for r in rows if not r["error"]]
-        assert len(ok) == len(rows)
-        best = max(ok, key=lambda r: r["c_norm"])
-        assert best["c_norm"] == pytest.approx(0.804, abs=0.002)
-        assert best["q"] == pytest.approx(0.11, abs=0.05)
-        assert best["r"] == pytest.approx(0.46, abs=0.05)
+        grid = design.qr_grid(DesignProblem(10, 0.1), step=0.05)
+        assert not grid.errors.any()
+        i, j = np.unravel_index(np.argmax(grid.c_norm), grid.c_norm.shape)
+        assert grid.c_norm[i, j] == pytest.approx(0.804, abs=0.002)
+        assert grid.pts[i] == pytest.approx(0.11, abs=0.05)
+        assert grid.pts[j] == pytest.approx(0.46, abs=0.05)
 
     def test_qr_grid_contour_resolution(self):
         # the 0.01-step grid used for contour plots peaks at the optimum
-        rows = sweep(DesignProblem(10, 0.1), SweepAxis.QR_GRID, step=0.01)
-        best = max(rows, key=lambda r: r["c_norm"])
-        assert best["c_norm"] == pytest.approx(0.804, abs=0.002)
-        assert best["q"] == pytest.approx(0.105, abs=0.01)
-        assert best["r"] == pytest.approx(0.479, abs=0.01)
+        grid = design.qr_grid(DesignProblem(10, 0.1), step=0.01)
+        i, j = np.unravel_index(np.argmax(grid.c_norm), grid.c_norm.shape)
+        assert grid.c_norm[i, j] == pytest.approx(0.804, abs=0.002)
+        assert grid.pts[i] == pytest.approx(0.105, abs=0.01)
+        assert grid.pts[j] == pytest.approx(0.479, abs=0.01)
 
     def test_qr_grid_error_markers_at_boundary(self):
-        rows = sweep(DesignProblem(4, 0.1), SweepAxis.QR_GRID, start=0.0, stop=1.0, step=0.5)
-        marked = [r for r in rows if r["error"]]
-        assert marked and all(r["error"] == "SingularSystem" for r in marked)
-        assert all(r["c_norm"] is None for r in marked)
-        interior = [r for r in rows if r["q"] == 0.5 and r["r"] == 0.5]
-        assert interior[0]["error"] == ""
+        grid = design.qr_grid(DesignProblem(4, 0.1), start=0.0, stop=1.0, step=0.5)
+        marked = grid.errors != ""
+        assert marked.any() and set(grid.errors[marked]) == {"SingularSystem"}
+        assert np.isnan(grid.c_norm[marked]).all()
+        assert grid.pts.tolist() == [0.0, 0.5, 1.0] and grid.errors[1, 1] == ""
+
+    def test_qr_axis_is_refused_as_rows(self):
+        with pytest.raises(BadParams, match="qr_grid"):
+            sweep(DesignProblem(4, 0.1), SweepAxis.QR_GRID, step=0.5)
 
     def test_n_range_endpoints(self):
         rows = sweep(DesignProblem(3, 0.1), SweepAxis.N_RANGE, start=3, stop=50, step=47)

@@ -8,6 +8,7 @@ hand-computable small cases, closed forms at r = 0).
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -15,22 +16,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import critmac
 import critmac.markov as markov
 from critmac import (
     BadParams,
     ProtocolParams,
     SingularSystem,
-    build_critical_matrix,
+    TransitionMatrix,
     build_normal_matrix,
     channel_utilization,
     contention_time,
     critical_delay,
     critical_hitting_times,
-    delay_decomposition,
     enhanced_critical_delay,
     evaluate_metrics,
     stationary_distribution,
 )
+from explicit_forms import build_critical_matrix, delay_decomposition
 
 # (n, theta) -> (q*, r*, t_c, c_norm, d_crit) from the published table
 TABLE = {
@@ -477,3 +479,11 @@ def test_too_many_users_for_the_binomial_table():
     for n in (1030, 100_000):  # the second before its 80 GB table is allocated
         with pytest.raises(BadParams, match="too many users"):
             contention_time(ProtocolParams(n, 0.1, 0.001, 0.5))
+
+
+def test_the_explicit_forms_are_test_references():
+    # the package computes D_crit once, in renewal form; its explicit forms
+    # live in tests/explicit_forms.py, and a matrix is only its entries
+    moved = {"DelayDecomposition", "build_critical_matrix", "delay_decomposition", "critical_eta"}
+    assert not moved & set(critmac.__all__)
+    assert [f.name for f in dataclasses.fields(TransitionMatrix)] == ["entries"]

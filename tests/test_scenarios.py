@@ -7,6 +7,9 @@ tests here demand zero violations and exercise the surrounding machinery.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
+
 import pytest
 
 from critmac import (
@@ -18,7 +21,12 @@ from critmac import (
     SimConfig,
     simulate_two_critical,
 )
-from critmac.sim import TWO_CRITICAL_SCENARIOS, run_round
+from critmac.sim import (
+    TWO_CRITICAL_SCENARIOS,
+    _run_batch,
+    _verify_two_critical_round,
+    run_round,
+)
 
 P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
 ENH = EnhancementConfig(enabled=True, backoff_bound=5)
@@ -79,11 +87,9 @@ def test_geometric_lengths_survivor_phase():
 
 
 def test_requires_enhancement():
-    cfg = SimConfig(
-        params=P10, rounds=5, scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS, seed=1
-    )
-    with pytest.raises(ScenarioUnsatisfiable):
-        simulate_two_critical(cfg)
+    # refused when the config is made, before any round runs or trace opens
+    with pytest.raises(ScenarioUnsatisfiable, match="requires the enhanced rules"):
+        SimConfig(params=P10, rounds=5, scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS, seed=1)
 
 
 def test_invalid_rounds_reported_not_verified():
@@ -94,3 +100,92 @@ def test_invalid_rounds_reported_not_verified():
     assert summary.attempted_rounds >= 60
     invalid = [r for r in summary.reports if not r.injected]
     assert all(not r.violations for r in invalid)
+
+
+@functools.cache
+def valid_round(scenario):
+    """Config, trace, (first, second) critical users and report of a round the verifier passes."""
+    cfg = scenario_cfg(scenario, rounds=20)
+    batch = _run_batch(cfg, range(20), keep_trace=True)
+    for j in range(20):
+        trace = batch.trace(j)
+        users = tuple(u for _, ev, u in sorted(trace.events) if ev == "critical_arrival")
+        if len(users) == 2:
+            report = _verify_two_critical_round(cfg, trace, users)
+            assert report.violations == []
+            return cfg, trace, users, report
+    raise AssertionError(f"no round of {scenario} admitted the injection")
+
+
+def with_actions(trace, changes):
+    """The trace with user u's action in slot s set to `on`, for each (s, u, on) of changes."""
+    cells = trace.cells.copy()
+    for s, u, on in changes:
+        cells[s - 1, u] = cells[s - 1, u] & 7 | (8 if on else 0)  # bit 3 is the action
+    return replace(trace, cells=cells)
+
+
+def moved_entry(trace, user, slot):
+    """The trace with the user's first g_entry event moved to slot."""
+    events = list(trace.events)
+    i = next(i for i, (_, ev, u) in enumerate(events) if ev == "g_entry" and u == user)
+    events[i] = (slot, "g_entry", user)
+    return replace(trace, events=events)
+
+
+def edited(check, trace, users, report, b):
+    """The valid round's trace with one edit that breaks what `check` verifies."""
+    u1, u2 = users
+    a2, joint = report.arrival_slots[1], report.first_joint_g_slot
+    done, finisher = report.completion_slots[0], report.completion_order[0]
+    survivor = u2 if finisher == u1 else u1
+    acts = trace.actions
+    if check == "entry":
+        return replace(trace, events=[e for e in trace.events if e[1:] != ("g_entry", u2)])
+    if check == "inference-bound":
+        return moved_entry(trace, u1, a2 + b + 3)
+    if check in ("simultaneous-entry", "run-owner-entry"):
+        return moved_entry(trace, u1, report.g_entry_slots[u1] + 1)
+    if check == "collision":
+        both = [s for s in range(a2, done + 1) if acts[s - 1, u1] and acts[s - 1, u2]]
+        return with_actions(trace, [(s, u2, False) for s in both])
+    if check == "shared-success":
+        return with_actions(trace, [(s, u, False) for s in range(joint, done + 1) for u in users])
+    if check == "alternation":
+        s = report.first_shared_success_slot + 1
+        return with_actions(trace, [(s, u1, not acts[s - 1, u1])])
+    if check == "handover":
+        return with_actions(trace, [(done + 1, survivor, False)])
+    if check == "idle-slot":
+        return with_actions(trace, [(done + 2, finisher, True)])
+    assert check == "finisher-waits"
+    return with_actions(trace, [(done + 3, finisher, True)])
+
+
+BROKEN_CHECKS = [
+    ("entry", Scenario.TWO_CRITICAL_DURING_COLLISION, "a critical user never entered rule-g mode"),
+    ("inference-bound", Scenario.TWO_CRITICAL_DURING_COLLISION, "rule-g inference took"),
+    ("simultaneous-entry", Scenario.TWO_CRITICAL_SIMULTANEOUS,
+     "expected one slot after its collision count reached"),
+    ("run-owner-entry", Scenario.TWO_CRITICAL_DURING_SUCCESS, "run owner entered rule-g at slot"),
+    ("collision", Scenario.TWO_CRITICAL_SIMULTANEOUS, "the two critical users never collided"),
+    ("shared-success", Scenario.TWO_CRITICAL_SIMULTANEOUS,
+     "no critical success after both entered rule-g"),
+    ("alternation", Scenario.TWO_CRITICAL_DURING_SUCCESS, "alternation broken at slot"),
+    ("handover", Scenario.TWO_CRITICAL_SIMULTANEOUS,
+     "survivor did not take the slot after the first completion"),
+    ("idle-slot", Scenario.TWO_CRITICAL_DURING_COLLISION, "no idle slot after the handover success"),
+    ("finisher-waits", Scenario.TWO_CRITICAL_SIMULTANEOUS,
+     "finished user transmitted in the slot after the idle slot"),
+]
+
+
+@pytest.mark.parametrize("check,scenario,message", BROKEN_CHECKS,
+                         ids=[check for check, _, _ in BROKEN_CHECKS])
+def test_verifier_reports_each_broken_check(check, scenario, message):
+    # every other test demands zero violations; each edit here must be reported
+    cfg, trace, users, report = valid_round(scenario)
+    bad = edited(check, trace, users, report, cfg.enhancement.backoff_bound)
+    violations = _verify_two_critical_round(cfg, bad, users).violations
+    assert any(message in v for v in violations), violations
+

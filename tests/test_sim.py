@@ -327,6 +327,15 @@ class TestConfigValidation:
         with pytest.raises(BadParams):
             SimConfig(params=P3, seed=-1)
 
+    def test_run_size_bounds(self):
+        # a run's records grow with its rounds and normal-phase slots
+        SimConfig(params=P3, rounds=10**6)
+        SimConfig(params=P3, rounds=10**4, normal_phase_slots=10**4)
+        for size in ({"rounds": 10**6 + 1}, {"rounds": 1, "normal_phase_slots": 10**4 + 1},
+                     {"rounds": 10**4 + 1, "normal_phase_slots": 10**4}):
+            with pytest.raises(BadParams, match="must be at most"):
+                SimConfig(params=P3, **size)
+
     def test_two_critical_needs_two_users(self):
         with pytest.raises(BadParams):
             SimConfig(
