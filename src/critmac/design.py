@@ -8,19 +8,20 @@ across fairness levels.
 
 Every search is one routine, `_search`: a grid scan of a box followed by two
 local refinement passes (step divided by 10 each) around the incumbent.  It
-serves the whole square (coarse step 0.01) and each of the edges r = eps and
-q = eps, as a box with one side pinned to eps.  Each scan reads T_c on its
-whole grid as an array (`markov.contention_times`), and D_crit too when a
-constraint applies (`markov.critical_delays`); it masks the infeasible
-cells, takes the least-D_crit cell with argmin and the smallest-T_c cell
-by the walk's strict-improvement rule, so grid search beats gradient
-machinery here.  Each refinement pass, `_refine`, follows its pick while it
-lands on an inner side of the scanned window, so it can track a steep
-constraint curve.  A binding solution more than 0.005 from D_crit = eta
-gets one more `_refine` over the whole square at the finest step.  The
-edge bisections, the candidate pick and the reported values read one point
-at a time.  Ties within 1e-9 break toward smaller q, then smaller r.  An
-eta sweep solves the unconstrained problem once and each eta from it.
+serves the whole square (coarse step 0.01) and the edge r = eps, as a box
+with its r side pinned to eps; the square's first row is the edge q = eps.
+Each scan reads T_c on its whole grid as an array
+(`markov.contention_times`), and D_crit too when a constraint applies
+(`markov.critical_delays`); it masks the infeasible cells, takes the
+least-D_crit cell with argmin and the smallest-T_c cell by the walk's
+strict-improvement rule, so grid search beats gradient machinery here.  Each
+refinement pass, `_refine`, follows its pick while it lands on an inner side
+of the scanned window, so it can track a steep constraint curve.  A binding
+solution more than 0.005 from D_crit = eta gets one more `_refine` over the
+whole square at the finest step.  The edge bisection, the candidate pick and
+the reported values read one point at a time.  Ties within 1e-9 break toward
+smaller q, then smaller r.  An eta sweep solves the unconstrained problem
+once and each eta from it.
 
 The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
@@ -245,34 +246,29 @@ def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[floa
     return lo, hi
 
 
-def _edge_search(
-    prob: DesignProblem, edge: str, constraint: _Constraint
-) -> tuple[float, float, float] | None:
-    """Best feasible point on the r = eps (edge="r") or q = eps (edge="q") boundary.
+def _edge_search(prob: DesignProblem, constraint: _Constraint) -> tuple[float, float, float] | None:
+    """Best feasible point on the r = eps edge, where small-eta optima sit.
 
-    Small-eta optima sit on the r = eps edge inside a feasible sliver thinner
-    than the coarse grid step, so each edge gets a search of its own: a box
-    with one side pinned to eps, scanned 100 steps across.  When the corner
-    (eps, eps) is feasible and the far end is not, the scan stops at a
-    crossing D_crit = eta found by bisection.  D_crit need not be monotone
-    along an edge (along r = eps at N = 10, theta = 0.1 it rises to 0.74
-    near q = 0.12, then falls to 0.61 near q = 0.5), so the crossing only
-    bounds the scanned range: every scanned point is tested for feasibility.
+    They lie inside a feasible sliver thinner than the coarse grid step, so
+    the edge gets a search of its own: a box with r pinned to eps, scanned
+    100 steps across q.  When the corner (eps, eps) is feasible and q = 1 - eps
+    is not, the scan stops at a crossing D_crit = eta found by bisection.
+    D_crit need not be monotone along the edge (at N = 10, theta = 0.1 it
+    rises to 0.74 near q = 0.12, then falls to 0.61 near q = 0.5), so the
+    crossing only bounds the scanned range: every scanned point is tested
+    for feasibility.  The q = eps edge needs no search of its own: it is the
+    first row of the square's scan, and `_refine` follows a pick along it.
     """
     eps, eta = prob.epsilon, constraint.eta
 
-    def d_at(v: float) -> float:
-        return critical_delay(_at(prob, v, eps) if edge == "r" else _at(prob, eps, v))
+    def feasible(q: float) -> bool:
+        return critical_delay(_at(prob, q, eps)) <= eta
 
-    lo, hi = eps, 1.0 - eps
-    v_max = hi
-    if d_at(lo) <= eta < d_at(hi):
-        v_max, _ = _bisect(lambda v: d_at(v) <= eta, lo, hi)
-    step = max((v_max - lo) / 100.0, 1e-6)
-    free, pinned = (lo, v_max), (eps, eps)
-    if edge == "r":
-        return _search(prob, free, pinned, step, constraint)
-    return _search(prob, pinned, free, step, constraint)
+    lo, q_max = eps, 1.0 - eps
+    if feasible(lo) and not feasible(q_max):
+        q_max, _ = _bisect(feasible, lo, q_max)
+    step = max((q_max - lo) / 100.0, 1e-6)
+    return _search(prob, (lo, q_max), (eps, eps), step, constraint)
 
 
 def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tuple[float, float]:
@@ -292,10 +288,10 @@ def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tupl
 def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> DesignSolution:
     """Design solution at one eta, from the unconstrained optimum of the same (N, theta).
 
-    When that optimum is infeasible, the interior search and both edge
-    searches test feasibility at every point they scan.  When none of them
-    finds a feasible point the problem is infeasible, and the scanned point
-    with the least D_crit is reported.
+    When that optimum is infeasible, the search over the square and the
+    r = eps edge search test feasibility at every point they scan.  When
+    neither finds a feasible point the problem is infeasible, and the scanned
+    point with the least D_crit is reported.
     """
     if unconstrained.d_crit <= eta:
         return replace(unconstrained, eta=eta)
@@ -304,8 +300,7 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
     box = (eps, 1.0 - eps)
     candidates = [
         _search(prob, box, box, _COARSE_STEP, constraint),
-        _edge_search(prob, "r", constraint),
-        _edge_search(prob, "q", constraint),
+        _edge_search(prob, constraint),
     ]
     if all(cand is None for cand in candidates):
         q, r, d = min(constraint.lows, key=lambda low: low[2])  # the first least

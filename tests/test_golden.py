@@ -7,9 +7,11 @@ for byte, so a refactor that changes any output byte fails here.  The
 design cases sit at N = 3, theta = 0.1 with one eta per regime
 (infeasible, binding-corner, binding-interior, slack-interior), plus an
 unconstrained N = 50 solve, the N = 10 eta = 0.65 solve whose optimum sits
-past the D_crit peak along r = eps, and a (q, r) grid that mixes interior
-points, boundary points (SingularSystem) and out-of-range points
-(BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
+past the D_crit peak along r = eps, eta sweeps through the corner and
+interior regimes at N = 10, 20 (whose first row is infeasible and reports
+the dip along r = eps, not the corner) and 50, and a (q, r) grid that
+mixes interior points, boundary points (SingularSystem) and out-of-range
+points (BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
 error cells fall in several of the blocks a qr sweep is written in, as
 CSV and as JSON.  The table cases pin the aligned layout: both qr grids,
 the eta sweep, a single- and a two-critical simulate report and a binding
@@ -57,6 +59,15 @@ CASES = {
     "optimize-n10-eta065": (["optimize", "--n", "10", "--theta", "0.1", "--eta", "0.65",
                              "--format", "csv"], False, 0),
     "optimize-n50": (["optimize", "--n", "50", "--theta", "0.1", "--format", "csv"], False, 0),
+    "sweep-eta-n10": (["sweep", "--axis", "eta", "--n", "10", "--theta", "0.1",
+                       "--from", "0.45", "--to", "1.7", "--step", "0.05", "--format", "csv"],
+                      False, 0),
+    "sweep-eta-n20": (["sweep", "--axis", "eta", "--n", "20", "--theta", "0.05",
+                       "--from", "0.6", "--to", "1.7", "--step", "0.05", "--format", "csv"],
+                      False, 0),
+    "sweep-eta-n50": (["sweep", "--axis", "eta", "--n", "50", "--theta", "0.5",
+                       "--from", "0.3", "--to", "1.2", "--step", "0.05", "--format", "csv"],
+                      False, 0),
     "sweep-qr-boundary": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
                            "--from", "-0.25", "--to", "1", "--step", "0.25", "--format", "csv"],
                           False, 0),
@@ -156,6 +167,12 @@ GOLDEN = {
         "8e16e6a3c9f6f87dafc42c040f16d9b27132d0d781826aa8e5453876aff8544d"),
     "sweep-eta": (
         "59ead1ecba5e46a21e87187dc4df8e4dc9b591d088d372940a14bb24388fd974", None),
+    "sweep-eta-n10": (
+        "b0e8a57f1969a5b9ffb897e0c1e403ff6a28e3a01ee9b699015a9e9362dd05c9", None),
+    "sweep-eta-n20": (
+        "c6f6676ae531fde16e6012c2b0c8a7da5d4988817afd6fc735f553e90d33935d", None),
+    "sweep-eta-n50": (
+        "da13e96a7919f3959237cc39ec0fcb9a54ee24901e68f114bbf4059ff868fce1", None),
     "sweep-eta-table": (
         "0e8a49315bcfc946bdd418bdd4d0feac948253e4839ce09756cf7d2d3c786de4", None),
     "sweep-qr-blocks-csv": (
