@@ -148,10 +148,6 @@ class UserArrays:
             for f in fields(cls)
         })
 
-    def take(self, keep: np.ndarray) -> "UserArrays":
-        """The rows selected by `keep` (a mask or index array over the first axis)."""
-        return UserArrays(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
-
 
 def channel_feedback(tx: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Collision-channel observation codes for transmit flags of shape (rows, users).

@@ -15,8 +15,11 @@ of every user of every round is a set of ``(rounds, users)`` arrays
 flags and remaining packets, the rule-g memory and the wait owed after a
 shared phase), and one slot is one array rule lookup, one comparison with
 the slot's uniforms, the feedback from each round's transmitter count, and
-masked state updates.  Every round takes one slot per step from its start
-until it ends, so the rounds still running are always at the same slot.
+masked state updates.  Every round of a batch takes one slot per step,
+so all its rounds are always at the same slot, and row j of every array is
+round j until the batch ends: a round that has ended keeps its row and
+steps on, and none of its later slots is read.  Each round draws its
+uniforms from its own stream, so those extra slots change no other round.
 The round structure (normal phase, the simultaneous scenario's
 collision-free boundary, critical arrivals and the second injection, the
 scenario tail) is applied between steps, to each round separately.  A
@@ -217,9 +220,10 @@ def _batch_rounds(cfg: SimConfig, keep_trace: bool) -> int:
     within it by :meth:`SlotEngine._uniforms`; a batch leaves each round
     at least ``_EXTRA_ROWS`` rows of it.  Each round's own state, its
     generator (about 1.7 KB, charged as ``_EXTRA_ROWS ** 2`` floats) and,
-    when traced, its packed cells (kept once per step and once as the
-    batch's array) and phase flags, must fit the budget as well.  So a
-    batch holds about twice the budget, whatever the number of rounds.
+    when traced, its packed cells and phase flags, must fit the budget as
+    well.  Trace cells are kept as full batch rows, ended rounds included,
+    once per step and once as the batch's array.  So a batch holds about
+    twice the budget, whatever the number of rounds.
     """
     n = cfg.params.n_users
     own = _EXTRA_ROWS**2
@@ -275,19 +279,20 @@ class RoundStats:
 
 
 class SlotEngine:
-    """Steps a batch of rounds in lockstep, one slot of every running round per step.
+    """Steps a batch of rounds in lockstep, one slot of every round per step.
 
     ``rngs`` are the rounds' generators, positioned after their per-round
     draws; the engine draws their uniforms in blocks, the first of
-    ``rows`` slots.  ``rounds`` holds the batch positions of the rounds
-    still running and ``users`` their state, row for row; :meth:`keep`
-    drops rounds that ended.  Round structure (phase lengths, critical
-    arrivals) is driven from outside via :meth:`set_critical` and
-    :meth:`step`.  Two-critical inference (mode switching to ``rule_g``)
-    runs only when ``two_critical_inference`` is set, which the scenario
-    runner enables; single-critical experiments never evaluate those
-    triggers.  Failure runs (``users.failures``) are counted only under the
-    enhanced rules or the inference, the only rules that read them.
+    ``rows`` slots.  Row j of ``users`` and ``events[j]`` are round j of
+    the batch for the batch's whole run: a round that has ended keeps its
+    row and keeps stepping, and its caller reads none of those slots.
+    Round structure (phase lengths, critical arrivals) is driven from
+    outside via :meth:`set_critical` and :meth:`step`.  Two-critical
+    inference (mode switching to ``rule_g``) runs only when
+    ``two_critical_inference`` is set, which the scenario runner enables;
+    single-critical experiments never evaluate those triggers.  Failure
+    runs (``users.failures``) are counted only under the enhanced rules or
+    the inference, the only rules that read them.
     """
 
     def __init__(
@@ -303,7 +308,6 @@ class SlotEngine:
         self.enh = enhancement
         self.rngs = list(rngs)
         self.two_critical_inference = two_critical_inference
-        self.rounds = np.arange(len(self.rngs))
         self.users = UserArrays.initial((len(self.rngs), params.n_users))
         self.slot = 0
         self.events: list[list[tuple[int, str, int]]] = [[] for _ in self.rngs]
@@ -311,20 +315,12 @@ class SlotEngine:
         self._buffer = np.empty(0)
         self._block = self._buffer.reshape(len(self.rngs), 0, params.n_users)
         self._block_start = 0
-        self._block_rows: np.ndarray | None = None  # block row of each running round
         self._ones = np.ones(params.n_users)
         # only the enhanced rules and the two-critical inference read failure runs
         self._count_failures = enhancement.enabled or two_critical_inference
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep running only the rounds where `mask` (over the running rounds) is set."""
-        self.rounds = self.rounds[mask]
-        self.users = self.users.take(mask)
-        rows = np.arange(len(mask)) if self._block_rows is None else self._block_rows
-        self._block_rows = rows[mask]
-
     def set_critical(self, at: np.ndarray, users: np.ndarray, packets: np.ndarray) -> None:
-        """Give user users[j] of running round at[j] critical traffic, effective next slot."""
+        """Give user users[j] of round at[j] critical traffic, effective next slot."""
         s = self.users
         if np.any(packets < 1):
             raise BadParams("critical traffic needs at least one packet")
@@ -334,31 +330,29 @@ class SlotEngine:
         s.remaining[at, users] = packets
         s.in_phase[at, users] = False
         s.success_failure[at, users] = False
-        for j, u in zip(self.rounds[at].tolist(), users.tolist()):
+        for j, u in zip(at.tolist(), users.tolist()):
             self.events[j].append((self.slot + 1, "critical_arrival", u))
 
     def _uniforms(self) -> np.ndarray:
         row = self.slot - self._block_start
         if row >= self._block.shape[1]:
-            n = self.params.n_users
+            rounds, n = len(self.rngs), self.params.n_users
             left = self._rows - self.slot
             rows = left if left > 0 else _EXTRA_ROWS
-            rows = max(1, min(rows, markov._STACK_ELEMENTS // (len(self.rounds) * n)))
-            size = len(self.rounds) * rows * n
+            rows = max(1, min(rows, markov._STACK_ELEMENTS // (rounds * n)))
+            size = rounds * rows * n
             if self._buffer.size < size:
                 self._buffer = self._block = None  # release the spent block first
                 self._buffer = np.empty(size)
             # later blocks refill the first one's memory
-            self._block = self._buffer[:size].reshape(len(self.rounds), rows, n)
-            for j, r in enumerate(self.rounds.tolist()):
-                self.rngs[r].random(out=self._block[j])
-            self._block_start, self._block_rows, row = self.slot, None, 0
-        if self._block_rows is None:
-            return self._block[:, row]
-        return self._block[self._block_rows, row]
+            self._block = self._buffer[:size].reshape(rounds, rows, n)
+            for rng, out in zip(self.rngs, self._block):
+                rng.random(out=out)
+            self._block_start, row = self.slot, 0
+        return self._block[:, row]
 
     def step(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance every running round one slot; returns (actions, observations, transmitters)."""
+        """Advance every round one slot; returns (actions, observations, transmitters)."""
         s = self.users
         tx = self._uniforms() < transmission_probabilities(self.params, self.enh, s)
         # a row count as a product with ones is exact, and cheaper than tx.sum(axis=1)
@@ -391,7 +385,7 @@ class SlotEngine:
             critical &= keep
             s.g_mode &= keep
             for r, u in zip(*np.nonzero(done)):
-                self.events[self.rounds[r]].append((self.slot, "completion", int(u)))
+                self.events[r].append((self.slot, "completion", int(u)))
 
         if self.two_critical_inference and critical.any():
             g_mode = s.g_mode
@@ -410,7 +404,7 @@ class SlotEngine:
                 s.success_failure &= ~revert
                 for r, u in zip(*np.nonzero(switch)):
                     kind = "g_entry" if enter[r, u] else "g_revert"
-                    self.events[self.rounds[r]].append((self.slot + 1, kind, int(u)))
+                    self.events[r].append((self.slot + 1, kind, int(u)))
         return tx, obs, k
 
 
@@ -418,8 +412,8 @@ def _round_rng(seed: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, round_index))))
 
 
-# stages of a round after its normal phase
-_GUARD, _CRITICAL, _TAIL = 0, 1, 2
+# stages of a round after its normal phase; a _DONE round has ended
+_GUARD, _CRITICAL, _TAIL, _DONE = 0, 1, 2, 3
 
 
 @dataclass
@@ -470,13 +464,16 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     engine = SlotEngine(
         params, cfg.enhancement, rngs, _expected_slots(cfg), two_critical_inference=two_crit
     )
-    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (rounds, cells, critical)
     flags = np.empty((size, w), dtype=bool)
+    cells: list[np.ndarray] = []  # packed trace cells of every round, per step
+    phases: list[np.ndarray] = []  # critical-phase flags of every round, per step
+    normal = np.zeros(size, dtype=bool)
     for t in range(w):
         tx, obs, k = engine.step()
         flags[:, t] = k == 1
         if keep_trace:
-            steps.append((engine.rounds, _pack(tx, obs, engine.users.prev_critical), False))
+            cells.append(_pack(tx, obs, engine.users.prev_critical))
+            phases.append(normal)
 
     stage = np.full(size, _CRITICAL)
     if simultaneous:
@@ -491,102 +488,81 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     collisions = np.zeros(size, dtype=np.int64)
     critical_slots = np.zeros(size, dtype=np.int64)
     slots = np.full(size, w, dtype=np.int64)
+    rows = np.arange(size)
 
     def arrive(at: np.ndarray) -> None:
-        """The round structure's critical arrivals, at running rounds `at`."""
-        pos = engine.rounds[at]
-        engine.set_critical(at, first[pos], lengths[pos, 0])
+        """The round structure's critical arrivals, at rounds `at`."""
+        engine.set_critical(at, first[at], lengths[at, 0])
         if simultaneous:
-            engine.set_critical(at, second[pos], lengths[pos, 1])
-            injected[pos] = True
+            engine.set_critical(at, second[at], lengths[at, 1])
+            injected[at] = True
 
     arrive(np.flatnonzero(stage == _CRITICAL))
-    last_k = k
     while True:
-        pos = engine.rounds
         users = engine.users
-        at = np.arange(len(pos))
-        f = first[pos]
-        st = stage[pos]
         if simultaneous:
-            ready = (st == _GUARD) & (last_k < 2)
+            ready = (stage == _GUARD) & (k < 2)
             if ready.any():
                 arrive(np.flatnonzero(ready))
-                stage[pos[ready]] = _CRITICAL
-                stage_slots[pos[ready]] = 0
-                st = stage[pos]
+                stage[ready] = _CRITICAL
+                stage_slots[ready] = 0
         elif two_crit:
             # inject only on an in-phase observation of the first critical user
             ready = (
-                (st == _CRITICAL)
-                & ~injected[pos]
-                & users.critical[at, f]
-                & users.in_phase[at, f]
-                & (users.last[at, f] == trigger)
+                (stage == _CRITICAL)
+                & ~injected
+                & users.critical[rows, first]
+                & users.in_phase[rows, first]
+                & (users.last[rows, first] == trigger)
             )
             if ready.any():
                 sel = np.flatnonzero(ready)
-                engine.set_critical(sel, second[pos[sel]], lengths[pos[sel], 1])
-                injected[pos[sel]] = True
+                engine.set_critical(sel, second[sel], lengths[sel, 1])
+                injected[sel] = True
         # a round's only critical users are its first and second ones
-        live = users.critical[at, f]
+        live = users.critical[rows, first]
         if two_crit:
-            live |= users.critical[at, second[pos]]
-        over = (st == _CRITICAL) & ~live
+            live |= users.critical[rows, second]
+        over = (stage == _CRITICAL) & ~live
         if two_crit:
-            tail = over & injected[pos]
-            stage[pos[tail]] = _TAIL
-            stage_slots[pos[tail]] = 0
+            tail = over & injected
+            stage[tail] = _TAIL
+            stage_slots[tail] = 0
             over &= ~tail
-            over |= (stage[pos] == _TAIL) & (stage_slots[pos] == _SCENARIO_TAIL_SLOTS)
+            over |= (stage == _TAIL) & (stage_slots == _SCENARIO_TAIL_SLOTS)
         if over.any():
-            slots[pos[over]] = engine.slot
-            engine.keep(~over)
-            last_k = last_k[~over]
-            pos = engine.rounds
-            if not len(pos):
+            slots[over] = engine.slot
+            stage[over] = _DONE
+            if (stage == _DONE).all():
                 break
-            at = np.arange(len(pos))
-            f = first[pos]
-        st = stage[pos]
 
         tx, obs, k = engine.step()
-        last_k = k
         if two_crit:
-            stage_slots[pos] += 1
-        in_critical = st == _CRITICAL
+            stage_slots += 1
+        in_critical = stage == _CRITICAL
         if keep_trace:
-            steps.append((pos, _pack(tx, obs, engine.users.prev_critical), in_critical))
-        crit_pos = pos[in_critical]
-        critical_slots[crit_pos] += 1
+            cells.append(_pack(tx, obs, engine.users.prev_critical))
+            phases.append(in_critical)
+        critical_slots += in_critical
         # a failure is always the user's own transmission
-        collisions[crit_pos] += (obs[at, f] == FAILURE_CODE)[in_critical]
+        collisions += in_critical & (obs[rows, first] == FAILURE_CODE)
         # no stage has run longer than the slots since the normal phase
         ran = engine.slot - w
-        if ran > _MAX_CRITICAL_SLOTS and (
-            critical_slots[crit_pos].max(initial=0) > _MAX_CRITICAL_SLOTS
-        ):
+        if ran > _MAX_CRITICAL_SLOTS and critical_slots.max() > _MAX_CRITICAL_SLOTS:
             raise RuntimeError("critical phase failed to terminate")
         if simultaneous and ran > _GUARD_SLOTS and (
-            stage_slots[pos[st == _GUARD]].max(initial=0) > _GUARD_SLOTS
+            stage_slots[stage == _GUARD].max(initial=0) > _GUARD_SLOTS
         ):
             raise RuntimeError("no collision-free boundary found")
 
-    cells = critical_phase = None
-    if keep_trace:
-        cells = np.zeros((len(steps), size, n), dtype=np.uint8)
-        critical_phase = np.zeros((len(steps), size), dtype=bool)
-        for t, (pos, packed, crit) in enumerate(steps):
-            cells[t, pos] = packed
-            critical_phase[t, pos] = crit
     return _Batch(
         indices=list(indices),
         flags=flags,
         critical_slots=critical_slots,
         collisions=collisions,
         events=engine.events,
-        cells=cells,
-        critical_phase=critical_phase,
+        cells=np.stack(cells) if keep_trace else None,
+        critical_phase=np.stack(phases) if keep_trace else None,
         slots=slots,
     )
 

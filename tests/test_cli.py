@@ -291,14 +291,21 @@ class TestSimulate:
         (3, "0.3397", "0.4896", 20_000, True),
         (50, "0.0213", "0.4754", 2_000, False),
     ], ids=["n3", "n3-traced", "n50"])
-    def test_peak_memory_does_not_grow_with_the_rounds(self, n, q, r, rounds, trace):
+    def test_peak_memory_does_not_grow_with_the_rounds(self, n, q, r, rounds, trace, tmp_path):
         # a batch's memory is bounded whatever the number of rounds; beyond
-        # it a run keeps a few bytes per round and per T_c sample
+        # it a run keeps a few bytes per round and per T_c sample.  The runs
+        # read a warm bytecode cache: compiling the sources would raise the
+        # small run's peak and hide growth
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+
         def peak(count):
             args = ["simulate", "--n", str(n), "--theta", "0.1", "--q", q, "--r", r,
                     "--rounds", str(count), "--seed", "3"]
-            return peak_rss_mb(*args, *(["--trace-output", os.devnull] if trace else []))
+            return peak_rss_mb(*args, *(["--trace-output", os.devnull] if trace else []),
+                               env=env)
 
+        peak(1)
         small, large = peak(200), peak(rounds)
         assert large - small < 2, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at {rounds}"
 
@@ -529,13 +536,13 @@ class TestEncoding:
             assert cli._spell(grid, fmt) == cli._spell(cells, fmt)
 
 
-def peak_rss_mb(*args) -> float:
+def peak_rss_mb(*args, env=None) -> float:
     """Peak RSS of one CLI run, read in a fresh interpreter that runs the CLI as its only child."""
     probe = ("import resource, subprocess, sys; "
              "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     proc = subprocess.run([sys.executable, "-c", probe, *CLI, *args],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=env)
     return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
 
 

@@ -13,7 +13,7 @@ import io
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import engine_reference
 from critmac import (
@@ -115,8 +115,29 @@ def test_array_engine_equals_reference_engine(cfg, index):
     same_round(cfg, index, trace, stats)
 
 
+# 48 rounds of geometric critical traffic: they end across several uniform
+# blocks, and most rows of the batch have ended while the last ones run
+LARGE_BATCH = [
+    SimConfig(
+        params=ProtocolParams(5, 0.1, 0.5, 0.9),
+        enhancement=EnhancementConfig(enabled=enabled),
+        normal_phase_slots=20,
+        rounds=48,
+        traffic_model=CriticalTrafficModel.geometric(10),
+        seed=5,
+        scenario=scenario,
+    )
+    for enabled, scenario in (
+        (False, Scenario.SINGLE_CRITICAL),
+        (True, Scenario.TWO_CRITICAL_DURING_COLLISION),
+    )
+]
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs(), indices=st.lists(st.integers(0, 500), min_size=1, max_size=6, unique=True))
+@example(cfg=LARGE_BATCH[0], indices=list(range(95, 0, -2)))
+@example(cfg=LARGE_BATCH[1], indices=list(range(95, 0, -2)))
 def test_rounds_independent_of_batch_and_order(cfg, indices):
     batch = _run_batch(cfg, indices, keep_trace=True)
     for j, index in enumerate(indices):

@@ -209,17 +209,18 @@ class TestPostCriticalHandover:
         crit = np.arange(rounds) % params.n_users
         engine.set_critical(np.arange(rounds), crit, np.full(rounds, 2))
         transmitted = checked = 0
-        while len(engine.rounds):
-            c = crit[engine.rounds]
-            after = ~engine.users.critical[np.arange(len(c)), c]  # finished a slot ago
+        running = np.ones(rounds, dtype=bool)
+        while running.any():
+            # rounds whose critical user finished a slot ago
+            after = running & ~engine.users.critical[np.arange(rounds), crit]
             actions, observations, _ = engine.step()
             for j in np.flatnonzero(after):
-                others = np.delete(actions[j], c[j])
+                others = np.delete(actions[j], crit[j])
                 assert not others.any()
-                assert observations[j, c[j]] in (SUCCESS_CODE, IDLE_CODE)
-                transmitted += bool(actions[j, c[j]])
+                assert observations[j, crit[j]] in (SUCCESS_CODE, IDLE_CODE)
+                transmitted += bool(actions[j, crit[j]])
                 checked += 1
-            engine.keep(~after)
+            running &= ~after
         assert checked == rounds
         freq = transmitted / rounds
         se = math.sqrt(0.3 * 0.7 / rounds)
