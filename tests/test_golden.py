@@ -18,7 +18,11 @@ the eta sweep, a single- and a two-critical simulate report and a binding
 optimize.  The simulate cases cover the baseline and enhanced rules at
 N = 10 and 50, a 200-round run that spans several batches of rounds, a
 normal phase shorter than the T_c start margin, the enhanced rules without
-post-critical suppression, and all three two-critical scenarios.
+post-critical suppression, a traced N = 3 run of 600 rounds (two batches,
+each written in several trace chunks), and all three two-critical
+scenarios, among them during-collision runs whose invalid rounds once took
+a second batch (N = 10, 55 rounds) and that span several batches (N = 50,
+130 rounds).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from critmac.cli import main
 
 P10 = ["--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"]
 P50 = ["--n", "50", "--theta", "0.1", "--q", "0.0213", "--r", "0.4754"]
+P3 = ["--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896"]
 
 # case id -> (argv without --output/--trace-output, traced, exit code)
 CASES = {
@@ -113,6 +118,16 @@ CASES = {
     "sweep-qr-blocks-table": (["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
                                "--from", "0", "--to", "1", "--step", "0.01",
                                "--format", "table"], False, 0),
+    "scenario-during-collision-n10-55": (["simulate", *P10, "--rounds", "55", "--seed", "4",
+                                          "--enhanced", "--scenario",
+                                          "two-critical-during-collision", "--format", "json"],
+                                         True, 0),
+    "scenario-during-collision-n50-130": (["simulate", *P50, "--rounds", "130", "--seed", "9",
+                                           "--enhanced", "--scenario",
+                                           "two-critical-during-collision", "--format", "csv"],
+                                          True, 0),
+    "simulate-n3-600": (["simulate", *P3, "--rounds", "600", "--seed", "43", "--format", "json"],
+                        True, 0),
 }
 
 # case id -> (report digest, trace digest or None)
@@ -134,6 +149,12 @@ GOLDEN = {
     "scenario-during-collision": (
         "4f0cd2ffd0a7529ce5f21ef4a4fe97aefe2ed9e087f09e19ea02ad32e3f2f6ed",
         "fea595f55d7891c7c7b9bd3540b15cda96a91337713d1ba89cfcfedb574b9490"),
+    "scenario-during-collision-n10-55": (
+        "bda47a654b03613620285bef716b7579c3d713872794ac065073ea550aa45341",
+        "f45ca42b62036098a7e9b56a7f84caee86754e56b7b56eeb068e25e7954d6fc4"),
+    "scenario-during-collision-n50-130": (
+        "b8c22fbcf31d38fb19c05dcc12a03a82945da92ea6d592980d9d8e1d9dd394bd",
+        "a9a59ca5036d304a362ac3027627330fbe1e8f4ccea683fd56a7d44e16796e1a"),
     "scenario-during-success": (
         "1f03fcae55665ee714490aa93b0baedba44d4b4ff7a78d88a5eb596c786ca58a",
         "173a900d5ffc5212f735dcdd2dd425e8c794c42a6e11865a364a67e04d04a317"),
@@ -159,6 +180,9 @@ GOLDEN = {
     "simulate-n50-enhanced": (
         "61df3c706cd67b8a509b35d81a09a317054b6a210980c5bbf8b1b1d2c8e6f5a1",
         "3e4a756134ff62b0ab47218200c2299a62353a5e5d7dc77a973734f2b3874183"),
+    "simulate-n3-600": (
+        "2ebb3e998f059a21e90bf5d03aaf88672bc0fa93ad61530d7bc5b55c82a13b7c",
+        "b81765a7ed754b07726ae9ba7f7eb3c5321044acfc598fc34203f474e47e5684"),
     "simulate-no-suppress": (
         "c1528a4925875c2639458cb39efd26f9f84a297865db97997457c5fbdc84aa3b",
         "3f9fbe762397a189295589260858e826ab505e9df4fb44e097f18c29d9390add"),
