@@ -21,9 +21,13 @@ from critmac import (
     SimConfig,
     simulate_two_critical,
 )
+from critmac import sim
+from critmac.cli import main
 from critmac.sim import (
     TWO_CRITICAL_SCENARIOS,
+    _rounds_to_try,
     _run_batch,
+    _valid_share,
     _verify_two_critical_round,
     run_round,
 )
@@ -90,6 +94,88 @@ def test_requires_enhancement():
     # refused when the config is made, before any round runs or trace opens
     with pytest.raises(ScenarioUnsatisfiable, match="requires the enhanced rules"):
         SimConfig(params=P10, rounds=5, scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS, seed=1)
+
+
+@pytest.mark.parametrize("n,q,r,share", [
+    (3, 0.3397, 0.4896, 0.5949), (10, 0.1051, 0.4786, 0.7797), (50, 0.0213, 0.4754, 0.8417),
+])
+def test_during_collision_share_from_the_normal_chain(n, q, r, share):
+    # the chance that the first critical user's arrival slot collides
+    cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_COLLISION,
+                       params=ProtocolParams(n, 0.1, q, r), rounds=300, seed=n)
+    assert _valid_share(cfg) == pytest.approx(share, abs=1e-4)
+    # and the share of valid rounds a run sees, within four binomial deviations
+    summary = simulate_two_critical(cfg)
+    attempted = summary.attempted_rounds
+    seen = len(summary.valid_reports) / attempted
+    assert abs(seen - share) <= 4 * (share * (1 - share) / attempted) ** 0.5
+
+
+def test_valid_share_of_each_scenario():
+    fixed1 = CriticalTrafficModel.fixed(1)
+    geometric = CriticalTrafficModel.geometric(4.0)
+    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS)) == 1.0
+    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS,
+                                      traffic_model=geometric)) == 1.0
+    # a during-success round needs a packet left after the first success
+    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS)) == 1.0
+    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS,
+                                      traffic_model=fixed1)) == 0.0
+    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS,
+                                      traffic_model=geometric)) == 0.75
+    # at r = 1 the normal chain has several absorbing states: a share of 1
+    boundary = scenario_cfg(Scenario.TWO_CRITICAL_DURING_COLLISION,
+                            params=ProtocolParams(3, 0.1, 0.5, 1.0))
+    assert _valid_share(boundary) == 1.0
+
+
+def test_rounds_to_try():
+    # every round valid: exactly the rounds missing, within the limit
+    assert _rounds_to_try(55, 1.0, 275) == 55
+    assert _rounds_to_try(55, 1.0, 40) == 40
+    # a share of 0.78: 55 valid rounds and three binomial deviations
+    assert _rounds_to_try(55, 0.7797, 275) == 86
+    assert _rounds_to_try(55, 0.7797, 80) == 80
+    # no batch within the limit is expected to hold the rounds missing
+    assert _rounds_to_try(55, 0.2, 275) == 275
+    assert _rounds_to_try(55, 0.0, 275) == 275
+
+
+P10_ARGS = ["--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"]
+
+
+def batch_sizes(monkeypatch, argv):
+    """The rounds of each lockstep batch a CLI run runs."""
+    sizes = []
+    run_batch = sim._run_batch
+
+    def counted(cfg, indices, keep_trace):
+        sizes.append(len(indices))
+        return run_batch(cfg, indices, keep_trace)
+
+    monkeypatch.setattr(sim, "_run_batch", counted)
+    assert main(argv) == 0
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_during_collision_runs_one_batch(seed, monkeypatch, tmp_path):
+    # 55 rounds once took a second batch for the few valid rounds still missing
+    argv = ["simulate", *P10_ARGS, "--rounds", "55", "--seed", str(seed), "--enhanced",
+            "--scenario", "two-critical-during-collision", "--output", str(tmp_path / "out"),
+            "--trace-output", str(tmp_path / "trace")]
+    assert len(batch_sizes(monkeypatch, argv)) == 1
+
+
+@pytest.mark.parametrize("n,q,r,rounds,sizes", [
+    ("10", "0.1051", "0.4786", 55, [55]),
+    ("50", "0.0213", "0.4754", 130, [58, 58, 14]),  # batches bounded by memory
+])
+def test_simultaneous_runs_the_rounds_asked_for(n, q, r, rounds, sizes, monkeypatch, tmp_path):
+    argv = ["simulate", "--n", n, "--theta", "0.1", "--q", q, "--r", r, "--rounds", str(rounds),
+            "--seed", "1", "--enhanced", "--scenario", "two-critical-simultaneous",
+            "--output", str(tmp_path / "out"), "--trace-output", str(tmp_path / "trace")]
+    assert batch_sizes(monkeypatch, argv) == sizes
 
 
 def test_invalid_rounds_reported_not_verified():
@@ -189,3 +275,73 @@ def test_verifier_reports_each_broken_check(check, scenario, message):
     violations = _verify_two_critical_round(cfg, bad, users).violations
     assert any(message in v for v in violations), violations
 
+
+
+# geometric lengths of mean 2: the first completion often comes before the
+# inference bound, so the two never run rule g together
+SHORT = CriticalTrafficModel.geometric(2.0)
+
+
+@pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
+def test_short_traffic_zero_violations(scenario):
+    summary = simulate_two_critical(scenario_cfg(scenario, traffic_model=SHORT, seed=0))
+    assert summary.violation_count == 0
+    b = ENH.backoff_bound
+    for rep in summary.valid_reports:
+        if rep.first_joint_g_slot is None:
+            # no entry was owed: the first completion came before the bound
+            assert rep.completion_slots[0] < rep.arrival_slots[1] + b + 2
+            assert rep.first_shared_success_slot is None
+            assert rep.critical_collisions >= 1
+    if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
+        assert any(rep.first_joint_g_slot is None for rep in summary.valid_reports)
+
+
+@functools.cache
+def early_round():
+    """A during-success round whose first completion precedes a joint entry, as in valid_round."""
+    cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS, rounds=40, traffic_model=SHORT)
+    batch = _run_batch(cfg, range(40), keep_trace=True)
+    for j in range(40):
+        trace = batch.trace(j)
+        users = tuple(u for _, ev, u in sorted(trace.events) if ev == "critical_arrival")
+        if len(users) == 2:
+            report = _verify_two_critical_round(cfg, trace, users)
+            if report.first_joint_g_slot is None:
+                assert report.violations == []
+                return cfg, trace, users, report
+    raise AssertionError("no round ended before the joint entry")
+
+
+def moved_completion(trace, slot):
+    """The trace with its first completion event moved to slot."""
+    events = list(trace.events)
+    i = next(i for i, (_, ev, _) in enumerate(events) if ev == "completion")
+    events[i] = (slot, "completion", events[i][2])
+    return replace(trace, events=events)
+
+
+@pytest.mark.parametrize("shift,owed", [(1, False), (2, True)])
+def test_entry_owed_when_both_are_critical_at_the_bound(shift, owed):
+    cfg, trace, users, report = early_round()
+    bound = report.arrival_slots[1] + cfg.enhancement.backoff_bound
+    violations = _verify_two_critical_round(cfg, moved_completion(trace, bound + shift),
+                                            users).violations
+    assert ("a critical user never entered rule-g mode" in violations) == owed
+
+
+@pytest.mark.parametrize("check,reported", [
+    ("run-owner-entry", True),
+    ("collision", True),
+    ("handover", True),
+    ("idle-slot", True),
+    # the finisher never ran rule g, so it owes no wait after the idle slot
+    ("finisher-waits", False),
+])
+def test_checks_of_a_round_without_joint_entry(check, reported):
+    cfg, trace, users, report = early_round()
+    bad = edited(check, trace, users, report, cfg.enhancement.backoff_bound)
+    assert bad.cells.tobytes() != trace.cells.tobytes() or bad.events != trace.events
+    message = next(m for c, _, m in BROKEN_CHECKS if c == check)
+    violations = _verify_two_critical_round(cfg, bad, users).violations
+    assert any(message in v for v in violations) == reported, violations

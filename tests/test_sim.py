@@ -32,10 +32,12 @@ from critmac.protocol import (
     SUCCESS_CODE,
     normal_rule_table,
 )
+from critmac import sim
 from critmac.sim import (
     SlotEngine,
     _mean_se,
     _round_rng,
+    _run_batch,
     run_round,
     write_trace_header,
     write_trace_rows,
@@ -43,6 +45,19 @@ from critmac.sim import (
 
 P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
 P3 = ProtocolParams(3, 0.5, 0.3397, 0.4896)
+
+
+def reference_rows(trace):
+    """A round's trace rows in the documented format, written slot by slot."""
+    lines = []
+    rows = zip(trace.cells.tolist(), trace.critical_phase.tolist())
+    for t, (cells, critical) in enumerate(rows, 1):
+        fields = [str(trace.round_index), str(t), "critical" if critical else "normal"]
+        for c in cells:
+            traffic = TrafficType.CRITICAL if c & 1 else TrafficType.NORMAL
+            fields += ["T" if c >> 3 else "W", OBSERVATIONS[(c >> 1) & 3].value, traffic.value]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
 
 
 def small_cfg(**kwargs):
@@ -273,9 +288,23 @@ class TestExperiment:
         direct = io.StringIO()
         write_trace_header(direct, cfg.params.n_users)
         for idx in range(cfg.rounds):
-            trace, _ = run_round(cfg, idx)
-            write_trace_rows(direct, trace)
+            # the one-round batch that run_round runs
+            write_trace_rows(direct, _run_batch(cfg, [idx], keep_trace=True), 0, 1)
         assert sink.getvalue() == direct.getvalue()
+
+    @pytest.mark.parametrize("chunk", [1, 5, 2048])
+    @pytest.mark.parametrize("params", [P3, P10], ids=["odd-users", "even-users"])
+    def test_batch_writer_matches_rows_written_slot_by_slot(self, params, chunk, monkeypatch):
+        # rounds of several lengths, written whole and in part, in chunks
+        # that split rounds and chunks that hold them all
+        cfg = small_cfg(params=params, rounds=6, traffic_model=CriticalTrafficModel.geometric(5))
+        batch = _run_batch(cfg, range(3, 9), keep_trace=True)
+        monkeypatch.setattr(sim, "_TRACE_CHUNK_ROWS", chunk)
+        for start, stop in ((0, 6), (2, 5), (4, 4)):
+            sink = io.StringIO()
+            write_trace_rows(sink, batch, start, stop)
+            expected = [reference_rows(batch.trace(j)) for j in range(start, stop)]
+            assert sink.getvalue() == "".join(expected)
 
     def test_trace_format(self):
         cfg = small_cfg(rounds=1)
