@@ -20,9 +20,10 @@ so all its rounds are always at the same slot, and row j of every array is
 round j until the batch ends: a round that has ended keeps its row and
 steps on, and none of its later slots is read.  Each round draws its
 uniforms from its own stream, so those extra slots change no other round.
-The round structure (normal phase, the simultaneous scenario's
-collision-free boundary, critical arrivals and the second injection, the
-scenario tail) is applied between steps, to each round separately.  A
+The round structure is applied between steps, to each round separately:
+after its normal phase a round is guarded (simultaneous scenario only,
+until a collision-free boundary), then critical until its critical users
+finish, then done, with its end slot recorded (see :func:`_run_batch`).  A
 batch holds as many rounds as its memory allows (:func:`_batch_rounds`):
 its block of uniforms and its rounds' own state (generators, trace cells)
 each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So a batch's
@@ -419,13 +420,13 @@ def _round_rng(seed: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, round_index))))
 
 
-# stages of a round after its normal phase; a _DONE round has ended
-_GUARD, _CRITICAL, _TAIL, _DONE = 0, 1, 2, 3
+# stages of a round after its normal phase (see _run_batch)
+_GUARD, _CRITICAL, _DONE = 0, 1, 2
 
 
 @dataclass
 class _Batch:
-    """A batch of rounds run in lockstep, by position in the batch."""
+    """A batch of rounds run in lockstep, by position in the batch, each to its end slot."""
 
     indices: list[int]
     flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
@@ -434,7 +435,9 @@ class _Batch:
     events: list[list[tuple[int, str, int]]]
     cells: np.ndarray | None      # (slots, rounds, users) packed trace cells, when kept
     critical_phase: np.ndarray | None  # (slots, rounds)
-    slots: np.ndarray             # slots each round ran
+    slots: np.ndarray             # slots each round ran: its end slot
+    pairs: np.ndarray             # (rounds, 2) critical users by arrival, simultaneous by index
+    injected: np.ndarray          # the second arrived (pairs[:, 1] is -1 if single-critical)
 
     def trace(self, j: int) -> SlotTrace:
         if self.cells is None:
@@ -449,7 +452,15 @@ class _Batch:
 
 
 def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Batch:
-    """Run the rounds `indices` in lockstep: a normal phase, then the scenario's critical phase."""
+    """Run the rounds `indices` in lockstep: a normal phase, then the scenario's critical phase.
+
+    After its normal phase a round passes through three stages: guard (the
+    simultaneous scenario only, until a collision-free boundary), critical
+    (until its critical users finish) and done.  Its end slot is recorded
+    when it is done, ``_SCENARIO_TAIL_SLOTS`` later in a round that admitted
+    the second arrival, so that its trace shows the handover.  The batch
+    ends at its last end slot.
+    """
     params, scenario = cfg.params, cfg.scenario
     n, w = params.n_users, cfg.normal_phase_slots
     two_crit = scenario in TWO_CRITICAL_SCENARIOS
@@ -457,8 +468,8 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
 
     rngs = [_round_rng(cfg.seed, i) for i in indices]
     size = len(rngs)
-    first = np.empty(size, dtype=np.intp)
-    second = np.empty(size, dtype=np.intp)
+    pairs = np.full((size, 2), -1, dtype=np.intp)
+    first, second = pairs.T
     lengths = np.empty((size, 2), dtype=np.int64)
     for j, rng in enumerate(rngs):
         first[j] = rng.integers(n)
@@ -490,8 +501,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     # the first critical user's observation that lets the second one arrive
     trigger = SUCCESS_CODE if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS else FAILURE_CODE
     injected = np.zeros(size, dtype=bool)
-    # slots run in the current stage, kept in the two-critical scenarios
-    stage_slots = np.zeros(size, dtype=np.int64)
     collisions = np.zeros(size, dtype=np.int64)
     critical_slots = np.zeros(size, dtype=np.int64)
     slots = np.full(size, w, dtype=np.int64)
@@ -512,40 +521,23 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
             if ready.any():
                 arrive(np.flatnonzero(ready))
                 stage[ready] = _CRITICAL
-                stage_slots[ready] = 0
         elif two_crit:
-            # inject only on an in-phase observation of the first critical user
-            ready = (
-                (stage == _CRITICAL)
-                & ~injected
-                & users.critical[rows, first]
-                & users.in_phase[rows, first]
-                & (users.last[rows, first] == trigger)
-            )
+            # inject on an in-phase observation of the first, so far only, critical user
+            ready = (users.critical & users.in_phase & (users.last == trigger)).any(axis=1)
+            ready &= (stage == _CRITICAL) & ~injected
             if ready.any():
                 sel = np.flatnonzero(ready)
                 engine.set_critical(sel, second[sel], lengths[sel, 1])
                 injected[sel] = True
         # a round's only critical users are its first and second ones
-        live = users.critical[rows, first]
-        if two_crit:
-            live |= users.critical[rows, second]
-        over = (stage == _CRITICAL) & ~live
-        if two_crit:
-            tail = over & injected
-            stage[tail] = _TAIL
-            stage_slots[tail] = 0
-            over &= ~tail
-            over |= (stage == _TAIL) & (stage_slots == _SCENARIO_TAIL_SLOTS)
+        over = (stage == _CRITICAL) & ~users.critical.any(axis=1)
         if over.any():
-            slots[over] = engine.slot
+            slots[over] = engine.slot + _SCENARIO_TAIL_SLOTS * injected[over]
             stage[over] = _DONE
-            if (stage == _DONE).all():
-                break
+        if engine.slot == slots.max() and (stage == _DONE).all():
+            break
 
         tx, obs, k = engine.step()
-        if two_crit:
-            stage_slots += 1
         in_critical = stage == _CRITICAL
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
@@ -553,15 +545,16 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         critical_slots += in_critical
         # a failure is always the user's own transmission
         collisions += in_critical & (obs[rows, first] == FAILURE_CODE)
-        # no stage has run longer than the slots since the normal phase
+        # no round has been critical longer than the slots since the normal
+        # phase, and a guarded round has waited all of them
         ran = engine.slot - w
         if ran > _MAX_CRITICAL_SLOTS and critical_slots.max() > _MAX_CRITICAL_SLOTS:
             raise RuntimeError("critical phase failed to terminate")
-        if simultaneous and ran > _GUARD_SLOTS and (
-            stage_slots[stage == _GUARD].max(initial=0) > _GUARD_SLOTS
-        ):
+        if ran > _GUARD_SLOTS and (stage == _GUARD).any():
             raise RuntimeError("no collision-free boundary found")
 
+    if simultaneous:
+        pairs.sort(axis=1)
     return _Batch(
         indices=list(indices),
         flags=flags,
@@ -571,6 +564,8 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         cells=np.stack(cells) if keep_trace else None,
         critical_phase=np.stack(phases) if keep_trace else None,
         slots=slots,
+        pairs=pairs,
+        injected=injected,
     )
 
 
@@ -866,8 +861,12 @@ def _verify_rounds(
     finisher's last success as busy, and rule_g and the plain critical rule
     both transmit then), but only a finisher that had entered rule_g waits
     after the idle slot: the wait belongs to a shared phase.
+
+    The handover is checked only with ``suppress_after_critical``: without
+    its wait the finisher is a normal user and may take the survivor's slot.
     """
     b = cfg.enhancement.backoff_bound
+    handover = cfg.enhancement.suppress_after_critical
     count = len(indices)
     reports = []
     # per round: the second arrival, the first completion, its user, the joint entry (0: none)
@@ -971,6 +970,8 @@ def _verify_rounds(
             report.first_shared_success_slot = int(shared[j])
             if broken_at[j]:
                 v.append(f"alternation broken at slot {broken_at[j]}")
+        if not handover:  # no wait after a critical phase: no handover owed
+            continue
         if not took_over[j]:
             v.append("survivor did not take the slot after the first completion")
         if not idle[j]:
@@ -1087,24 +1088,16 @@ def simulate_two_critical(
         size = _rounds_to_try(cfg.rounds - valid, share, limit - idx)
         size = max(1, min(size, _batch_rounds(cfg, keep_trace=True)))
         batch = _run_batch(cfg, range(idx, idx + size), keep_trace=True)
-        # the batch's rounds up to the one that completes the count, and the
-        # critical users of its valid ones, by arrival (simultaneous ones by index)
-        pairs: dict[int, tuple[int, int]] = {}
-        used = 0
-        while used < size and valid < cfg.rounds:
-            events = sorted(batch.events[used])
-            arrived = tuple(u for _, ev, u in events if ev == "critical_arrival")
-            if len(arrived) == 2:
-                pairs[used] = arrived
-                valid += 1
-            used += 1
-        rows = list(pairs)
+        # the batch's valid rounds up to the one that completes the count
+        rows = np.flatnonzero(batch.injected)[: cfg.rounds - valid]
+        used = int(rows[-1]) + 1 if valid + len(rows) == cfg.rounds else size
+        valid += len(rows)
         checked = iter(_verify_rounds(
             cfg, batch.cells[:, rows], batch.slots[rows], [batch.events[j] for j in rows],
-            list(pairs.values()), [idx + j for j in rows],
+            batch.pairs[rows].tolist(), (idx + rows).tolist(),
         ))
         reports += [
-            next(checked) if j in pairs
+            next(checked) if batch.injected[j]
             else ScenarioRoundReport(round_index=idx + j, injected=False)
             for j in range(used)
         ]

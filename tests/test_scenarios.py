@@ -178,6 +178,39 @@ def test_simultaneous_runs_the_rounds_asked_for(n, q, r, rounds, sizes, monkeypa
     assert batch_sizes(monkeypatch, argv) == sizes
 
 
+@pytest.mark.parametrize("scenario", [Scenario.SINGLE_CRITICAL, *TWO_CRITICAL_SCENARIOS])
+def test_batch_pairs_are_the_arrivals(scenario):
+    # the critical users a batch reports, against those its events record
+    batch = _run_batch(scenario_cfg(scenario), range(60), keep_trace=False)
+    for j, events in enumerate(batch.events):
+        arrived = tuple(u for _, ev, u in sorted(events) if ev == "critical_arrival")
+        assert arrived == tuple(batch.pairs[j, : 1 + batch.injected[j]].tolist())
+    if scenario is Scenario.SINGLE_CRITICAL:
+        assert not batch.injected.any() and (batch.pairs[:, 1] == -1).all()
+    elif scenario is Scenario.TWO_CRITICAL_DURING_COLLISION:
+        assert 0 < batch.injected.sum() < 60  # valid and invalid rounds both
+    else:
+        assert batch.injected.all()
+
+
+def test_guard_overrun_raises(monkeypatch):
+    # a round whose normal phase ends in a collision waits for a free boundary
+    cfg = scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS)
+    monkeypatch.setattr(sim, "_GUARD_SLOTS", 0)
+    with pytest.raises(RuntimeError, match="no collision-free boundary found"):
+        _run_batch(cfg, range(60), keep_trace=False)
+
+
+@pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
+def test_no_suppress_after_critical_zero_violations(scenario):
+    # without the wait after a critical phase the finisher may take the
+    # survivor's slot, so no handover is owed
+    enh = replace(ENH, suppress_after_critical=False)
+    summary = simulate_two_critical(scenario_cfg(scenario, enhancement=enh))
+    assert len(summary.valid_reports) == 150
+    assert summary.violation_count == 0
+
+
 def test_invalid_rounds_reported_not_verified():
     # during-collision rounds where the first critical succeeds immediately
     # carry no injection and are excluded from the valid set
@@ -194,9 +227,8 @@ def valid_round(scenario):
     cfg = scenario_cfg(scenario, rounds=20)
     batch = _run_batch(cfg, range(20), keep_trace=True)
     for j in range(20):
-        trace = batch.trace(j)
-        users = tuple(u for _, ev, u in sorted(trace.events) if ev == "critical_arrival")
-        if len(users) == 2:
+        trace, users = batch.trace(j), tuple(batch.pairs[j].tolist())
+        if batch.injected[j]:
             report = _verify_two_critical_round(cfg, trace, users)
             assert report.violations == []
             return cfg, trace, users, report
@@ -303,9 +335,8 @@ def early_round():
     cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS, rounds=40, traffic_model=SHORT)
     batch = _run_batch(cfg, range(40), keep_trace=True)
     for j in range(40):
-        trace = batch.trace(j)
-        users = tuple(u for _, ev, u in sorted(trace.events) if ev == "critical_arrival")
-        if len(users) == 2:
+        trace, users = batch.trace(j), tuple(batch.pairs[j].tolist())
+        if batch.injected[j]:
             report = _verify_two_critical_round(cfg, trace, users)
             if report.first_joint_g_slot is None:
                 assert report.violations == []

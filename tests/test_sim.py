@@ -330,6 +330,16 @@ class TestExperiment:
         assert repr(_mean_se(arr.copy())) == repr((float(arr.mean()), float(se)))
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_critical_overrun_raises(scenario, monkeypatch):
+    # the cap is lowered after the config has accepted 20-slot traffic
+    cfg = SimConfig(params=P10, enhancement=EnhancementConfig(enabled=True), rounds=5,
+                    scenario=scenario)
+    monkeypatch.setattr(sim, "_MAX_CRITICAL_SLOTS", 5)
+    with pytest.raises(RuntimeError, match="critical phase failed to terminate"):
+        _run_batch(cfg, range(5), keep_trace=False)
+
+
 class TestTrafficModel:
     def test_fixed(self):
         m = CriticalTrafficModel.fixed(7)
