@@ -41,7 +41,6 @@ from .sim import (
     ScenarioRoundReport,
     ScenarioSummary,
     SimConfig,
-    SlotTrace,
     run_experiment,
     simulate_two_critical,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ScenarioUnsatisfiable",
     "SimConfig",
     "SingularSystem",
-    "SlotTrace",
     "SolutionStatus",
     "SweepAxis",
     "TrafficType",

@@ -298,23 +298,23 @@ def _cmd_simulate(args) -> int:
         for r in valid
         if r.first_joint_g_slot is not None
     ]
-    rows = [
-        {
-            "round": r.round_index,
-            "injected": r.injected,
-            "second_arrival": r.arrival_slots[1] if r.arrival_slots else "",
-            "slots_to_joint_inference": (
-                (r.first_joint_g_slot - r.arrival_slots[1])
-                if r.first_joint_g_slot is not None
-                else ""
-            ),
-            "critical_collisions": r.critical_collisions,
-            "first_finisher": r.completion_order[0] if r.completion_order else "",
-            "violations": ";".join(r.violations),
-        }
-        for r in summary.reports
-    ]
     if args.format == "csv":
+        rows = [
+            {
+                "round": r.round_index,
+                "injected": r.injected,
+                "second_arrival": r.arrival_slots[1] if r.arrival_slots else "",
+                "slots_to_joint_inference": (
+                    (r.first_joint_g_slot - r.arrival_slots[1])
+                    if r.first_joint_g_slot is not None
+                    else ""
+                ),
+                "critical_collisions": r.critical_collisions,
+                "first_finisher": r.completion_order[0] if r.completion_order else "",
+                "violations": ";".join(r.violations),
+            }
+            for r in summary.reports
+        ]
         cols = ["round", "injected", "second_arrival", "slots_to_joint_inference",
                 "critical_collisions", "first_finisher", "violations"]
         _emit(args.output, [_render_rows(cols, rows, "csv")])

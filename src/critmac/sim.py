@@ -32,10 +32,10 @@ whose cost is mostly fixed, serves hundreds of rounds.  A two-critical run
 sizes its batches from the share of its rounds expected to admit the second
 arrival (:func:`_valid_share`), so one batch usually holds the whole run,
 and verifies each batch's rounds together (:func:`_verify_rounds`).  A
-traced batch is written as one range of rounds (:func:`write_trace_rows`),
-in chunks of rows.  A run's records do grow: per-round counts, contention
-periods and scenario reports, with its rounds and normal-phase slots, up to
-the bounds that :class:`SimConfig` sets.
+traced batch keeps only its packed cells, and is written from them in
+chunks of rows (:func:`write_trace_rows`).  A run's records do grow:
+per-round counts, contention periods and scenario reports, with its rounds
+and normal-phase slots, up to the bounds that :class:`SimConfig` sets.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
@@ -191,24 +191,28 @@ class SimConfig:
         two_crit = self.scenario in TWO_CRITICAL_SCENARIOS
         if two_crit and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
+        # collisions on top of a critical phase's packets (none for one user): at
+        # most b under the enhanced rules, b + 1 before two critical users infer each other
+        collisions = 0.0 if self.params.n_users < 2 else self.enhancement.backoff_bound + two_crit
         if self.params.n_users >= 2 and not self.enhancement.enabled:
             # the base rules do not bound collisions: N - 1 colliders take this
             # many slots on average to clear, and at r = 1 they never back off
             r = self.params.r
             clear = math.inf if r == 1.0 else markov.critical_hitting_times(self.params)[-1]
-            if clear * _GEOMETRIC_TAIL > _MAX_CRITICAL_SLOTS:
+            collisions = clear * _GEOMETRIC_TAIL
+            if collisions > _MAX_CRITICAL_SLOTS:
                 raise BadParams(
                     f"r = {r} needs the enhanced rules: colliding users take {clear:.0f} slots "
                     f"on average to clear, above the {_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL} "
                     f"that the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap allows"
                 )
-        if two_crit and self.traffic_model.kind == "fixed" and (
-            2 * self.traffic_model.value > _MAX_CRITICAL_SLOTS
-        ):
-            raise BadParams(
-                f"two critical lengths of {int(self.traffic_model.value)} slots exceed the "
-                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
-            )
+        if self.traffic_model.kind == "fixed":
+            packets = (1 + two_crit) * int(self.traffic_model.value)
+            if packets + collisions > _MAX_CRITICAL_SLOTS:
+                raise BadParams(
+                    f"{packets} critical packets and {collisions:.0f} collisions on top exceed "
+                    f"the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+                )
         if two_crit and not self.enhancement.enabled:
             raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
 
@@ -228,15 +232,15 @@ def _batch_rounds(cfg: SimConfig, keep_trace: bool) -> int:
     within it by :meth:`SlotEngine._uniforms`; a batch leaves each round
     at least ``_EXTRA_ROWS`` rows of it.  Each round's own state, its
     generator (about 1.7 KB, charged as ``_EXTRA_ROWS ** 2`` floats) and,
-    when traced, its packed cells and phase flags, must fit the budget as
-    well.  Trace cells are kept as full batch rows, ended rounds included,
-    once per step and once as the batch's array.  So a batch holds about
-    twice the budget, whatever the number of rounds.
+    when traced, its packed cells (one byte per user and slot), must fit
+    the budget as well.  Trace cells are kept as full batch rows, ended
+    rounds included, once per step and once as the batch's array.  So a
+    batch holds about twice the budget, whatever the number of rounds.
     """
     n = cfg.params.n_users
     own = _EXTRA_ROWS**2
     if keep_trace:
-        own += _expected_slots(cfg) * (2 * n + 1) // 8
+        own += _expected_slots(cfg) * 2 * n // 8
     return max(1, markov._STACK_ELEMENTS // max(_EXTRA_ROWS * n, own))
 
 
@@ -253,13 +257,12 @@ class SlotTrace:
     """One round's slots as arrays: row t is slot t + 1.
 
     ``cells`` packs each user's action, observation code and traffic per
-    slot (see :func:`_pack`; :attr:`actions` and :attr:`observations` unpack
-    two of them); ``critical_phase`` marks the critical-phase slots.
+    slot (see :func:`_pack`); :attr:`actions`, :attr:`observations` and
+    :attr:`critical_phase` read them.
     """
 
     round_index: int
     cells: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.uint8))
-    critical_phase: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
     # (slot, event, user); events: critical_arrival, g_entry, g_revert, completion
     events: list[tuple[int, str, int]] = field(default_factory=list)
 
@@ -270,6 +273,11 @@ class SlotTrace:
     @property
     def observations(self) -> np.ndarray:
         return (self.cells >> 1) & 3
+
+    @property
+    def critical_phase(self) -> np.ndarray:
+        """The critical-phase slots: those in which some user carried critical traffic."""
+        return (self.cells & 1).any(axis=1)
 
 
 @dataclass
@@ -300,7 +308,8 @@ class SlotEngine:
     ``two_critical_inference`` is set, which the scenario runner enables;
     single-critical experiments never evaluate those triggers.  Failure
     runs (``users.failures``) are counted only under the enhanced rules or
-    the inference, the only rules that read them.
+    the inference, the only rules that read them.  ``completed`` is the
+    last slot in which some user's critical traffic completed.
     """
 
     def __init__(
@@ -326,6 +335,7 @@ class SlotEngine:
         self._ones = np.ones(params.n_users)
         # only the enhanced rules and the two-critical inference read failure runs
         self._count_failures = enhancement.enabled or two_critical_inference
+        self.completed = -1
 
     def set_critical(self, at: np.ndarray, users: np.ndarray, packets: np.ndarray) -> None:
         """Give user users[j] of round at[j] critical traffic, effective next slot."""
@@ -388,6 +398,7 @@ class SlotEngine:
         s.remaining -= served
         done = served & (s.remaining == 0)
         if done.any():
+            self.completed = self.slot
             s.yield_after_idle |= done & s.g_mode
             keep = ~done
             critical &= keep
@@ -426,7 +437,11 @@ _GUARD, _CRITICAL, _DONE = 0, 1, 2
 
 @dataclass
 class _Batch:
-    """A batch of rounds run in lockstep, by position in the batch, each to its end slot."""
+    """A batch of rounds run in lockstep, by position in the batch, each to its end slot.
+
+    A traced batch keeps its packed cells, and nothing else per slot: a
+    slot's phase is read from its cells (see :attr:`SlotTrace.critical_phase`).
+    """
 
     indices: list[int]
     flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
@@ -434,21 +449,13 @@ class _Batch:
     collisions: np.ndarray        # the first critical user's failures in its critical phase
     events: list[list[tuple[int, str, int]]]
     cells: np.ndarray | None      # (slots, rounds, users) packed trace cells, when kept
-    critical_phase: np.ndarray | None  # (slots, rounds)
     slots: np.ndarray             # slots each round ran: its end slot
     pairs: np.ndarray             # (rounds, 2) critical users by arrival, simultaneous by index
     injected: np.ndarray          # the second arrived (pairs[:, 1] is -1 if single-critical)
 
     def trace(self, j: int) -> SlotTrace:
-        if self.cells is None:
-            return SlotTrace(round_index=self.indices[j], events=self.events[j])
-        end = self.slots[j]
-        return SlotTrace(
-            round_index=self.indices[j],
-            cells=self.cells[:end, j],
-            critical_phase=self.critical_phase[:end, j],
-            events=self.events[j],
-        )
+        """Round j's trace; the batch must be traced."""
+        return SlotTrace(self.indices[j], self.cells[: self.slots[j], j], self.events[j])
 
 
 def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Batch:
@@ -484,14 +491,11 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     )
     flags = np.empty((size, w), dtype=bool)
     cells: list[np.ndarray] = []  # packed trace cells of every round, per step
-    phases: list[np.ndarray] = []  # critical-phase flags of every round, per step
-    normal = np.zeros(size, dtype=bool)
     for t in range(w):
         tx, obs, k = engine.step()
         flags[:, t] = k == 1
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
-            phases.append(normal)
 
     stage = np.full(size, _CRITICAL)
     if simultaneous:
@@ -529,9 +533,9 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
                 sel = np.flatnonzero(ready)
                 engine.set_critical(sel, second[sel], lengths[sel, 1])
                 injected[sel] = True
-        # a round's only critical users are its first and second ones
-        over = (stage == _CRITICAL) & ~users.critical.any(axis=1)
-        if over.any():
+        # a round ends in a step in which its last critical user (first or second) completed
+        if engine.completed == engine.slot:
+            over = (stage == _CRITICAL) & ~users.critical.any(axis=1)
             slots[over] = engine.slot + _SCENARIO_TAIL_SLOTS * injected[over]
             stage[over] = _DONE
         if engine.slot == slots.max() and (stage == _DONE).all():
@@ -541,7 +545,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         in_critical = stage == _CRITICAL
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
-            phases.append(in_critical)
         critical_slots += in_critical
         # a failure is always the user's own transmission
         collisions += in_critical & (obs[rows, first] == FAILURE_CODE)
@@ -562,7 +565,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         collisions=collisions,
         events=engine.events,
         cells=np.stack(cells) if keep_trace else None,
-        critical_phase=np.stack(phases) if keep_trace else None,
         slots=slots,
         pairs=pairs,
         injected=injected,
@@ -606,11 +608,9 @@ def _normal_phase_stats(flags: np.ndarray) -> _PhaseStats:
     )
 
 
-def run_round(
-    cfg: SimConfig, round_index: int, *, keep_trace: bool = True
-) -> tuple[SlotTrace, RoundStats]:
-    """Simulate one round: a normal phase, then the scenario's critical phase."""
-    batch = _run_batch(cfg, [round_index], keep_trace)
+def run_round(cfg: SimConfig, round_index: int) -> tuple[SlotTrace, RoundStats]:
+    """Simulate and trace one round: a normal phase, then the scenario's critical phase."""
+    batch = _run_batch(cfg, [round_index], keep_trace=True)
     ph = _normal_phase_stats(batch.flags)
     stats = RoundStats(
         contention_lengths=ph.period_length.tolist(),
@@ -685,7 +685,7 @@ def run_experiment(cfg: SimConfig, trace_sink: IO[str] | None = None) -> Experim
         indices = range(start, min(start + size, cfg.rounds))
         batch = _run_batch(cfg, indices, keep_trace)
         if keep_trace:
-            write_trace_rows(trace_sink, batch, 0, len(indices))
+            write_trace_rows(trace_sink, batch, len(indices))
         ph = _normal_phase_stats(batch.flags)
         trials += int(ph.trials.sum())
         stops += int(ph.stops.sum())
@@ -754,19 +754,20 @@ def write_trace_header(sink: IO[str], n_users: int) -> None:
     sink.write(",".join(trace_columns(n_users)) + "\n")
 
 
-def write_trace_rows(sink: IO[str], batch: _Batch, start: int, stop: int) -> None:
-    """Write rounds start..stop-1 of a traced batch, each round's slots in order.
+def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
+    """Write the first `rounds` rounds of a traced batch, each round's slots in order.
 
     The rows are written in chunks of at most ``_TRACE_CHUNK_ROWS``: each
     chunk is an object array of text pieces, looked up for all its rows at
     once (the round, the slot and phase, one per pair of user cells, and a
-    last single cell when the users are odd), and one join.
+    last single cell when the users are odd), and one join.  A slot is in
+    the critical phase when some user's cell carries critical traffic.
     """
-    slots = batch.slots[start:stop]
+    slots = batch.slots[:rounds]
     if not len(slots):
         return
     ends = np.cumsum(slots)
-    heads = np.array([f"{i}," for i in batch.indices[start:stop]], dtype=object)
+    heads = np.array([f"{i}," for i in batch.indices[:rounds]], dtype=object)
     # slot t of phase f is steps[2 * (t - 1) + f]
     steps = np.array(
         [f"{t},{phase}," for t in range(1, int(slots.max()) + 1) for phase in _PHASES],
@@ -777,13 +778,12 @@ def write_trace_rows(sink: IO[str], batch: _Batch, start: int, stop: int) -> Non
     pieces = np.empty((min(_TRACE_CHUNK_ROWS, ends[-1]), 2 + half + users % 2), dtype=object)
     for first in range(0, ends[-1], _TRACE_CHUNK_ROWS):
         row = np.arange(first, min(first + _TRACE_CHUNK_ROWS, ends[-1]))
-        k = np.searchsorted(ends, row, side="right")  # the row's round, k-th of the range
+        k = np.searchsorted(ends, row, side="right")  # the row's round
         t = row - ends[k] + slots[k]  # and its slot, from 0
-        j = start + k
-        cells = batch.cells[t, j]
+        cells = batch.cells[t, k]
         out = pieces[: len(row)]
         out[:, 0] = heads[k]
-        out[:, 1] = steps[2 * t + batch.critical_phase[t, j]]
+        out[:, 1] = steps[2 * t + (cells & 1).any(axis=1)]
         pairs = cells[:, 0 : 2 * half : 2] << 4 | cells[:, 1 : 2 * half : 2]
         if users % 2:
             out[:, 2:-1] = _PAIRS_INNER[pairs]
@@ -871,7 +871,6 @@ def _verify_rounds(
     reports = []
     # per round: the second arrival, the first completion, its user, the joint entry (0: none)
     a2, done, finisher, joint = np.zeros((4, count), dtype=np.int64)
-    entered = []
     for j in range(count):
         u1, u2 = users[j]
         arrivals = {u: s for s, ev, u in events[j] if ev == "critical_arrival"}
@@ -888,7 +887,6 @@ def _verify_rounds(
             completion_order=[u for _, u in completions],
             completion_slots=[s for s, _ in completions],
         ))
-        entered.append(entries)
         a2[j] = arrivals[u2]
         done[j], finisher[j] = completions[0]
         joint[j] = max(entries.values()) if len(entries) == 2 else 0
@@ -936,7 +934,7 @@ def _verify_rounds(
 
     for j, report in enumerate(reports):
         u1, u2 = users[j]
-        entries = entered[j]
+        entries = report.g_entry_slots
         v = report.violations
         if not joint[j] and done[j] >= a2[j] + b + 2:
             # both were still critical when the inference bound ran out
@@ -1102,7 +1100,7 @@ def simulate_two_critical(
             for j in range(used)
         ]
         if trace_sink is not None:
-            write_trace_rows(trace_sink, batch, 0, used)
+            write_trace_rows(trace_sink, batch, used)
         idx += used
     if valid < cfg.rounds:
         raise ScenarioUnsatisfiable(

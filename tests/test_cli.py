@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from critmac import (
     CriticalTrafficModel,
+    EnhancementConfig,
     ProtocolParams,
     Scenario,
     ScenarioRoundReport,
@@ -264,6 +265,12 @@ class TestSimulate:
         ["--x-fixed", "60000", "--enhanced", "--scenario", "two-critical-simultaneous"],
         # base rules: two colliders need about 150 000 slots on average to clear
         ["--r", "0.99999", "--rounds", "3"],
+        # b + 1 collisions before the two critical users infer each other
+        ["--enhanced", "--b", "100000", "--scenario", "two-critical-simultaneous"],
+        # packets at the cap, and collisions on top
+        ["--x-fixed", "100000", "--seed", "2"],
+        ["--x-fixed", "100000", "--seed", "2", "--enhanced"],
+        ["--x-fixed", "50000", "--enhanced", "--scenario", "two-critical-simultaneous"],
     ])
     def test_critical_traffic_beyond_the_slot_cap_is_rejected(self, traffic, monkeypatch):
         # a critical phase longer than the 100 000-slot cap can only end in
@@ -279,6 +286,15 @@ class TestSimulate:
         proc = run_cli(*argv, check=False)
         assert_one_line_error(proc, 2)
         assert "BadParams" in proc.stderr
+
+    def test_collisions_at_the_slot_cap_are_accepted(self):
+        params = ProtocolParams(3, 0.1, 0.3397, 0.4896)
+        # 20 packets each and b + 1 = 99 901 collisions
+        SimConfig(params=params, enhancement=EnhancementConfig(True, 99_900),
+                  scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS)
+        # b = 5 collisions on top of the packets
+        SimConfig(params=params, enhancement=EnhancementConfig(True),
+                  traffic_model=CriticalTrafficModel.fixed(99_995))
 
     def test_critical_traffic_at_the_slot_cap_is_accepted(self):
         assert CriticalTrafficModel.fixed(100_000).value == 100_000

@@ -169,7 +169,7 @@ def test_during_collision_runs_one_batch(seed, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("n,q,r,rounds,sizes", [
     ("10", "0.1051", "0.4786", 55, [55]),
-    ("50", "0.0213", "0.4754", 130, [58, 58, 14]),  # batches bounded by memory
+    ("50", "0.0213", "0.4754", 130, [59, 59, 12]),  # batches bounded by memory
 ])
 def test_simultaneous_runs_the_rounds_asked_for(n, q, r, rounds, sizes, monkeypatch, tmp_path):
     argv = ["simulate", "--n", n, "--theta", "0.1", "--q", q, "--r", r, "--rounds", str(rounds),

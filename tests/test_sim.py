@@ -78,9 +78,11 @@ class TestDeterminism:
 
     def test_stats_independent_of_tracing(self):
         cfg = small_cfg()
-        _, with_trace = run_round(cfg, 9, keep_trace=True)
-        _, without = run_round(cfg, 9, keep_trace=False)
-        assert with_trace == without
+        with_trace = _run_batch(cfg, range(cfg.rounds), keep_trace=True)
+        without = _run_batch(cfg, range(cfg.rounds), keep_trace=False)
+        for name in ("flags", "collisions", "critical_slots", "slots"):
+            assert getattr(with_trace, name).tobytes() == getattr(without, name).tobytes()
+        assert with_trace.events == without.events
 
     def test_rounds_reproducible_out_of_order(self):
         cfg = small_cfg()
@@ -149,9 +151,8 @@ class TestEnhancedRules:
 
     def test_hard_delay_bound(self):
         cfg = small_cfg(params=P10, enhancement=self.ENH, rounds=400, seed=5)
-        for idx in range(cfg.rounds):
-            _, stats = run_round(cfg, idx, keep_trace=False)
-            assert stats.critical_collisions <= self.ENH.backoff_bound
+        batch = _run_batch(cfg, range(cfg.rounds), keep_trace=False)
+        assert batch.collisions.max() <= self.ENH.backoff_bound
 
     def test_normal_users_never_exceed_backoff_run(self):
         cfg = small_cfg(params=P10, enhancement=self.ENH, rounds=1, seed=8)
@@ -289,7 +290,7 @@ class TestExperiment:
         write_trace_header(direct, cfg.params.n_users)
         for idx in range(cfg.rounds):
             # the one-round batch that run_round runs
-            write_trace_rows(direct, _run_batch(cfg, [idx], keep_trace=True), 0, 1)
+            write_trace_rows(direct, _run_batch(cfg, [idx], keep_trace=True), 1)
         assert sink.getvalue() == direct.getvalue()
 
     @pytest.mark.parametrize("chunk", [1, 5, 2048])
@@ -300,10 +301,10 @@ class TestExperiment:
         cfg = small_cfg(params=params, rounds=6, traffic_model=CriticalTrafficModel.geometric(5))
         batch = _run_batch(cfg, range(3, 9), keep_trace=True)
         monkeypatch.setattr(sim, "_TRACE_CHUNK_ROWS", chunk)
-        for start, stop in ((0, 6), (2, 5), (4, 4)):
+        for rounds in (6, 3, 0):
             sink = io.StringIO()
-            write_trace_rows(sink, batch, start, stop)
-            expected = [reference_rows(batch.trace(j)) for j in range(start, stop)]
+            write_trace_rows(sink, batch, rounds)
+            expected = [reference_rows(batch.trace(j)) for j in range(rounds)]
             assert sink.getvalue() == "".join(expected)
 
     def test_trace_format(self):
