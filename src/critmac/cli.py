@@ -292,36 +292,35 @@ def _cmd_simulate(args) -> int:
 
     with _trace_sink(args.trace_output) as sink:
         summary = simulate_two_critical(cfg, trace_sink=sink)
-    valid = summary.valid_reports
     entry_first = [
         r.first_joint_g_slot - r.arrival_slots[1]
-        for r in valid
+        for r in summary.reports
         if r.first_joint_g_slot is not None
     ]
     if args.format == "csv":
-        rows = [
-            {
+        # a row per attempted round; an invalid round has no report
+        invalid = {"injected": False, "second_arrival": "", "slots_to_joint_inference": "",
+                   "critical_collisions": 0, "first_finisher": "", "violations": ""}
+        rows = [{"round": i, **invalid} for i in range(summary.attempted_rounds)]
+        for r in summary.reports:
+            rows[r.round_index] = {
                 "round": r.round_index,
-                "injected": r.injected,
-                "second_arrival": r.arrival_slots[1] if r.arrival_slots else "",
+                "injected": True,
+                "second_arrival": r.arrival_slots[1],
                 "slots_to_joint_inference": (
                     (r.first_joint_g_slot - r.arrival_slots[1])
                     if r.first_joint_g_slot is not None
                     else ""
                 ),
                 "critical_collisions": r.critical_collisions,
-                "first_finisher": r.completion_order[0] if r.completion_order else "",
+                "first_finisher": r.completion_order[0],
                 "violations": ";".join(r.violations),
             }
-            for r in summary.reports
-        ]
-        cols = ["round", "injected", "second_arrival", "slots_to_joint_inference",
-                "critical_collisions", "first_finisher", "violations"]
-        _emit(args.output, [_render_rows(cols, rows, "csv")])
+        _emit(args.output, [_render_rows(["round", *invalid], rows, "csv")])
     else:
         pairs: list[tuple[str, object]] = [
             ("scenario", cfg.scenario.value),
-            ("valid_rounds", len(valid)),
+            ("valid_rounds", len(summary.reports)),
             ("attempted_rounds", summary.attempted_rounds),
             ("mean_slots_to_inference",
              sum(entry_first) / len(entry_first) if entry_first else math.nan),

@@ -30,12 +30,14 @@ each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So a batch's
 memory does not grow with the number of rounds, and each lockstep step,
 whose cost is mostly fixed, serves hundreds of rounds.  A two-critical run
 sizes its batches from the share of its rounds expected to admit the second
-arrival (:func:`_valid_share`), so one batch usually holds the whole run,
-and verifies each batch's rounds together (:func:`_verify_rounds`).  A
-traced batch keeps only its packed cells, and is written from them in
-chunks of rows (:func:`write_trace_rows`).  A run's records do grow:
-per-round counts, contention periods and scenario reports, with its rounds
-and normal-phase slots, up to the bounds that :class:`SimConfig` sets.
+arrival (:func:`_valid_share`), so one batch usually holds the whole run.
+A batch is the only record of its rounds (:class:`_Batch`): a traced one
+keeps only its packed cells, and is written from them in chunks of rows
+(:func:`write_trace_rows`).  A two-critical batch's valid rounds are
+verified together from it (:func:`_verify_rounds`), and only they get a
+report.  A run's records do grow: per-round counts, contention periods and
+the reports of valid scenario rounds, with its rounds and normal-phase
+slots, up to the bounds that :class:`SimConfig` sets.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import math
 import numpy as np
@@ -85,6 +87,7 @@ from .protocol import (
     ProtocolParams,
     UserArrays,
     channel_feedback,
+    rule_g,
     transmission_probabilities,
     two_critical_mode_trigger,
 )
@@ -160,6 +163,17 @@ class CriticalTrafficModel:
         return int(rng.geometric(1.0 / self.value))
 
 
+def _rule_g_contention() -> float:
+    """Mean slots two rule_g users lose from their joint entry to their first solo success.
+
+    With rule_g's chance p of sending after each observation (idle at the entry,
+    then failures), the slots w lost solve w = 1 - 2p(1 - p) + p^2 w_fail + (1 - p)^2 w_idle.
+    """
+    p = rule_g(np.array([IDLE_CODE, FAILURE_CODE]))
+    moves = np.stack([(1 - p) ** 2, p**2], axis=1)  # to idle, to a collision
+    return float(np.linalg.solve(np.eye(2) - moves, 1 - 2 * p * (1 - p))[0])
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: ProtocolParams
@@ -177,8 +191,8 @@ class SimConfig:
             raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.normal_phase_slots < 1:
             raise BadParams("normal_phase_slots must be >= 1")
-        # a run's records grow with its rounds (about 65 B a round, 1 KB a
-        # scenario round), a batch's normal-phase statistics with its slots
+        # a run's records grow with its rounds (about 65 B a round, 0.7 KB a
+        # valid scenario round), a batch's normal-phase statistics with its slots
         # (about 9 B per round and slot); at N = 3, 10**6 rounds of 100 slots
         # peak at 102 MB and 10**4 rounds of 10**4 slots at 151 MB
         for name, size, cap in (
@@ -192,8 +206,12 @@ class SimConfig:
         if two_crit and self.params.n_users < 2:
             raise BadParams("two-critical scenarios need at least 2 users")
         # collisions on top of a critical phase's packets (none for one user): at
-        # most b under the enhanced rules, b + 1 before two critical users infer each other
-        collisions = 0.0 if self.params.n_users < 2 else self.enhancement.backoff_bound + two_crit
+        # most b under the enhanced rules; two critical users add b + 1 before they
+        # infer each other, the rule_g contention (_GEOMETRIC_TAIL times its mean)
+        # and b for the survivor, which contends afresh after the handover
+        b = self.enhancement.backoff_bound
+        shared = b + 1 + _GEOMETRIC_TAIL * _rule_g_contention() if two_crit else 0
+        collisions = 0.0 if self.params.n_users < 2 else b + shared
         if self.params.n_users >= 2 and not self.enhancement.enabled:
             # the base rules do not bound collisions: N - 1 colliders take this
             # many slots on average to clear, and at r = 1 they never back off
@@ -206,13 +224,14 @@ class SimConfig:
                     f"on average to clear, above the {_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL} "
                     f"that the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap allows"
                 )
-        if self.traffic_model.kind == "fixed":
-            packets = (1 + two_crit) * int(self.traffic_model.value)
-            if packets + collisions > _MAX_CRITICAL_SLOTS:
-                raise BadParams(
-                    f"{packets} critical packets and {collisions:.0f} collisions on top exceed "
-                    f"the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
-                )
+        # geometric lengths are bounded by their mean alone (see CriticalTrafficModel)
+        fixed = self.traffic_model.kind == "fixed"
+        packets = (1 + two_crit) * int(self.traffic_model.value) if fixed else 0
+        if packets + collisions > _MAX_CRITICAL_SLOTS:
+            raise BadParams(
+                f"{packets} critical packets and {collisions:.0f} collisions on top exceed "
+                f"the {_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+            )
         if two_crit and not self.enhancement.enabled:
             raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
 
@@ -250,34 +269,6 @@ def _pack(tx: np.ndarray, obs: np.ndarray, critical: np.ndarray) -> np.ndarray:
     packed |= obs.view(np.uint8) << 1
     packed |= critical
     return packed
-
-
-@dataclass(eq=False)
-class SlotTrace:
-    """One round's slots as arrays: row t is slot t + 1.
-
-    ``cells`` packs each user's action, observation code and traffic per
-    slot (see :func:`_pack`); :attr:`actions`, :attr:`observations` and
-    :attr:`critical_phase` read them.
-    """
-
-    round_index: int
-    cells: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.uint8))
-    # (slot, event, user); events: critical_arrival, g_entry, g_revert, completion
-    events: list[tuple[int, str, int]] = field(default_factory=list)
-
-    @property
-    def actions(self) -> np.ndarray:
-        return (self.cells >> 3).astype(bool)
-
-    @property
-    def observations(self) -> np.ndarray:
-        return (self.cells >> 1) & 3
-
-    @property
-    def critical_phase(self) -> np.ndarray:
-        """The critical-phase slots: those in which some user carried critical traffic."""
-        return (self.cells & 1).any(axis=1)
 
 
 @dataclass
@@ -439,23 +430,37 @@ _GUARD, _CRITICAL, _DONE = 0, 1, 2
 class _Batch:
     """A batch of rounds run in lockstep, by position in the batch, each to its end slot.
 
-    A traced batch keeps its packed cells, and nothing else per slot: a
-    slot's phase is read from its cells (see :attr:`SlotTrace.critical_phase`).
+    It is the only record of its rounds: round j is row j of every array,
+    and in a traced batch its slots are ``cells[:slots[j], j]`` (row t is
+    slot t + 1; later rows are not read).  A cell packs a user's action,
+    observation code and traffic (see :func:`_pack`), which :attr:`actions`,
+    :attr:`observations` and :attr:`critical_phase` read.
     """
 
     indices: list[int]
     flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
     critical_slots: np.ndarray    # critical-phase slots per round
     collisions: np.ndarray        # the first critical user's failures in its critical phase
+    # per round, (slot, event, user): critical_arrival, g_entry, g_revert or completion
     events: list[list[tuple[int, str, int]]]
     cells: np.ndarray | None      # (slots, rounds, users) packed trace cells, when kept
     slots: np.ndarray             # slots each round ran: its end slot
     pairs: np.ndarray             # (rounds, 2) critical users by arrival, simultaneous by index
     injected: np.ndarray          # the second arrived (pairs[:, 1] is -1 if single-critical)
 
-    def trace(self, j: int) -> SlotTrace:
-        """Round j's trace; the batch must be traced."""
-        return SlotTrace(self.indices[j], self.cells[: self.slots[j], j], self.events[j])
+    @property
+    def actions(self) -> np.ndarray:
+        return self.cells >= 8
+
+    @property
+    def observations(self) -> np.ndarray:
+        return (self.cells >> 1) & 3
+
+    @property
+    def critical_phase(self) -> np.ndarray:
+        """(slots, rounds): the slots in which some user carried critical traffic."""
+        # a count (at most two users, so uint8 holds it) is cheaper than .any(axis=2)
+        return np.einsum("sru->sr", self.cells & 1) > 0
 
 
 def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Batch:
@@ -608,8 +613,8 @@ def _normal_phase_stats(flags: np.ndarray) -> _PhaseStats:
     )
 
 
-def run_round(cfg: SimConfig, round_index: int) -> tuple[SlotTrace, RoundStats]:
-    """Simulate and trace one round: a normal phase, then the scenario's critical phase."""
+def run_round(cfg: SimConfig, round_index: int) -> tuple[_Batch, RoundStats]:
+    """Simulate and trace one round, as a one-round batch, with its per-round statistics."""
     batch = _run_batch(cfg, [round_index], keep_trace=True)
     ph = _normal_phase_stats(batch.flags)
     stats = RoundStats(
@@ -622,7 +627,7 @@ def run_round(cfg: SimConfig, round_index: int) -> tuple[SlotTrace, RoundStats]:
         critical_collisions=int(batch.collisions[0]),
         critical_phase_slots=int(batch.critical_slots[0]),
     )
-    return batch.trace(0), stats
+    return batch, stats
 
 
 @dataclass(frozen=True)
@@ -743,15 +748,9 @@ _PHASES = ("normal", "critical")
 _TRACE_CHUNK_ROWS = 2048
 
 
-def trace_columns(n_users: int) -> list[str]:
-    cols = ["round", "slot", "phase"]
-    for i in range(n_users):
-        cols += [f"action_{i}", f"obs_{i}", f"traffic_{i}"]
-    return cols
-
-
 def write_trace_header(sink: IO[str], n_users: int) -> None:
-    sink.write(",".join(trace_columns(n_users)) + "\n")
+    users = [f"action_{i},obs_{i},traffic_{i}" for i in range(n_users)]
+    sink.write(",".join(["round,slot,phase", *users]) + "\n")
 
 
 def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
@@ -774,6 +773,7 @@ def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
         dtype=object,
     )
     users = batch.cells.shape[2]
+    phase = batch.critical_phase
     half = users // 2
     pieces = np.empty((min(_TRACE_CHUNK_ROWS, ends[-1]), 2 + half + users % 2), dtype=object)
     for first in range(0, ends[-1], _TRACE_CHUNK_ROWS):
@@ -783,7 +783,7 @@ def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
         cells = batch.cells[t, k]
         out = pieces[: len(row)]
         out[:, 0] = heads[k]
-        out[:, 1] = steps[2 * t + (cells & 1).any(axis=1)]
+        out[:, 1] = steps[2 * t + phase[t, k]]
         pairs = cells[:, 0 : 2 * half : 2] << 4 | cells[:, 1 : 2 * half : 2]
         if users % 2:
             out[:, 2:-1] = _PAIRS_INNER[pairs]
@@ -797,51 +797,41 @@ def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
 # --- two-critical scenarios --------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ScenarioRoundReport:
+    """What the verifier found in one valid scenario round (see :func:`_verify_rounds`)."""
+
     round_index: int
-    injected: bool
-    arrival_slots: tuple[int, int] | None = None
-    g_entry_slots: dict[int, int] = field(default_factory=dict)
-    first_joint_g_slot: int | None = None
-    first_shared_success_slot: int | None = None
-    critical_collisions: int = 0
-    completion_order: list[int] = field(default_factory=list)
-    completion_slots: list[int] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    arrival_slots: tuple[int, int]          # of the first and the second critical user
+    g_entry_slots: dict[int, int]           # each critical user's first rule-g entry
+    first_joint_g_slot: int | None          # the later of the two, if both entered
+    first_shared_success_slot: int | None   # the first solo success after it
+    critical_collisions: int
+    completion_order: list[int]
+    completion_slots: list[int]
+    violations: list[str]
 
 
 @dataclass
 class ScenarioSummary:
+    """A two-critical run: the rounds it attempted, and a report of each valid one in order."""
+
     scenario: Scenario
-    requested_rounds: int
     attempted_rounds: int
     reports: list[ScenarioRoundReport]
-
-    @property
-    def valid_reports(self) -> list[ScenarioRoundReport]:
-        return [r for r in self.reports if r.injected]
 
     @property
     def violation_count(self) -> int:
         return sum(len(r.violations) for r in self.reports)
 
 
-def _verify_rounds(
-    cfg: SimConfig,
-    cells: np.ndarray,
-    slots: np.ndarray,
-    events: Sequence[list[tuple[int, str, int]]],
-    users: Sequence[tuple[int, int]],
-    indices: Sequence[int],
-) -> list[ScenarioRoundReport]:
-    """Check scenario rounds against the dynamics the rule set guarantees.
+def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[ScenarioRoundReport]:
+    """Check the valid scenario rounds ``rows`` of a traced batch, one report each.
 
-    Round j has the trace cells ``cells[:slots[j], j]`` (row t is slot
-    t + 1; later rows are not read), the events ``events[j]``, the first and
-    second critical users ``users[j]`` and the index ``indices[j]``.  Each
-    check is one array operation over all the rounds' slots; only the
-    events are read round by round.
+    Each round's cells, end slot, events, critical users (``pairs``) and
+    index are read from the batch (see :class:`_Batch`).  Each check is one
+    array operation over all the rounds' slots; only the events are read
+    round by round.
 
     Deterministic consequences asserted here: both critical users switch to
     rule_g within backoff_bound + 2 slots of coexistence (exactly after
@@ -866,39 +856,36 @@ def _verify_rounds(
     its wait the finisher is a normal user and may take the survivor's slot.
     """
     b = cfg.enhancement.backoff_bound
-    handover = cfg.enhancement.suppress_after_critical
-    count = len(indices)
-    reports = []
-    # per round: the second arrival, the first completion, its user, the joint entry (0: none)
-    a2, done, finisher, joint = np.zeros((4, count), dtype=np.int64)
-    for j in range(count):
-        u1, u2 = users[j]
-        arrivals = {u: s for s, ev, u in events[j] if ev == "critical_arrival"}
+    users = batch.pairs[rows]
+    # per round: its arrivals, first entries (a survivor may re-enter) and completions;
+    # as arrays: the second arrival, the first completion, its user, the joint entry (0: none)
+    parsed = []
+    a2, done, finisher, joint = np.zeros((4, len(rows)), dtype=np.int64)
+    pairs = users.tolist()
+    for j, (u1, u2) in enumerate(pairs):
+        events = batch.events[rows[j]]
+        arrivals = {u: s for s, ev, u in events if ev == "critical_arrival"}
         entries: dict[int, int] = {}
-        for s, ev, u in events[j]:  # first entry per user (a survivor may re-enter)
+        for s, ev, u in events:
             if ev == "g_entry" and u in (u1, u2) and u not in entries:
                 entries[u] = s
-        completions = [(s, u) for s, ev, u in events[j] if ev == "completion"]
-        reports.append(ScenarioRoundReport(
-            round_index=indices[j],
-            injected=True,
-            arrival_slots=(arrivals[u1], arrivals[u2]),
-            g_entry_slots=entries,
-            completion_order=[u for _, u in completions],
-            completion_slots=[s for s, _ in completions],
-        ))
+        completions = [(s, u) for s, ev, u in events if ev == "completion"]
+        parsed.append(((arrivals[u1], arrivals[u2]), entries, completions))
         a2[j] = arrivals[u2]
         done[j], finisher[j] = completions[0]
         joint[j] = max(entries.values()) if len(entries) == 2 else 0
+    # both were still critical when the inference bound ran out, and not both entered
+    missed = (joint == 0) & (done >= a2 + b + 2)
 
-    rounds = np.arange(count)
-    first, second = np.array(users, dtype=np.intp).reshape(count, 2).T
-    t = np.arange(len(cells))[:, None]  # row of each slot, against each round
+    rounds = np.arange(len(rows))
+    first, second = users.T
+    slots = batch.slots[rows]
+    t = np.arange(len(batch.cells))[:, None]  # row of each slot, against each round
     ran = t < slots
-    sent = cells >= 8  # the action bit of a packed cell (see _pack)
-    transmitters = np.count_nonzero(sent, axis=2)
+    sent = batch.actions
+    transmitters = np.einsum("sru->sr", sent, dtype=np.intp)[:, rows]
     alone = transmitters == 1
-    act1, act2 = sent[:, rounds, first], sent[:, rounds, second]
+    act1, act2 = sent[:, rows, first], sent[:, rows, second]
 
     def at(flags: np.ndarray, row: np.ndarray) -> np.ndarray:
         """flags[row[j], j] of each round j, False past the slots it ran."""
@@ -925,70 +912,63 @@ def _verify_rounds(
     if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
         # the first slot each user's consecutive-collision count reaches b + 1
         # (failure runs may have begun before the arrival)
-        codes = np.stack([cells[:, rounds, first], cells[:, rounds, second]])
-        failed = ((codes >> 1) & 3 == FAILURE_CODE) & ran
-        failed = np.concatenate([np.zeros((2, b + 1, count), bool), failed], axis=1)
-        counted = np.cumsum(failed, axis=1)
-        runs = counted[:, b + 1 :] - counted[:, : -b - 1] == b + 1  # rows that end b + 1 failures
-        hits = np.where(runs.any(axis=1), runs.argmax(axis=1) + 1, 0)
+        failed = (batch.observations[:, rows[:, None], users] == FAILURE_CODE) & ran[:, :, None]
+        failed = np.concatenate([np.zeros((b + 1, len(rows), 2), bool), failed])
+        counted = np.cumsum(failed, axis=0)
+        runs = counted[b + 1 :] - counted[: -b - 1] == b + 1  # rows that end b + 1 failures
+        hits = np.where(runs.any(axis=0), runs.argmax(axis=0) + 1, 0)
 
-    for j, report in enumerate(reports):
-        u1, u2 = users[j]
-        entries = report.g_entry_slots
-        v = report.violations
-        if not joint[j] and done[j] >= a2[j] + b + 2:
-            # both were still critical when the inference bound ran out
-            v.append("a critical user never entered rule-g mode")
-            continue
-        if joint[j]:
-            report.first_joint_g_slot = int(joint[j])
-            if joint[j] - a2[j] > b + 2:
-                v.append(f"rule-g inference took {joint[j] - a2[j]} slots, bound is {b + 2}")
+    def violations(j: int, entries: dict[int, int]) -> Iterator[str]:
+        u1, u2 = pairs[j]
+        if missed[j]:
+            yield "a critical user never entered rule-g mode"
+            return
+        if joint[j] and joint[j] - a2[j] > b + 2:
+            yield f"rule-g inference took {joint[j] - a2[j]} slots, bound is {b + 2}"
         if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
             # entry exactly one slot after the count first reaches b + 1
-            for u, hit in zip((u1, u2), hits[:, j].tolist()):
+            for u, hit in zip((u1, u2), hits[j].tolist()):
                 if entries.get(u) != (hit + 1 if hit else None):
-                    v.append(
+                    yield (
                         f"user {u} entered rule-g at slot {entries.get(u)}, expected one slot "
                         f"after its collision count reached {b + 1} (slot {hit or None})"
                     )
         if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
             # the interrupted run owner reacts to its (success, failure) at once
             if entries.get(u1) != a2[j] + 1:
-                v.append(
-                    f"run owner entered rule-g at slot {entries.get(u1)}, expected {a2[j] + 1}"
-                )
-        report.critical_collisions = int(collisions[j])
+                yield f"run owner entered rule-g at slot {entries.get(u1)}, expected {a2[j] + 1}"
         if collisions[j] < 1:
-            v.append("the two critical users never collided")
-        if joint[j]:
-            if not shared[j]:
-                v.append("no critical success after both entered rule-g")
-                continue
-            report.first_shared_success_slot = int(shared[j])
-            if broken_at[j]:
-                v.append(f"alternation broken at slot {broken_at[j]}")
-        if not handover:  # no wait after a critical phase: no handover owed
-            continue
+            yield "the two critical users never collided"
+        if joint[j] and not shared[j]:
+            yield "no critical success after both entered rule-g"
+            return
+        if broken_at[j]:
+            yield f"alternation broken at slot {broken_at[j]}"
+        if not cfg.enhancement.suppress_after_critical:  # no wait: no handover owed
+            return
         if not took_over[j]:
-            v.append("survivor did not take the slot after the first completion")
+            yield "survivor did not take the slot after the first completion"
         if not idle[j]:
-            v.append("no idle slot after the handover success")
+            yield "no idle slot after the handover success"
         # only a user that finished in g-mode owes the wait after the idle slot
         if int(finisher[j]) in entries and finisher_sent[j]:
-            v.append("finished user transmitted in the slot after the idle slot")
-    return reports
+            yield "finished user transmitted in the slot after the idle slot"
 
-
-def _verify_two_critical_round(
-    cfg: SimConfig, trace: SlotTrace, users: tuple[int, int]
-) -> ScenarioRoundReport:
-    """Check one scenario round (see :func:`_verify_rounds`)."""
-    (report,) = _verify_rounds(
-        cfg, trace.cells[:, None], np.array([len(trace.cells)]), [trace.events], [users],
-        [trace.round_index],
-    )
-    return report
+    return [
+        ScenarioRoundReport(
+            round_index=batch.indices[rows[j]],
+            arrival_slots=arrivals,
+            g_entry_slots=entries,
+            first_joint_g_slot=int(joint[j]) or None,
+            first_shared_success_slot=int(shared[j]) or None,
+            # a round that owed a joint entry it never made reports no collisions
+            critical_collisions=0 if missed[j] else int(collisions[j]),
+            completion_order=[u for _, u in completions],
+            completion_slots=[s for s, _ in completions],
+            violations=list(violations(j, entries)),
+        )
+        for j, (arrivals, entries, completions) in enumerate(parsed)
+    ]
 
 
 def _valid_share(cfg: SimConfig) -> float:
@@ -1054,8 +1034,8 @@ def simulate_two_critical(
 
     A round is valid when the second critical event could be injected (the
     during-success / during-collision conditions are state-dependent, so a
-    round may end before its condition occurs); invalid rounds are reported
-    but carry no verification.  At most 5 * cfg.rounds rounds are attempted.
+    round may end before its condition occurs); only valid rounds are
+    verified and reported.  At most 5 * cfg.rounds rounds are attempted.
     (SimConfig refuses a two-critical scenario without the enhanced rules,
     which the inference relies on.)  With ``trace_sink`` set, every slot of
     every attempted round is streamed to it in the documented trace format.
@@ -1076,36 +1056,25 @@ def simulate_two_critical(
     if trace_sink is not None:
         write_trace_header(trace_sink, cfg.params.n_users)
     reports: list[ScenarioRoundReport] = []
-    valid = 0
     idx = 0
     limit = 5 * cfg.rounds
     share = _valid_share(cfg)
-    while valid < cfg.rounds and idx < limit:
+    while len(reports) < cfg.rounds and idx < limit:
+        missing = cfg.rounds - len(reports)
         if idx:  # a batch was cut or fell short: the share seen so far, if lower
-            share = min(share, valid / idx)
-        size = _rounds_to_try(cfg.rounds - valid, share, limit - idx)
+            share = min(share, len(reports) / idx)
+        size = _rounds_to_try(missing, share, limit - idx)
         size = max(1, min(size, _batch_rounds(cfg, keep_trace=True)))
         batch = _run_batch(cfg, range(idx, idx + size), keep_trace=True)
         # the batch's valid rounds up to the one that completes the count
-        rows = np.flatnonzero(batch.injected)[: cfg.rounds - valid]
-        used = int(rows[-1]) + 1 if valid + len(rows) == cfg.rounds else size
-        valid += len(rows)
-        checked = iter(_verify_rounds(
-            cfg, batch.cells[:, rows], batch.slots[rows], [batch.events[j] for j in rows],
-            batch.pairs[rows].tolist(), (idx + rows).tolist(),
-        ))
-        reports += [
-            next(checked) if batch.injected[j]
-            else ScenarioRoundReport(round_index=idx + j, injected=False)
-            for j in range(used)
-        ]
+        rows = np.flatnonzero(batch.injected)[:missing]
+        used = int(rows[-1]) + 1 if len(rows) == missing else size
+        reports += _verify_rounds(cfg, batch, rows)
         if trace_sink is not None:
             write_trace_rows(trace_sink, batch, used)
         idx += used
-    if valid < cfg.rounds:
+    if len(reports) < cfg.rounds:
         raise ScenarioUnsatisfiable(
-            f"only {valid} of {cfg.rounds} rounds admitted the scenario injection"
+            f"only {len(reports)} of {cfg.rounds} rounds admitted the scenario injection"
         )
-    return ScenarioSummary(
-        scenario=cfg.scenario, requested_rounds=cfg.rounds, attempted_rounds=idx, reports=reports
-    )
+    return ScenarioSummary(scenario=cfg.scenario, attempted_rounds=idx, reports=reports)

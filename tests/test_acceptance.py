@@ -379,7 +379,7 @@ def test_criterion_9_two_critical_properties():
             params=p, enhancement=enh, rounds=1000, seed=SEED, scenario=scenario
         )
         summary = simulate_two_critical(cfg)
-        valid = summary.valid_reports
+        valid = summary.reports
         assert len(valid) == 1000
         violations += summary.violation_count
         runs += len(valid)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critmac import (
+    BadParams,
     CriticalTrafficModel,
     EnhancementConfig,
     ProtocolParams,
@@ -229,10 +230,12 @@ class TestSimulate:
         # a valid round in which one user never entered rule-g mode is a
         # violation to report, not a crash of the summary
         report = ScenarioRoundReport(
-            round_index=0, injected=True, arrival_slots=(101, 101), g_entry_slots={3: 107},
+            round_index=0, arrival_slots=(101, 101), g_entry_slots={3: 107},
+            first_joint_g_slot=None, first_shared_success_slot=None, critical_collisions=0,
+            completion_order=[3, 5], completion_slots=[121, 141],
             violations=["a critical user never entered rule-g mode"],
         )
-        summary = ScenarioSummary(Scenario.TWO_CRITICAL_SIMULTANEOUS, 1, 1, [report])
+        summary = ScenarioSummary(Scenario.TWO_CRITICAL_SIMULTANEOUS, 1, [report])
         monkeypatch.setattr(cli, "simulate_two_critical", lambda cfg, trace_sink=None: summary)
         code = cli.main([
             "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
@@ -271,6 +274,13 @@ class TestSimulate:
         ["--x-fixed", "100000", "--seed", "2"],
         ["--x-fixed", "100000", "--seed", "2", "--enhanced"],
         ["--x-fixed", "50000", "--enhanced", "--scenario", "two-critical-simultaneous"],
+        # b + 1 = 99 959 collisions fit beside 40 packets, but not with the rule_g
+        # contention and the survivor's b on top: this run spun and then crashed
+        ["--q", "0.3397", "--r", "0.4896", "--enhanced", "--b", "99958", "--seed", "1",
+         "--scenario", "two-critical-simultaneous"],
+        # geometric traffic: the collisions alone exceed the cap
+        ["--enhanced", "--b", "99999", "--x-geometric", "2", "--seed", "1",
+         "--scenario", "two-critical-simultaneous"],
     ])
     def test_critical_traffic_beyond_the_slot_cap_is_rejected(self, traffic, monkeypatch):
         # a critical phase longer than the 100 000-slot cap can only end in
@@ -289,9 +299,14 @@ class TestSimulate:
 
     def test_collisions_at_the_slot_cap_are_accepted(self):
         params = ProtocolParams(3, 0.1, 0.3397, 0.4896)
-        # 20 packets each and b + 1 = 99 901 collisions
-        SimConfig(params=params, enhancement=EnhancementConfig(True, 99_900),
+        # 20 packets each and 2b + 51 = 99 959 collisions: b + 1 before the
+        # joint entry, 20 times the mean rule_g contention of 2.5 slots, and b
+        # for the survivor
+        SimConfig(params=params, enhancement=EnhancementConfig(True, 49_954),
                   scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS)
+        with pytest.raises(BadParams):
+            SimConfig(params=params, enhancement=EnhancementConfig(True, 49_955),
+                      scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS)
         # b = 5 collisions on top of the packets
         SimConfig(params=params, enhancement=EnhancementConfig(True),
                   traffic_model=CriticalTrafficModel.fixed(99_995))

@@ -78,8 +78,8 @@ def configs(draw, scenarios=tuple(Scenario)):
     )
 
 
-def decode(trace):
-    """The engine's trace arrays as the reference engine's slots."""
+def decode(batch):
+    """A one-round batch as the reference engine's slots."""
     traffic = (NORMAL, CRITICAL)
     return [
         engine_reference.Slot(
@@ -91,28 +91,28 @@ def decode(trace):
         )
         for t, (crit, acts, obs, cells) in enumerate(
             zip(
-                trace.critical_phase.tolist(),
-                trace.actions.tolist(),
-                trace.observations.tolist(),
-                trace.cells.tolist(),
+                batch.critical_phase[:, 0].tolist(),
+                batch.actions[:, 0].tolist(),
+                batch.observations[:, 0].tolist(),
+                batch.cells[:, 0].tolist(),
             ),
             1,
         )
     ]
 
 
-def same_round(cfg, index, trace, stats):
+def same_round(cfg, index, batch, stats):
     slots, events, ref_stats = engine_reference.run_round(cfg, index)
-    assert decode(trace) == slots
-    assert trace.events == events
+    assert decode(batch) == slots
+    assert batch.events == [events]
     assert stats == ref_stats
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs(), index=st.integers(0, 10**6))
 def test_array_engine_equals_reference_engine(cfg, index):
-    trace, stats = run_round(cfg, index)
-    same_round(cfg, index, trace, stats)
+    batch, stats = run_round(cfg, index)
+    same_round(cfg, index, batch, stats)
 
 
 # 48 rounds of geometric critical traffic: they end across several uniform
@@ -141,12 +141,13 @@ LARGE_BATCH = [
 def test_rounds_independent_of_batch_and_order(cfg, indices):
     batch = _run_batch(cfg, indices, keep_trace=True)
     for j, index in enumerate(indices):
-        trace, stats = run_round(cfg, index)
-        got = batch.trace(j)
-        assert got.round_index == index
-        assert got.cells.tobytes() == trace.cells.tobytes()
-        assert got.critical_phase.tolist() == trace.critical_phase.tolist()
-        assert got.events == trace.events
+        one, stats = run_round(cfg, index)
+        end = batch.slots[j]
+        assert batch.indices[j] == index == one.indices[0]
+        assert end == one.slots[0] == len(one.cells)
+        assert batch.cells[:end, j].tobytes() == one.cells[:, 0].tobytes()
+        assert batch.critical_phase[:end, j].tolist() == one.critical_phase[:, 0].tolist()
+        assert batch.events[j] == one.events[0]
         assert batch.collisions[j] == stats.critical_collisions
         assert batch.critical_slots[j] == stats.critical_phase_slots
 

@@ -7,9 +7,11 @@ tests here demand zero violations and exercise the surrounding machinery.
 
 from __future__ import annotations
 
+import csv
 import functools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from critmac import (
@@ -28,7 +30,7 @@ from critmac.sim import (
     _rounds_to_try,
     _run_batch,
     _valid_share,
-    _verify_two_critical_round,
+    _verify_rounds,
     run_round,
 )
 
@@ -45,13 +47,13 @@ def scenario_cfg(scenario, **kwargs):
 @pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
 def test_zero_violations(scenario):
     summary = simulate_two_critical(scenario_cfg(scenario))
-    assert len(summary.valid_reports) == 150
+    assert len(summary.reports) == 150
     assert summary.violation_count == 0
 
 
 def test_simultaneous_inference_exactly_b_plus_one(self=None):
     summary = simulate_two_critical(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS))
-    for rep in summary.valid_reports:
+    for rep in summary.reports:
         a2 = rep.arrival_slots[1]
         assert set(rep.g_entry_slots.values()) == {a2 + ENH.backoff_bound + 1}
 
@@ -59,13 +61,13 @@ def test_simultaneous_inference_exactly_b_plus_one(self=None):
 def test_inference_bound_all_scenarios():
     for scenario in TWO_CRITICAL_SCENARIOS:
         summary = simulate_two_critical(scenario_cfg(scenario, rounds=100))
-        for rep in summary.valid_reports:
+        for rep in summary.reports:
             assert rep.first_joint_g_slot - rep.arrival_slots[1] <= ENH.backoff_bound + 2
 
 
 def test_completion_handover_fields():
     summary = simulate_two_critical(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS))
-    for rep in summary.valid_reports:
+    for rep in summary.reports:
         assert len(rep.completion_order) == 2
         assert rep.completion_order[0] != rep.completion_order[1]
         assert rep.critical_collisions >= 1
@@ -84,9 +86,9 @@ def test_geometric_lengths_survivor_phase():
     summary = simulate_two_critical(cfg)
     assert summary.violation_count == 0
     reverted = 0
-    for rep in summary.valid_reports:
-        trace, _ = run_round(cfg, rep.round_index)
-        reverted += any(ev == "g_revert" for _, ev, _ in trace.events)
+    for rep in summary.reports:
+        batch, _ = run_round(cfg, rep.round_index)
+        reverted += any(ev == "g_revert" for _, ev, _ in batch.events[0])
     assert reverted > 0
 
 
@@ -107,7 +109,7 @@ def test_during_collision_share_from_the_normal_chain(n, q, r, share):
     # and the share of valid rounds a run sees, within four binomial deviations
     summary = simulate_two_critical(cfg)
     attempted = summary.attempted_rounds
-    seen = len(summary.valid_reports) / attempted
+    seen = len(summary.reports) / attempted
     assert abs(seen - share) <= 4 * (share * (1 - share) / attempted) ** 0.5
 
 
@@ -207,77 +209,100 @@ def test_no_suppress_after_critical_zero_violations(scenario):
     # survivor's slot, so no handover is owed
     enh = replace(ENH, suppress_after_critical=False)
     summary = simulate_two_critical(scenario_cfg(scenario, enhancement=enh))
-    assert len(summary.valid_reports) == 150
+    assert len(summary.reports) == 150
     assert summary.violation_count == 0
 
 
-def test_invalid_rounds_reported_not_verified():
-    # during-collision rounds where the first critical succeeds immediately
-    # carry no injection and are excluded from the valid set
-    cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_COLLISION, rounds=60)
+def test_reports_are_the_verified_rounds(tmp_path):
+    # at N = 3 about 40 % of during-collision rounds never admit the second
+    # arrival: they count as attempted, get no report and an empty CSV row
+    cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_COLLISION,
+                       params=ProtocolParams(3, 0.1, 0.3397, 0.4896), rounds=60)
     summary = simulate_two_critical(cfg)
-    assert summary.attempted_rounds >= 60
-    invalid = [r for r in summary.reports if not r.injected]
-    assert all(not r.violations for r in invalid)
+    indices = [r.round_index for r in summary.reports]
+    assert len(indices) == 60 < summary.attempted_rounds
+    # strictly increasing, within the rounds attempted
+    assert indices == sorted(set(indices)) and 0 <= indices[0] <= indices[-1]
+    assert indices[-1] < summary.attempted_rounds
+    for report in summary.reports:
+        batch, _ = run_round(cfg, report.round_index)
+        assert batch.injected[0]
+        assert verify(cfg, batch) == report
+    out = tmp_path / "rounds.csv"
+    assert main(["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896",
+                 "--rounds", "60", "--seed", "314", "--enhanced", "--format", "csv",
+                 "--scenario", "two-critical-during-collision", "--output", str(out)]) == 0
+    rows = list(csv.reader(out.open()))[1:]
+    assert [int(row[0]) for row in rows] == list(range(summary.attempted_rounds))
+    for row in rows:
+        if int(row[0]) in indices:
+            assert row[1] == "true" and row[2] != ""
+        else:
+            assert row[1:] == ["false", "", "", "0", "", ""]
+
+
+def verify(cfg, batch):
+    """The verifier's report of a one-round batch."""
+    (report,) = _verify_rounds(cfg, batch, np.array([0]))
+    return report
 
 
 @functools.cache
 def valid_round(scenario):
-    """Config, trace, (first, second) critical users and report of a round the verifier passes."""
+    """Config, one-round batch, (first, second) critical users and report of a passed round."""
     cfg = scenario_cfg(scenario, rounds=20)
-    batch = _run_batch(cfg, range(20), keep_trace=True)
-    for j in range(20):
-        trace, users = batch.trace(j), tuple(batch.pairs[j].tolist())
-        if batch.injected[j]:
-            report = _verify_two_critical_round(cfg, trace, users)
+    for index in range(20):
+        batch, _ = run_round(cfg, index)
+        if batch.injected[0]:
+            report = verify(cfg, batch)
             assert report.violations == []
-            return cfg, trace, users, report
+            return cfg, batch, tuple(batch.pairs[0].tolist()), report
     raise AssertionError(f"no round of {scenario} admitted the injection")
 
 
-def with_actions(trace, changes):
-    """The trace with user u's action in slot s set to `on`, for each (s, u, on) of changes."""
-    cells = trace.cells.copy()
+def with_actions(batch, changes):
+    """The round with user u's action in slot s set to `on`, for each (s, u, on) of changes."""
+    cells = batch.cells.copy()
     for s, u, on in changes:
-        cells[s - 1, u] = cells[s - 1, u] & 7 | (8 if on else 0)  # bit 3 is the action
-    return replace(trace, cells=cells)
+        cells[s - 1, 0, u] = cells[s - 1, 0, u] & 7 | (8 if on else 0)  # bit 3 is the action
+    return replace(batch, cells=cells)
 
 
-def moved_entry(trace, user, slot):
-    """The trace with the user's first g_entry event moved to slot."""
-    events = list(trace.events)
+def moved_entry(batch, user, slot):
+    """The round with the user's first g_entry event moved to slot."""
+    events = list(batch.events[0])
     i = next(i for i, (_, ev, u) in enumerate(events) if ev == "g_entry" and u == user)
     events[i] = (slot, "g_entry", user)
-    return replace(trace, events=events)
+    return replace(batch, events=[events])
 
 
-def edited(check, trace, users, report, b):
-    """The valid round's trace with one edit that breaks what `check` verifies."""
+def edited(check, batch, users, report, b):
+    """The valid round with one edit that breaks what `check` verifies."""
     u1, u2 = users
     a2, joint = report.arrival_slots[1], report.first_joint_g_slot
     done, finisher = report.completion_slots[0], report.completion_order[0]
     survivor = u2 if finisher == u1 else u1
-    acts = trace.actions
+    acts = batch.actions[:, 0]
     if check == "entry":
-        return replace(trace, events=[e for e in trace.events if e[1:] != ("g_entry", u2)])
+        return replace(batch, events=[[e for e in batch.events[0] if e[1:] != ("g_entry", u2)]])
     if check == "inference-bound":
-        return moved_entry(trace, u1, a2 + b + 3)
+        return moved_entry(batch, u1, a2 + b + 3)
     if check in ("simultaneous-entry", "run-owner-entry"):
-        return moved_entry(trace, u1, report.g_entry_slots[u1] + 1)
+        return moved_entry(batch, u1, report.g_entry_slots[u1] + 1)
     if check == "collision":
         both = [s for s in range(a2, done + 1) if acts[s - 1, u1] and acts[s - 1, u2]]
-        return with_actions(trace, [(s, u2, False) for s in both])
+        return with_actions(batch, [(s, u2, False) for s in both])
     if check == "shared-success":
-        return with_actions(trace, [(s, u, False) for s in range(joint, done + 1) for u in users])
+        return with_actions(batch, [(s, u, False) for s in range(joint, done + 1) for u in users])
     if check == "alternation":
         s = report.first_shared_success_slot + 1
-        return with_actions(trace, [(s, u1, not acts[s - 1, u1])])
+        return with_actions(batch, [(s, u1, not acts[s - 1, u1])])
     if check == "handover":
-        return with_actions(trace, [(done + 1, survivor, False)])
+        return with_actions(batch, [(done + 1, survivor, False)])
     if check == "idle-slot":
-        return with_actions(trace, [(done + 2, finisher, True)])
+        return with_actions(batch, [(done + 2, finisher, True)])
     assert check == "finisher-waits"
-    return with_actions(trace, [(done + 3, finisher, True)])
+    return with_actions(batch, [(done + 3, finisher, True)])
 
 
 BROKEN_CHECKS = [
@@ -302,9 +327,9 @@ BROKEN_CHECKS = [
                          ids=[check for check, _, _ in BROKEN_CHECKS])
 def test_verifier_reports_each_broken_check(check, scenario, message):
     # every other test demands zero violations; each edit here must be reported
-    cfg, trace, users, report = valid_round(scenario)
-    bad = edited(check, trace, users, report, cfg.enhancement.backoff_bound)
-    violations = _verify_two_critical_round(cfg, bad, users).violations
+    cfg, batch, users, report = valid_round(scenario)
+    bad = edited(check, batch, users, report, cfg.enhancement.backoff_bound)
+    violations = verify(cfg, bad).violations
     assert any(message in v for v in violations), violations
 
 
@@ -319,45 +344,43 @@ def test_short_traffic_zero_violations(scenario):
     summary = simulate_two_critical(scenario_cfg(scenario, traffic_model=SHORT, seed=0))
     assert summary.violation_count == 0
     b = ENH.backoff_bound
-    for rep in summary.valid_reports:
+    for rep in summary.reports:
         if rep.first_joint_g_slot is None:
             # no entry was owed: the first completion came before the bound
             assert rep.completion_slots[0] < rep.arrival_slots[1] + b + 2
             assert rep.first_shared_success_slot is None
             assert rep.critical_collisions >= 1
     if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
-        assert any(rep.first_joint_g_slot is None for rep in summary.valid_reports)
+        assert any(rep.first_joint_g_slot is None for rep in summary.reports)
 
 
 @functools.cache
 def early_round():
     """A during-success round whose first completion precedes a joint entry, as in valid_round."""
     cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS, rounds=40, traffic_model=SHORT)
-    batch = _run_batch(cfg, range(40), keep_trace=True)
-    for j in range(40):
-        trace, users = batch.trace(j), tuple(batch.pairs[j].tolist())
-        if batch.injected[j]:
-            report = _verify_two_critical_round(cfg, trace, users)
+    for index in range(40):
+        batch, _ = run_round(cfg, index)
+        if batch.injected[0]:
+            report = verify(cfg, batch)
             if report.first_joint_g_slot is None:
                 assert report.violations == []
-                return cfg, trace, users, report
+                return cfg, batch, tuple(batch.pairs[0].tolist()), report
     raise AssertionError("no round ended before the joint entry")
 
 
-def moved_completion(trace, slot):
-    """The trace with its first completion event moved to slot."""
-    events = list(trace.events)
+def moved_completion(batch, slot):
+    """The round with its first completion event moved to slot."""
+    events = list(batch.events[0])
     i = next(i for i, (_, ev, _) in enumerate(events) if ev == "completion")
     events[i] = (slot, "completion", events[i][2])
-    return replace(trace, events=events)
+    return replace(batch, events=[events])
 
 
 @pytest.mark.parametrize("shift,owed", [(1, False), (2, True)])
 def test_entry_owed_when_both_are_critical_at_the_bound(shift, owed):
-    cfg, trace, users, report = early_round()
+    cfg, batch, users, report = early_round()
     bound = report.arrival_slots[1] + cfg.enhancement.backoff_bound
-    violations = _verify_two_critical_round(cfg, moved_completion(trace, bound + shift),
-                                            users).violations
+    violations = verify(cfg, moved_completion(batch, bound + shift)).violations
     assert ("a critical user never entered rule-g mode" in violations) == owed
 
 
@@ -370,9 +393,9 @@ def test_entry_owed_when_both_are_critical_at_the_bound(shift, owed):
     ("finisher-waits", False),
 ])
 def test_checks_of_a_round_without_joint_entry(check, reported):
-    cfg, trace, users, report = early_round()
-    bad = edited(check, trace, users, report, cfg.enhancement.backoff_bound)
-    assert bad.cells.tobytes() != trace.cells.tobytes() or bad.events != trace.events
+    cfg, batch, users, report = early_round()
+    bad = edited(check, batch, users, report, cfg.enhancement.backoff_bound)
+    assert bad.cells.tobytes() != batch.cells.tobytes() or bad.events != batch.events
     message = next(m for c, _, m in BROKEN_CHECKS if c == check)
-    violations = _verify_two_critical_round(cfg, bad, users).violations
+    violations = verify(cfg, bad).violations
     assert any(message in v for v in violations) == reported, violations

@@ -47,12 +47,12 @@ P10 = ProtocolParams(10, 0.1, 0.1051, 0.4786)
 P3 = ProtocolParams(3, 0.5, 0.3397, 0.4896)
 
 
-def reference_rows(trace):
-    """A round's trace rows in the documented format, written slot by slot."""
+def reference_rows(batch, j):
+    """Round j's trace rows in the documented format, written slot by slot."""
     lines = []
-    rows = zip(trace.cells.tolist(), trace.critical_phase.tolist())
-    for t, (cells, critical) in enumerate(rows, 1):
-        fields = [str(trace.round_index), str(t), "critical" if critical else "normal"]
+    for t, cells in enumerate(batch.cells[: batch.slots[j], j].tolist(), 1):
+        critical = any(c & 1 for c in cells)  # some user carried critical traffic
+        fields = [str(batch.indices[j]), str(t), "critical" if critical else "normal"]
         for c in cells:
             traffic = TrafficType.CRITICAL if c & 1 else TrafficType.NORMAL
             fields += ["T" if c >> 3 else "W", OBSERVATIONS[(c >> 1) & 3].value, traffic.value]
@@ -91,33 +91,33 @@ class TestDeterminism:
         assert run_round(cfg, 7)[1] == later_first
 
 
-def critical_flags(trace):
-    """Each slot's traffic per user as critical flags (the low bit of a trace cell)."""
-    return (trace.cells & 1).astype(bool)
+def critical_flags(batch):
+    """Each slot's traffic per user in a one-round batch as critical flags (a cell's low bit)."""
+    return (batch.cells[:, 0] & 1).astype(bool)
 
 
 class TestTraceInvariants:
     def test_observation_consistency(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
-            trace, _ = run_round(cfg, idx)
-            actions = trace.actions
+            batch, _ = run_round(cfg, idx)
+            actions = batch.actions[:, 0]
             k = actions.sum(axis=1, keepdims=True)
             expected = np.where(
                 actions,
                 np.where(k == 1, SUCCESS_CODE, FAILURE_CODE),
                 np.where(k == 0, IDLE_CODE, BUSY_CODE),
             )
-            assert (trace.observations == expected).all()
+            assert (batch.observations[:, 0] == expected).all()
 
     def test_non_intrusive_after_first_success(self):
         # baseline protocol: once the critical user succeeds, it never fails again
         cfg = small_cfg(params=P10, rounds=1)
         for idx in range(60):
-            trace, _ = run_round(cfg, idx)
-            crit = next(u for s, ev, u in trace.events if ev == "critical_arrival")
+            batch, _ = run_round(cfg, idx)
+            crit = next(u for s, ev, u in batch.events[0] if ev == "critical_arrival")
             seen_success = False
-            for obs in trace.observations[trace.critical_phase, crit].tolist():
+            for obs in batch.observations[batch.critical_phase[:, 0], 0, crit].tolist():
                 if seen_success:
                     assert obs == SUCCESS_CODE
                 if obs == SUCCESS_CODE:
@@ -126,24 +126,24 @@ class TestTraceInvariants:
     def test_contention_periods_begin_idle(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
-            trace, stats = run_round(cfg, idx)
+            batch, stats = run_round(cfg, idx)
             for start in stats.contention_starts:
-                assert not trace.actions[start - 1].any()  # row start - 1 is slot start
+                assert not batch.actions[start - 1].any()  # row start - 1 is slot start
 
     def test_single_user_never_collides(self):
         cfg = small_cfg(params=ProtocolParams(1, 0.3, 0.4, 0.5), rounds=1)
-        trace, stats = run_round(cfg, 0)
+        batch, stats = run_round(cfg, 0)
         assert stats.critical_collisions == 0
-        assert (trace.actions.sum(axis=1) <= 1).all()
-        assert (trace.observations != FAILURE_CODE).all()
+        assert (batch.actions.sum(axis=2) <= 1).all()
+        assert (batch.observations != FAILURE_CODE).all()
 
     def test_normal_phase_length_and_phase_labels(self):
         cfg = small_cfg(normal_phase_slots=37)
-        trace, stats = run_round(cfg, 2)
-        phase = trace.critical_phase
+        batch, stats = run_round(cfg, 2)
+        phase = batch.critical_phase[:, 0]
         assert (~phase).sum() == 37 == stats.normal_slots
         assert phase.sum() == stats.critical_phase_slots
-        assert not critical_flags(trace)[~phase].any()
+        assert not critical_flags(batch)[~phase].any()
 
 
 class TestEnhancedRules:
@@ -157,11 +157,11 @@ class TestEnhancedRules:
     def test_normal_users_never_exceed_backoff_run(self):
         cfg = small_cfg(params=P10, enhancement=self.ENH, rounds=1, seed=8)
         for idx in range(80):
-            trace, _ = run_round(cfg, idx)
+            batch, _ = run_round(cfg, idx)
             n = cfg.params.n_users
             runs = [0] * n
-            for critical, obs in zip(critical_flags(trace).tolist(),
-                                     trace.observations.tolist()):
+            for critical, obs in zip(critical_flags(batch).tolist(),
+                                     batch.observations[:, 0].tolist()):
                 for u in range(n):
                     if critical[u]:
                         runs[u] = 0  # the bound concerns normal users only
@@ -304,7 +304,7 @@ class TestExperiment:
         for rounds in (6, 3, 0):
             sink = io.StringIO()
             write_trace_rows(sink, batch, rounds)
-            expected = [reference_rows(batch.trace(j)) for j in range(rounds)]
+            expected = [reference_rows(batch, j) for j in range(rounds)]
             assert sink.getvalue() == "".join(expected)
 
     def test_trace_format(self):
