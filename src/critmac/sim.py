@@ -41,11 +41,13 @@ slots, up to the bounds that :class:`SimConfig` sets.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
-user, traffic lengths, then one uniform per user per slot).  The uniforms
-are drawn as ``rng.random((rows, users))`` blocks, which equal that many
-successive ``rng.random(users)`` calls bit for bit; a round that outlasts
-its block draws the next block from its own stream.  Rounds are therefore
-reproducible independently, in any order and in any batch.
+users, geometric traffic lengths, then one uniform per user per slot).  Its
+key is exactly ``SeedSequence((seed, round_index))``'s, so the seed contract
+is unchanged, but it is derived a batch at a time (:func:`_round_keys`).
+The uniforms are drawn as ``rng.random((rows, users))`` blocks, which equal
+that many successive ``rng.random(users)`` calls bit for bit; a round that
+outlasts its block draws the next block from its own stream.  Rounds are
+therefore reproducible independently, in any order and in any batch.
 
 Metric estimation from the normal phase:
 
@@ -69,8 +71,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
+import itertools
 import math
 import numpy as np
 
@@ -288,11 +291,12 @@ class RoundStats:
 class SlotEngine:
     """Steps a batch of rounds in lockstep, one slot of every round per step.
 
-    ``rngs`` are the rounds' generators, positioned after their per-round
-    draws; the engine draws their uniforms in blocks, the first of
-    ``rows`` slots.  Row j of ``users`` and ``events[j]`` are round j of
-    the batch for the batch's whole run: a round that has ended keeps its
-    row and keeps stepping, and its caller reads none of those slots.
+    ``rngs`` are the rounds' generators, one a row (:func:`_round_rngs`),
+    positioned after their draws of critical users and traffic lengths; the
+    engine draws their uniforms in blocks, the first of ``rows`` slots.  Row
+    j of ``users`` and ``events[j]`` are round j of the batch for the
+    batch's whole run: a round that has ended keeps its row and keeps
+    stepping, and its caller reads none of those slots.
     Round structure (phase lengths, critical arrivals) is driven from
     outside via :meth:`set_critical` and :meth:`step`.  Two-critical
     inference (mode switching to ``rule_g``) runs only when
@@ -418,8 +422,54 @@ class SlotEngine:
         return tx, obs, k
 
 
-def _round_rng(seed: int, round_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, round_index))))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its constants and pool size
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _POOL = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 4
+
+
+def _hash(values, rows: int, h: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of `values` into `rows` rows, one hash constant a row from h on."""
+    c = list(itertools.accumulate(range(rows), lambda x, _: x * mult & _MASK32, initial=h))
+    consts = np.array(c, dtype=np.uint32)[:, None]
+    out = (values ^ consts[:-1]) * consts[1:]
+    return out ^ out >> 16, c[-1]
+
+
+def _round_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """Row j is ``SeedSequence((seed, indices[j])).generate_state(2, np.uint64)``, all j at once.
+
+    Entropy: the seed's uint32 words, low first, then the round index (one word), the only array.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [*words, np.asarray(indices, dtype=np.uint32)]
+    pool = np.zeros((_POOL, len(entropy[-1])), dtype=np.uint32)
+    for i, word in enumerate(entropy[:_POOL]):
+        pool[i] = word
+    pool, h = _hash(pool, _POOL, _INIT_A)
+    # mix each pool word into the other three, then each word past the pool into all four
+    for src in range(max(len(entropy), _POOL)):
+        dst = [i for i in range(_POOL) if i != src]
+        hashed, h = _hash(pool[src] if src < _POOL else entropy[src], len(dst), h)
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hash(pool, _POOL, _INIT_B, _MULT_B)[0].astype(np.uint64)
+    # generate_state reads the four words as two little-endian uint64
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+class _Key(NamedTuple):
+    """A seed sequence, registered as numpy's ISeedSequence, that hands Philox a ready key."""
+
+    key: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+def _round_rngs(seed: int, indices: Sequence[int]) -> list[np.random.Generator]:
+    """The rounds' generators: ``Generator(Philox(SeedSequence((seed, i))))`` for each i."""
+    np.random.bit_generator.ISeedSequence.register(_Key)  # `import critmac` leaves numpy.random out
+    return [np.random.Generator(np.random.Philox(_Key(k))) for k in _round_keys(seed, indices)]
 
 
 # stages of a round after its normal phase (see _run_batch)
@@ -478,18 +528,18 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     two_crit = scenario in TWO_CRITICAL_SCENARIOS
     simultaneous = scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS
 
-    rngs = [_round_rng(cfg.seed, i) for i in indices]
+    rngs = _round_rngs(cfg.seed, indices)
     size = len(rngs)
     pairs = np.full((size, 2), -1, dtype=np.intp)
     first, second = pairs.T
-    lengths = np.empty((size, 2), dtype=np.int64)
+    model = cfg.traffic_model
+    lengths = np.full((size, 2), int(model.value), dtype=np.int64)  # fixed; geometric drawn below
     for j, rng in enumerate(rngs):
         first[j] = rng.integers(n)
         if two_crit:
             second[j] = (first[j] + 1 + rng.integers(n - 1)) % n
-            lengths[j] = cfg.traffic_model.draw(rng), cfg.traffic_model.draw(rng)
-        else:
-            lengths[j, 0] = cfg.traffic_model.draw(rng)
+        if model.kind == "geometric":
+            lengths[j, : 1 + two_crit] = [model.draw(rng) for _ in range(1 + two_crit)]
 
     engine = SlotEngine(
         params, cfg.enhancement, rngs, _expected_slots(cfg), two_critical_inference=two_crit

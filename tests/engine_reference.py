@@ -39,7 +39,6 @@ from critmac.sim import (
     RoundStats,
     Scenario,
     SimConfig,
-    _round_rng,
 )
 
 
@@ -263,9 +262,14 @@ def normal_phase_stats(success_flags: list[bool]) -> RoundStats:
     return stats
 
 
+def round_rng(seed: int, round_index: int) -> np.random.Generator:
+    """A round's generator as the seed contract defines it, one SeedSequence per round."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, round_index))))
+
+
 def run_round(cfg: SimConfig, round_index: int):
     """One round: (slots, events, RoundStats)."""
-    rng = _round_rng(cfg.seed, round_index)
+    rng = round_rng(cfg.seed, round_index)
     n = cfg.params.n_users
     two_crit = cfg.scenario in TWO_CRITICAL_SCENARIOS
 

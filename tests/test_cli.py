@@ -778,3 +778,13 @@ def test_cli_import_leaves_scipy_out():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # the simulator loads numpy.random on a batch's first run, not at import
+    code = (
+        "import sys, critmac.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

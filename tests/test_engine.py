@@ -10,12 +10,14 @@ every action is certain.
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import engine_reference
+from engine_reference import round_rng
 from critmac import (
     CriticalTrafficModel,
     EnhancementConfig,
@@ -40,7 +42,6 @@ from critmac.sim import (
     TWO_CRITICAL_SCENARIOS,
     SlotEngine,
     _batch_rounds,
-    _round_rng,
     _run_batch,
     run_round,
 )
@@ -194,13 +195,32 @@ def test_block_draws_equal_successive_draws():
     # the engine's premise: a (rows, n) block of a round's stream is rows
     # successive n-draws, also after the round's integer and geometric draws
     for seed in range(5):
-        a, b = _round_rng(seed, 3), _round_rng(seed, 3)
+        a, b = round_rng(seed, 3), round_rng(seed, 3)
         for g in (a, b):
             g.integers(7)
             g.geometric(0.2)
         block = np.concatenate([a.random((9, 7)), a.random((4, 7))])
         steps = np.stack([b.random(7) for _ in range(13)])
         assert block.tobytes() == steps.tobytes()
+
+
+def test_batch_keys_are_the_seed_sequence_keys():
+    # seeds of 1, 2, 3 and 4 uint32 words; scalar uint32 overflow would warn
+    indices = [0, 1, 999_999]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7):
+            keys = sim._round_keys(seed, indices)
+            expected = [
+                np.random.SeedSequence((seed, i)).generate_state(2, np.uint64) for i in indices
+            ]
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == np.array(expected).tolist()
+            for i, a in zip(indices, sim._round_rngs(seed, indices)):
+                b = round_rng(seed, i)
+                assert a.integers(10) == b.integers(10)
+                assert a.geometric(0.2) == b.geometric(0.2)
+                assert a.random((5, 3)).tobytes() == b.random((5, 3)).tobytes()
 
 
 # normal users never transmit: q = 0 after an idle slot, 1 - theta = 0 after
@@ -210,7 +230,7 @@ QUIET = ProtocolParams(3, 1.0, 0.0, 0.0)
 
 def inference_engine():
     engine = SlotEngine(
-        QUIET, EnhancementConfig(enabled=True, backoff_bound=5), [_round_rng(0, 0)], 8,
+        QUIET, EnhancementConfig(enabled=True, backoff_bound=5), [round_rng(0, 0)], 8,
         two_critical_inference=True,
     )
 

@@ -22,7 +22,8 @@ post-critical suppression, a traced N = 3 run of 600 rounds (two batches,
 each written in several trace chunks), and all three two-critical
 scenarios, among them during-collision runs whose invalid rounds once took
 a second batch (N = 10, 55 rounds) and that span several batches (N = 50,
-130 rounds).
+130 rounds).  Two runs take seeds of two and three uint32 words, whose
+round streams hash more entropy words than any seed below 2**32.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ CASES = {
                                           True, 0),
     "simulate-n3-600": (["simulate", *P3, "--rounds", "600", "--seed", "43", "--format", "json"],
                         True, 0),
+    # seeds of two and three uint32 words: 2**32 + 7 and 2**70 + 1
+    "simulate-seed-two-words": (["simulate", *P10, "--rounds", "30", "--seed", "4294967303",
+                                 "--format", "json"], True, 0),
+    "scenario-during-collision-seed-three-words": (
+        ["simulate", *P10, "--rounds", "12", "--seed", "1180591620717411303425", "--enhanced",
+         "--scenario", "two-critical-during-collision", "--format", "csv"], True, 0),
 }
 
 # case id -> (report digest, trace digest or None)
@@ -155,6 +162,9 @@ GOLDEN = {
     "scenario-during-collision-n50-130": (
         "b8c22fbcf31d38fb19c05dcc12a03a82945da92ea6d592980d9d8e1d9dd394bd",
         "a9a59ca5036d304a362ac3027627330fbe1e8f4ccea683fd56a7d44e16796e1a"),
+    "scenario-during-collision-seed-three-words": (
+        "8bb87ae238e95ffb1cddf27c2a36cf34d33357a402c8e9882b17cb89fc0157c5",
+        "423c9990c770bb243bceffa99d6947baeba94f814684b55609fe9eaba0e304ed"),
     "scenario-during-success": (
         "1f03fcae55665ee714490aa93b0baedba44d4b4ff7a78d88a5eb596c786ca58a",
         "173a900d5ffc5212f735dcdd2dd425e8c794c42a6e11865a364a67e04d04a317"),
@@ -186,6 +196,9 @@ GOLDEN = {
     "simulate-no-suppress": (
         "c1528a4925875c2639458cb39efd26f9f84a297865db97997457c5fbdc84aa3b",
         "3f9fbe762397a189295589260858e826ab505e9df4fb44e097f18c29d9390add"),
+    "simulate-seed-two-words": (
+        "a78a8dfd0c0858bbc341610a8b39df14a831f335fefd9e998fd5321944795f2f",
+        "def1d517a527d950edd2ab281a9f70d2e9b21c49b35dd1e7e07748eb38b96be8"),
     "simulate-short-phase-geometric": (
         "b21da4bcf3f9edb167b93778a6a60c57234a35db98d6517f10eee9f3b3cd8f58",
         "8e16e6a3c9f6f87dafc42c040f16d9b27132d0d781826aa8e5453876aff8544d"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import engine_reference
+from engine_reference import round_rng
 from critmac import (
     BadParams,
     CriticalTrafficModel,
@@ -36,7 +37,6 @@ from critmac import sim
 from critmac.sim import (
     SlotEngine,
     _mean_se,
-    _round_rng,
     _run_batch,
     run_round,
     write_trace_header,
@@ -194,8 +194,8 @@ class TestEnhancedRules:
         n, rounds = P10.n_users, 3
         for enh in (EnhancementConfig(enabled=True, backoff_bound=4), EnhancementConfig()):
             # blocks of 7 rows, so the engine also draws past its first block
-            engine = SlotEngine(P10, enh, [_round_rng(0, i) for i in range(rounds)], 7)
-            draws = [_round_rng(0, i) for i in range(rounds)]  # the engine's streams
+            engine = SlotEngine(P10, enh, [round_rng(0, i) for i in range(rounds)], 7)
+            draws = [round_rng(0, i) for i in range(rounds)]  # the engine's streams
             for _ in range(60):
                 states = [[random_state() for _ in range(n)] for _ in range(rounds)]
                 engine.users = engine_reference.as_arrays(states)
@@ -218,7 +218,7 @@ class TestPostCriticalHandover:
         params = ProtocolParams(5, 0.3, 0.2, 0.4)
         rounds = 800
         engine = SlotEngine(
-            params, EnhancementConfig(), [_round_rng(99, idx) for idx in range(rounds)], 32
+            params, EnhancementConfig(), [round_rng(99, idx) for idx in range(rounds)], 32
         )
         for _ in range(30):
             engine.step()
