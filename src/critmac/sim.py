@@ -15,24 +15,22 @@ of every user of every round is a set of ``(rounds, users)`` arrays
 flags and remaining packets, the rule-g memory and the wait owed after a
 shared phase), and one slot is one array rule lookup, one comparison with
 the slot's uniforms, the feedback from each round's transmitter count, and
-masked state updates.  Every round of a batch takes one slot per step,
-so all its rounds are always at the same slot, and row j of every array is
-round j until the batch ends: a round that has ended keeps its row and
-steps on, and none of its later slots is read.  Each round draws its
-uniforms from its own stream, so those extra slots change no other round.
-The round structure is applied between steps, to each round separately:
-after its normal phase a round is guarded (simultaneous scenario only,
-until a collision-free boundary), then critical until its critical users
-finish, then done, with its end slot recorded (see :func:`_run_batch`).  A
-batch holds as many rounds as its memory allows (:func:`_batch_rounds`):
-its block of uniforms and its rounds' own state (generators, trace cells)
-each stay within ``markov._STACK_ELEMENTS`` float64 (1 MB).  So a batch's
-memory does not grow with the number of rounds, and each lockstep step,
-whose cost is mostly fixed, serves hundreds of rounds.  A two-critical run
-sizes its batches from the share of its rounds expected to admit the second
-arrival (:func:`_valid_share`), so one batch usually holds the whole run.
-A batch is the only record of its rounds (:class:`_Batch`): a traced one
-keeps only its packed cells, and is written from them in chunks of rows
+masked state updates.  All rounds of a batch are always at the same slot,
+and row j of every array is round j until the batch ends: a round that has
+ended keeps its row and steps on, and none of its later slots is read (they
+draw from its own stream, so they change no other round).  The round
+structure is applied between steps, to each round separately: after its
+normal phase a round is guarded (simultaneous scenario only, until a
+collision-free boundary), then critical until its critical users finish,
+then done, with its end slot recorded (see :func:`_run_batch`).  A batch
+holds as many rounds as 1 MB budgets allow (:func:`_batch_rounds`), so its
+memory does not grow with the run, and each lockstep step, whose cost is
+mostly fixed, serves hundreds of rounds.  A two-critical run sizes its
+batches from the share of its rounds expected to admit the second arrival
+(:func:`_valid_share`), so one batch usually holds the whole run.  A batch
+is the only record of its rounds (:class:`_Batch`): each user's critical
+milestones (the slots of its arrival, first rule-g entry and completion)
+and, when traced, the packed cells it is written from in chunks of rows
 (:func:`write_trace_rows`).  A two-critical batch's valid rounds are
 verified together from it (:func:`_verify_rounds`), and only they get a
 report.  A run's records do grow: per-round counts, contention periods and
@@ -69,7 +67,7 @@ Metric estimation from the normal phase:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -237,6 +235,11 @@ class SimConfig:
             )
         if two_crit and not self.enhancement.enabled:
             raise ScenarioUnsatisfiable("two-critical inference requires the enhanced rules")
+        never = f"{self.scenario.value} never injects its second arrival"  # X = 1 also at mean 1
+        if self.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS and self.traffic_model.value == 1:
+            raise ScenarioUnsatisfiable(f"{never}: X = 1 leaves no packet after the first success")
+        if self.scenario is Scenario.TWO_CRITICAL_DURING_COLLISION and self.params.q == 0:
+            raise ScenarioUnsatisfiable(f"{never}: at q = 0 no normal user leaves the idle start")
 
 
 def _expected_slots(cfg: SimConfig) -> int:
@@ -257,7 +260,9 @@ def _batch_rounds(cfg: SimConfig, keep_trace: bool) -> int:
     when traced, its packed cells (one byte per user and slot), must fit
     the budget as well.  Trace cells are kept as full batch rows, ended
     rounds included, once per step and once as the batch's array.  So a
-    batch holds about twice the budget, whatever the number of rounds.
+    batch holds about twice the budget, whatever the number of rounds.  The
+    three int32 milestone arrays add 12 B per user and round, against the
+    uniform block's 128 B or more, so they are not charged.
     """
     n = cfg.params.n_users
     own = _EXTRA_ROWS**2
@@ -274,29 +279,17 @@ def _pack(tx: np.ndarray, obs: np.ndarray, critical: np.ndarray) -> np.ndarray:
     return packed
 
 
-@dataclass
-class RoundStats:
-    """Per-round raw material for the experiment-level estimators."""
-
-    contention_lengths: list[int] = field(default_factory=list)
-    contention_starts: list[int] = field(default_factory=list)  # slot of each period's idle slot
-    normal_successes: int = 0
-    normal_slots: int = 0
-    ts_trials: int = 0
-    ts_stops: int = 0
-    critical_collisions: int = 0
-    critical_phase_slots: int = 0
-
-
 class SlotEngine:
     """Steps a batch of rounds in lockstep, one slot of every round per step.
 
     ``rngs`` are the rounds' generators, one a row (:func:`_round_rngs`),
     positioned after their draws of critical users and traffic lengths; the
     engine draws their uniforms in blocks, the first of ``rows`` slots.  Row
-    j of ``users`` and ``events[j]`` are round j of the batch for the
+    j of ``users`` and of the milestones is round j of the batch for the
     batch's whole run: a round that has ended keeps its row and keeps
-    stepping, and its caller reads none of those slots.
+    stepping, and its caller reads none of those slots.  The milestones are
+    each user's last critical arrival (``arrived``), first rule-g entry
+    (``entered``) and last completion (``finished``): slots, 0 for none.
     Round structure (phase lengths, critical arrivals) is driven from
     outside via :meth:`set_critical` and :meth:`step`.  Two-critical
     inference (mode switching to ``rule_g``) runs only when
@@ -320,12 +313,13 @@ class SlotEngine:
         self.enh = enhancement
         self.rngs = list(rngs)
         self.two_critical_inference = two_critical_inference
-        self.users = UserArrays.initial((len(self.rngs), params.n_users))
+        shape = (len(self.rngs), params.n_users)
+        self.users = UserArrays.initial(shape)
         self.slot = 0
-        self.events: list[list[tuple[int, str, int]]] = [[] for _ in self.rngs]
+        self.arrived, self.entered, self.finished = np.zeros((3, *shape), dtype=np.int32)
         self._rows = rows
         self._buffer = np.empty(0)
-        self._block = self._buffer.reshape(len(self.rngs), 0, params.n_users)
+        self._block = self._buffer.reshape(shape[0], 0, shape[1])
         self._block_start = 0
         self._ones = np.ones(params.n_users)
         # only the enhanced rules and the two-critical inference read failure runs
@@ -343,8 +337,7 @@ class SlotEngine:
         s.remaining[at, users] = packets
         s.in_phase[at, users] = False
         s.success_failure[at, users] = False
-        for j, u in zip(at.tolist(), users.tolist()):
-            self.events[j].append((self.slot + 1, "critical_arrival", u))
+        self.arrived[at, users] = self.slot + 1
 
     def _uniforms(self) -> np.ndarray:
         row = self.slot - self._block_start
@@ -398,8 +391,7 @@ class SlotEngine:
             keep = ~done
             critical &= keep
             s.g_mode &= keep
-            for r, u in zip(*np.nonzero(done)):
-                self.events[r].append((self.slot, "completion", int(u)))
+            self.finished[done] = self.slot
 
         if self.two_critical_inference and critical.any():
             g_mode = s.g_mode
@@ -416,9 +408,7 @@ class SlotEngine:
                 s.failures[revert] = 0
                 s.in_phase &= ~revert
                 s.success_failure &= ~revert
-                for r, u in zip(*np.nonzero(switch)):
-                    kind = "g_entry" if enter[r, u] else "g_revert"
-                    self.events[r].append((self.slot + 1, kind, int(u)))
+                self.entered[enter & (self.entered == 0)] = self.slot + 1
         return tx, obs, k
 
 
@@ -491,8 +481,9 @@ class _Batch:
     flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
     critical_slots: np.ndarray    # critical-phase slots per round
     collisions: np.ndarray        # the first critical user's failures in its critical phase
-    # per round, (slot, event, user): critical_arrival, g_entry, g_revert or completion
-    events: list[list[tuple[int, str, int]]]
+    arrived: np.ndarray           # (rounds, users) critical milestones: slots, 0 for none;
+    entered: np.ndarray           # the arrival, first rule-g entry and completion of each
+    finished: np.ndarray          # user (see SlotEngine)
     cells: np.ndarray | None      # (slots, rounds, users) packed trace cells, when kept
     slots: np.ndarray             # slots each round ran: its end slot
     pairs: np.ndarray             # (rounds, 2) critical users by arrival, simultaneous by index
@@ -618,7 +609,9 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         flags=flags,
         critical_slots=critical_slots,
         collisions=collisions,
-        events=engine.events,
+        arrived=engine.arrived,
+        entered=engine.entered,
+        finished=engine.finished,
         cells=np.stack(cells) if keep_trace else None,
         slots=slots,
         pairs=pairs,
@@ -663,21 +656,9 @@ def _normal_phase_stats(flags: np.ndarray) -> _PhaseStats:
     )
 
 
-def run_round(cfg: SimConfig, round_index: int) -> tuple[_Batch, RoundStats]:
-    """Simulate and trace one round, as a one-round batch, with its per-round statistics."""
-    batch = _run_batch(cfg, [round_index], keep_trace=True)
-    ph = _normal_phase_stats(batch.flags)
-    stats = RoundStats(
-        contention_lengths=ph.period_length.tolist(),
-        contention_starts=ph.period_start.tolist(),
-        normal_successes=int(ph.successes[0]),
-        normal_slots=cfg.normal_phase_slots,
-        ts_trials=int(ph.trials[0]),
-        ts_stops=int(ph.stops[0]),
-        critical_collisions=int(batch.collisions[0]),
-        critical_phase_slots=int(batch.critical_slots[0]),
-    )
-    return batch, stats
+def run_round(cfg: SimConfig, round_index: int) -> _Batch:
+    """Simulate and trace one round, as a one-round batch."""
+    return _run_batch(cfg, [round_index], keep_trace=True)
 
 
 @dataclass(frozen=True)
@@ -878,10 +859,9 @@ class ScenarioSummary:
 def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[ScenarioRoundReport]:
     """Check the valid scenario rounds ``rows`` of a traced batch, one report each.
 
-    Each round's cells, end slot, events, critical users (``pairs``) and
-    index are read from the batch (see :class:`_Batch`).  Each check is one
-    array operation over all the rounds' slots; only the events are read
-    round by round.
+    A round's cells, end slot, milestones, critical users and index are
+    read from the batch (:class:`_Batch`); each check is one array operation
+    over all the rounds, and only the reports are built round by round.
 
     Deterministic consequences asserted here: both critical users switch to
     rule_g within backoff_bound + 2 slots of coexistence (exactly after
@@ -907,28 +887,19 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
     """
     b = cfg.enhancement.backoff_bound
     users = batch.pairs[rows]
-    # per round: its arrivals, first entries (a survivor may re-enter) and completions;
-    # as arrays: the second arrival, the first completion, its user, the joint entry (0: none)
-    parsed = []
-    a2, done, finisher, joint = np.zeros((4, len(rows)), dtype=np.int64)
     pairs = users.tolist()
-    for j, (u1, u2) in enumerate(pairs):
-        events = batch.events[rows[j]]
-        arrivals = {u: s for s, ev, u in events if ev == "critical_arrival"}
-        entries: dict[int, int] = {}
-        for s, ev, u in events:
-            if ev == "g_entry" and u in (u1, u2) and u not in entries:
-                entries[u] = s
-        completions = [(s, u) for s, ev, u in events if ev == "completion"]
-        parsed.append(((arrivals[u1], arrivals[u2]), entries, completions))
-        a2[j] = arrivals[u2]
-        done[j], finisher[j] = completions[0]
-        joint[j] = max(entries.values()) if len(entries) == 2 else 0
+    rounds = np.arange(len(rows))
+    first, second = users.T
+    # (rounds, 2) by pair position: arrivals, first entries (0: none) and completions
+    arrived, entered, finished = (a[rows[:, None], users] for a in (
+        batch.arrived, batch.entered, batch.finished))
+    a2 = arrived[:, 1]
+    done = finished.min(axis=1)
+    first_done = finished[:, 0] < finished[:, 1]  # the first critical user finished first
+    joint = np.where(entered.all(axis=1), entered.max(axis=1), 0)
     # both were still critical when the inference bound ran out, and not both entered
     missed = (joint == 0) & (done >= a2 + b + 2)
 
-    rounds = np.arange(len(rows))
-    first, second = users.T
     slots = batch.slots[rows]
     t = np.arange(len(batch.cells))[:, None]  # row of each slot, against each round
     ran = t < slots
@@ -955,10 +926,12 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
     broken = sharing & (t >= shared - 1) & (shared > 0) & ~in_turn
     broken_at = np.where(broken.any(axis=0), broken.argmax(axis=0) + 1, 0)
     # the handover: rows done, done + 1 and done + 2 are the three slots after the completion
-    survivor_sent = np.where(finisher == first, at(act2, done), at(act1, done))
+    survivor_sent = np.where(first_done, at(act2, done), at(act1, done))
     took_over = survivor_sent & at(alone, done)
     idle = at(transmitters == 0, done + 1)
-    finisher_sent = np.where(finisher == first, at(act1, done + 2), at(act2, done + 2))
+    # only a user that finished in g-mode owes the wait after the idle slot
+    waits = np.where(first_done, entered[:, 0], entered[:, 1]) > 0
+    finisher_sent = waits & np.where(first_done, at(act1, done + 2), at(act2, done + 2))
     if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
         # the first slot each user's consecutive-collision count reaches b + 1
         # (failure runs may have begun before the arrival)
@@ -968,8 +941,7 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
         runs = counted[b + 1 :] - counted[: -b - 1] == b + 1  # rows that end b + 1 failures
         hits = np.where(runs.any(axis=0), runs.argmax(axis=0) + 1, 0)
 
-    def violations(j: int, entries: dict[int, int]) -> Iterator[str]:
-        u1, u2 = pairs[j]
+    def violations(j: int, entry: list[int]) -> Iterator[str]:
         if missed[j]:
             yield "a critical user never entered rule-g mode"
             return
@@ -977,16 +949,15 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
             yield f"rule-g inference took {joint[j] - a2[j]} slots, bound is {b + 2}"
         if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
             # entry exactly one slot after the count first reaches b + 1
-            for u, hit in zip((u1, u2), hits[j].tolist()):
-                if entries.get(u) != (hit + 1 if hit else None):
+            for u, e, hit in zip(pairs[j], entry, hits[j].tolist()):
+                if e != (hit + 1 if hit else 0):
                     yield (
-                        f"user {u} entered rule-g at slot {entries.get(u)}, expected one slot "
+                        f"user {u} entered rule-g at slot {e or None}, expected one slot "
                         f"after its collision count reached {b + 1} (slot {hit or None})"
                     )
-        if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
-            # the interrupted run owner reacts to its (success, failure) at once
-            if entries.get(u1) != a2[j] + 1:
-                yield f"run owner entered rule-g at slot {entries.get(u1)}, expected {a2[j] + 1}"
+        # the interrupted run owner reacts to its (success, failure) at once
+        if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS and entry[0] != a2[j] + 1:
+            yield f"run owner entered rule-g at slot {entry[0] or None}, expected {a2[j] + 1}"
         if collisions[j] < 1:
             yield "the two critical users never collided"
         if joint[j] and not shared[j]:
@@ -1000,25 +971,26 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
             yield "survivor did not take the slot after the first completion"
         if not idle[j]:
             yield "no idle slot after the handover success"
-        # only a user that finished in g-mode owes the wait after the idle slot
-        if int(finisher[j]) in entries and finisher_sent[j]:
+        if finisher_sent[j]:
             yield "finished user transmitted in the slot after the idle slot"
 
-    return [
-        ScenarioRoundReport(
+    reports = []
+    for j, (pair, arrival, entry, ends) in enumerate(
+        zip(pairs, arrived.tolist(), entered.tolist(), finished.tolist())
+    ):
+        reports.append(ScenarioRoundReport(
             round_index=batch.indices[rows[j]],
-            arrival_slots=arrivals,
-            g_entry_slots=entries,
+            arrival_slots=tuple(arrival),
+            g_entry_slots={u: e for e, u in sorted(zip(entry, pair)) if e},  # in entry order
             first_joint_g_slot=int(joint[j]) or None,
             first_shared_success_slot=int(shared[j]) or None,
             # a round that owed a joint entry it never made reports no collisions
             critical_collisions=0 if missed[j] else int(collisions[j]),
-            completion_order=[u for _, u in completions],
-            completion_slots=[s for s, _ in completions],
-            violations=list(violations(j, entries)),
-        )
-        for j, (arrivals, entries, completions) in enumerate(parsed)
-    ]
+            completion_order=pair if ends[0] < ends[1] else pair[::-1],
+            completion_slots=sorted(ends),
+            violations=list(violations(j, entry)),
+        ))
+    return reports
 
 
 def _valid_share(cfg: SimConfig) -> float:
@@ -1032,15 +1004,14 @@ def _valid_share(cfg: SimConfig) -> float:
     chain leaves out the enhanced rules' waits and the idle start of the
     normal phase (0.780 against 0.778 seen over 400 rounds at N = 10).  A
     during-success round is valid when the first critical user has a packet
-    left after its first success, so its traffic length X >= 2; a
-    simultaneous round always is.  Where the chain has no unique stationary
-    distribution (boundary q or r), the share is taken as 1.
+    left after its first success, so its traffic length X >= 2 (a fixed X
+    is: :class:`SimConfig` refuses X = 1); a simultaneous round always is.
+    Where the chain has no unique stationary distribution (boundary q or
+    r), the share is taken as 1.
     """
-    if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
+    if cfg.scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:  # a geometric X is 1 w.p. 1 / mean
         model = cfg.traffic_model
-        if model.kind == "fixed":
-            return float(model.value >= 2)
-        return 1.0 - 1.0 / model.value  # a geometric length is 1 with chance 1 / mean
+        return 1.0 if model.kind == "fixed" else 1.0 - 1.0 / model.value
     if cfg.scenario is not Scenario.TWO_CRITICAL_DURING_COLLISION:
         return 1.0
     params = cfg.params
@@ -1077,9 +1048,7 @@ def _rounds_to_try(missing: int, share: float, limit: int) -> int:
     return min(math.ceil(root**2), limit)
 
 
-def simulate_two_critical(
-    cfg: SimConfig, trace_sink: IO[str] | None = None
-) -> ScenarioSummary:
+def simulate_two_critical(cfg: SimConfig, trace_sink: IO[str] | None = None) -> ScenarioSummary:
     """Run and verify two-critical rounds until cfg.rounds valid rounds accrue.
 
     A round is valid when the second critical event could be injected (the

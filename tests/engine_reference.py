@@ -8,7 +8,9 @@ inference window as a list of observations.  `run_round` drives one round
 through the same structure and draw order as the simulator (critical user,
 traffic lengths, then one uniform per user per slot), so a round's `Slot`s,
 events and `RoundStats` must match the array engine's trace, decoded,
-exactly.  `as_arrays` gives reference states to the array rules.
+exactly: `milestones` reduces the events to the engine's arrival, entry
+and completion arrays, and `batch_stats` reads a one-round batch's
+`RoundStats`.  `as_arrays` gives reference states to the array rules.
 """
 
 from __future__ import annotations
@@ -36,10 +38,55 @@ from critmac.sim import (
     _MAX_CRITICAL_SLOTS,
     _SCENARIO_TAIL_SLOTS,
     TWO_CRITICAL_SCENARIOS,
-    RoundStats,
     Scenario,
     SimConfig,
+    _normal_phase_stats,
 )
+
+
+@dataclass
+class RoundStats:
+    """Per-round raw material for the experiment-level estimators."""
+
+    contention_lengths: list[int] = field(default_factory=list)
+    contention_starts: list[int] = field(default_factory=list)  # slot of each period's idle slot
+    normal_successes: int = 0
+    normal_slots: int = 0
+    ts_trials: int = 0
+    ts_stops: int = 0
+    critical_collisions: int = 0
+    critical_phase_slots: int = 0
+
+
+def batch_stats(batch) -> RoundStats:
+    """The statistics of the array engine's one-round batch."""
+    ph = _normal_phase_stats(batch.flags)
+    return RoundStats(
+        contention_lengths=ph.period_length.tolist(),
+        contention_starts=ph.period_start.tolist(),
+        normal_successes=int(ph.successes[0]),
+        normal_slots=batch.flags.shape[1],
+        ts_trials=int(ph.trials[0]),
+        ts_stops=int(ph.stops[0]),
+        critical_collisions=int(batch.collisions[0]),
+        critical_phase_slots=int(batch.critical_slots[0]),
+    )
+
+
+def milestones(events: list[tuple[int, str, int]], n_users: int) -> list[list[list[int]]]:
+    """A round's events as the engine's (1, users) arrived, entered and finished slots (0: none).
+
+    Arrivals and completions keep each user's last slot, entries its first;
+    reverts are not kept.
+    """
+    kinds = ("critical_arrival", "g_entry", "completion")
+    arrays = [[0] * n_users for _ in kinds]
+    for slot, kind, user in events:
+        if kind in kinds:
+            row = arrays[kinds.index(kind)]
+            if kind != "g_entry" or not row[user]:
+                row[user] = slot
+    return [[row] for row in arrays]
 
 
 @dataclass

@@ -135,6 +135,10 @@ class TestOptimize:
         assert "infeasible" in proc.stdout
 
 
+# a scenario that would spin through 5 * 10**6 rounds if it were not refused at once
+NEVER_INJECTS = ["--rounds", "1000000", "--enhanced", "--scenario"]
+
+
 class TestSimulate:
     def test_report_shape(self):
         out = run_cli(
@@ -354,7 +358,12 @@ class TestSimulate:
         ["--rounds", "100000000000"],
         ["--normal-slots", "10001"],
         ["--rounds", "20000", "--normal-slots", "5001"],
-    ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "rounds-times-slots"])
+        # scenarios that never inject their second arrival, refused before any round runs
+        [*NEVER_INJECTS, "two-critical-during-success", "--x-fixed", "1"],
+        [*NEVER_INJECTS, "two-critical-during-success", "--x-geometric", "1"],
+        [*NEVER_INJECTS, "two-critical-during-collision", "--q", "0"],
+    ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "rounds-times-slots",
+            "during-success-x1", "during-success-geometric-mean1", "during-collision-q0"])
     def test_refused_simulate_leaves_the_output_files(self, refusal, tmp_path):
         out, trace = tmp_path / "kept.csv", tmp_path / "kept-trace.csv"
         out.write_bytes(b"metric,analysis\n")

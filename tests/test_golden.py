@@ -23,16 +23,27 @@ each written in several trace chunks), and all three two-critical
 scenarios, among them during-collision runs whose invalid rounds once took
 a second batch (N = 10, 55 rounds) and that span several batches (N = 50,
 130 rounds).  Two runs take seeds of two and three uint32 words, whose
-round streams hash more entropy words than any seed below 2**32.
+round streams hash more entropy words than any seed below 2**32.  The CLI
+writes only some fields of a two-critical round's report, so a last digest
+pins every field of every report over a grid of 54 configs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from critmac import (
+    CriticalTrafficModel,
+    EnhancementConfig,
+    ProtocolParams,
+    SimConfig,
+    simulate_two_critical,
+)
 from critmac.cli import main
+from critmac.sim import TWO_CRITICAL_SCENARIOS
 
 P10 = ["--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"]
 P50 = ["--n", "50", "--theta", "0.1", "--q", "0.0213", "--r", "0.4754"]
@@ -246,3 +257,36 @@ def run_case(case: str, directory) -> tuple[str, str | None]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(case, tmp_path):
     assert run_case(case, tmp_path) == GOLDEN[case]
+
+
+# every field of every report of two-critical runs: 60 rounds, seed 11, at
+# the paper's optimum for each N, across the scenarios, three traffic models
+# and both settings of suppress_after_critical (the CLI writes only some fields)
+REPORT_GRID = [
+    SimConfig(
+        params=ProtocolParams(n, 0.1, q, r),
+        enhancement=EnhancementConfig(enabled=True, suppress_after_critical=suppress),
+        rounds=60,
+        traffic_model=traffic,
+        seed=11,
+        scenario=scenario,
+    )
+    for n, q, r in ((3, 0.3397, 0.4896), (10, 0.1051, 0.4786), (50, 0.0213, 0.4754))
+    for scenario in TWO_CRITICAL_SCENARIOS
+    for traffic in (CriticalTrafficModel.fixed(20), CriticalTrafficModel.geometric(8.0),
+                    CriticalTrafficModel.fixed(2))
+    for suppress in (True, False)
+]
+REPORT_DIGEST = "568ea4189052cc6672d2728592d3b097f34215bfee92d71ae7b391396f0f3ecb"
+
+
+def test_report_field_digest():
+    digest = hashlib.sha256()
+    for cfg in REPORT_GRID:
+        summary = simulate_two_critical(cfg)
+        digest.update(repr(summary.attempted_rounds).encode())
+        for rep in summary.reports:
+            fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+            fields["g_entry_slots"] = sorted(rep.g_entry_slots.items())
+            digest.update(repr(list(fields.values())).encode())
+    assert digest.hexdigest() == REPORT_DIGEST

@@ -76,7 +76,9 @@ def test_completion_handover_fields():
 
 def test_geometric_lengths_survivor_phase():
     # unequal traffic lengths leave one critical user alone after the other
-    # finishes; it must revert to plain always-transmit mode and still finish
+    # finishes; after the handover success and the idle slot it reverts to
+    # plain always-transmit mode, so it transmits in every slot until it
+    # finishes (in rule-g mode it would wait after each of its own successes)
     cfg = scenario_cfg(
         Scenario.TWO_CRITICAL_SIMULTANEOUS,
         rounds=120,
@@ -85,17 +87,37 @@ def test_geometric_lengths_survivor_phase():
     )
     summary = simulate_two_critical(cfg)
     assert summary.violation_count == 0
-    reverted = 0
+    batch = _run_batch(cfg, range(summary.attempted_rounds), keep_trace=True)
+    alone = 0
     for rep in summary.reports:
-        batch, _ = run_round(cfg, rep.round_index)
-        reverted += any(ev == "g_revert" for _, ev, _ in batch.events[0])
-    assert reverted > 0
+        if rep.first_joint_g_slot is None:
+            continue
+        done, end = rep.completion_slots
+        # slots done + 3 to end are rows done + 2 to end - 1
+        sent = batch.actions[done + 2 : end, rep.round_index, rep.completion_order[1]]
+        assert sent.all(), rep
+        alone += len(sent) >= 2
+    assert alone > 0
 
 
 def test_requires_enhancement():
     # refused when the config is made, before any round runs or trace opens
     with pytest.raises(ScenarioUnsatisfiable, match="requires the enhanced rules"):
         SimConfig(params=P10, rounds=5, scenario=Scenario.TWO_CRITICAL_SIMULTANEOUS, seed=1)
+
+
+@pytest.mark.parametrize("scenario,kwargs", [
+    # a during-success round needs a packet left after the first success
+    (Scenario.TWO_CRITICAL_DURING_SUCCESS, dict(traffic_model=CriticalTrafficModel.fixed(1))),
+    (Scenario.TWO_CRITICAL_DURING_SUCCESS, dict(traffic_model=CriticalTrafficModel.geometric(1))),
+    # a during-collision round needs a normal user that transmits after the idle start,
+    # also at r = 1, where the normal chain gives no share
+    (Scenario.TWO_CRITICAL_DURING_COLLISION, dict(params=ProtocolParams(10, 0.1, 0.0, 0.5))),
+    (Scenario.TWO_CRITICAL_DURING_COLLISION, dict(params=ProtocolParams(3, 0.1, 0.0, 1.0))),
+])
+def test_refuses_scenarios_that_never_inject(scenario, kwargs):
+    with pytest.raises(ScenarioUnsatisfiable, match="never injects its second arrival"):
+        scenario_cfg(scenario, **kwargs)
 
 
 @pytest.mark.parametrize("n,q,r,share", [
@@ -114,15 +136,12 @@ def test_during_collision_share_from_the_normal_chain(n, q, r, share):
 
 
 def test_valid_share_of_each_scenario():
-    fixed1 = CriticalTrafficModel.fixed(1)
     geometric = CriticalTrafficModel.geometric(4.0)
     assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS)) == 1.0
     assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS,
                                       traffic_model=geometric)) == 1.0
     # a during-success round needs a packet left after the first success
     assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS)) == 1.0
-    assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS,
-                                      traffic_model=fixed1)) == 0.0
     assert _valid_share(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS,
                                       traffic_model=geometric)) == 0.75
     # at r = 1 the normal chain has several absorbing states: a share of 1
@@ -182,10 +201,10 @@ def test_simultaneous_runs_the_rounds_asked_for(n, q, r, rounds, sizes, monkeypa
 
 @pytest.mark.parametrize("scenario", [Scenario.SINGLE_CRITICAL, *TWO_CRITICAL_SCENARIOS])
 def test_batch_pairs_are_the_arrivals(scenario):
-    # the critical users a batch reports, against those its events record
+    # the critical users a batch reports, against the arrivals it records
     batch = _run_batch(scenario_cfg(scenario), range(60), keep_trace=False)
-    for j, events in enumerate(batch.events):
-        arrived = tuple(u for _, ev, u in sorted(events) if ev == "critical_arrival")
+    for j, slots in enumerate(batch.arrived.tolist()):
+        arrived = tuple(u for _, u in sorted((s, u) for u, s in enumerate(slots) if s))
         assert arrived == tuple(batch.pairs[j, : 1 + batch.injected[j]].tolist())
     if scenario is Scenario.SINGLE_CRITICAL:
         assert not batch.injected.any() and (batch.pairs[:, 1] == -1).all()
@@ -225,7 +244,7 @@ def test_reports_are_the_verified_rounds(tmp_path):
     assert indices == sorted(set(indices)) and 0 <= indices[0] <= indices[-1]
     assert indices[-1] < summary.attempted_rounds
     for report in summary.reports:
-        batch, _ = run_round(cfg, report.round_index)
+        batch = run_round(cfg, report.round_index)
         assert batch.injected[0]
         assert verify(cfg, batch) == report
     out = tmp_path / "rounds.csv"
@@ -252,7 +271,7 @@ def valid_round(scenario):
     """Config, one-round batch, (first, second) critical users and report of a passed round."""
     cfg = scenario_cfg(scenario, rounds=20)
     for index in range(20):
-        batch, _ = run_round(cfg, index)
+        batch = run_round(cfg, index)
         if batch.injected[0]:
             report = verify(cfg, batch)
             assert report.violations == []
@@ -269,11 +288,10 @@ def with_actions(batch, changes):
 
 
 def moved_entry(batch, user, slot):
-    """The round with the user's first g_entry event moved to slot."""
-    events = list(batch.events[0])
-    i = next(i for i, (_, ev, u) in enumerate(events) if ev == "g_entry" and u == user)
-    events[i] = (slot, "g_entry", user)
-    return replace(batch, events=[events])
+    """The round with the user's first rule-g entry moved to slot (0: none)."""
+    entered = batch.entered.copy()
+    entered[0, user] = slot
+    return replace(batch, entered=entered)
 
 
 def edited(check, batch, users, report, b):
@@ -284,7 +302,7 @@ def edited(check, batch, users, report, b):
     survivor = u2 if finisher == u1 else u1
     acts = batch.actions[:, 0]
     if check == "entry":
-        return replace(batch, events=[[e for e in batch.events[0] if e[1:] != ("g_entry", u2)]])
+        return moved_entry(batch, u2, 0)
     if check == "inference-bound":
         return moved_entry(batch, u1, a2 + b + 3)
     if check in ("simultaneous-entry", "run-owner-entry"):
@@ -359,7 +377,7 @@ def early_round():
     """A during-success round whose first completion precedes a joint entry, as in valid_round."""
     cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS, rounds=40, traffic_model=SHORT)
     for index in range(40):
-        batch, _ = run_round(cfg, index)
+        batch = run_round(cfg, index)
         if batch.injected[0]:
             report = verify(cfg, batch)
             if report.first_joint_g_slot is None:
@@ -369,11 +387,11 @@ def early_round():
 
 
 def moved_completion(batch, slot):
-    """The round with its first completion event moved to slot."""
-    events = list(batch.events[0])
-    i = next(i for i, (_, ev, _) in enumerate(events) if ev == "completion")
-    events[i] = (slot, "completion", events[i][2])
-    return replace(batch, events=[events])
+    """The round with its first completion moved to slot, and the second still after it."""
+    finished = batch.finished.copy()
+    pair = batch.pairs[0][finished[0, batch.pairs[0]].argsort()]  # in completion order
+    finished[0, pair] = slot, max(finished[0, pair[1]], slot + 1)
+    return replace(batch, finished=finished)
 
 
 @pytest.mark.parametrize("shift,owed", [(1, False), (2, True)])
@@ -395,7 +413,7 @@ def test_entry_owed_when_both_are_critical_at_the_bound(shift, owed):
 def test_checks_of_a_round_without_joint_entry(check, reported):
     cfg, batch, users, report = early_round()
     bad = edited(check, batch, users, report, cfg.enhancement.backoff_bound)
-    assert bad.cells.tobytes() != batch.cells.tobytes() or bad.events != batch.events
+    assert bad.cells.tobytes() != batch.cells.tobytes() or (bad.entered != batch.entered).any()
     message = next(m for c, _, m in BROKEN_CHECKS if c == check)
     violations = verify(cfg, bad).violations
     assert any(message in v for v in violations) == reported, violations

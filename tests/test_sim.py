@@ -60,6 +60,10 @@ def reference_rows(batch, j):
     return "".join(lines)
 
 
+# what a batch records of its rounds, besides its trace cells
+OUTCOMES = ("flags", "collisions", "critical_slots", "slots", "arrived", "entered", "finished")
+
+
 def small_cfg(**kwargs):
     defaults = dict(params=P3, rounds=50, seed=123)
     defaults.update(kwargs)
@@ -69,26 +73,26 @@ def small_cfg(**kwargs):
 class TestDeterminism:
     def test_identical_rounds(self):
         cfg = small_cfg()
-        t1, s1 = run_round(cfg, 4)
-        t2, s2 = run_round(cfg, 4)
+        t1, t2 = run_round(cfg, 4), run_round(cfg, 4)
         assert t1.cells.tobytes() == t2.cells.tobytes()
         assert t1.critical_phase.tolist() == t2.critical_phase.tolist()
-        assert t1.events == t2.events
-        assert s1 == s2
+        for name in OUTCOMES:
+            assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
 
     def test_stats_independent_of_tracing(self):
         cfg = small_cfg()
         with_trace = _run_batch(cfg, range(cfg.rounds), keep_trace=True)
         without = _run_batch(cfg, range(cfg.rounds), keep_trace=False)
-        for name in ("flags", "collisions", "critical_slots", "slots"):
+        for name in OUTCOMES:
             assert getattr(with_trace, name).tobytes() == getattr(without, name).tobytes()
-        assert with_trace.events == without.events
 
     def test_rounds_reproducible_out_of_order(self):
         cfg = small_cfg()
-        later_first = run_round(cfg, 7)[1]
+        later_first = run_round(cfg, 7)
         run_round(cfg, 0)
-        assert run_round(cfg, 7)[1] == later_first
+        again = run_round(cfg, 7)
+        for name in ("cells", *OUTCOMES):
+            assert getattr(again, name).tobytes() == getattr(later_first, name).tobytes()
 
 
 def critical_flags(batch):
@@ -100,7 +104,7 @@ class TestTraceInvariants:
     def test_observation_consistency(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
-            batch, _ = run_round(cfg, idx)
+            batch = run_round(cfg, idx)
             actions = batch.actions[:, 0]
             k = actions.sum(axis=1, keepdims=True)
             expected = np.where(
@@ -114,8 +118,8 @@ class TestTraceInvariants:
         # baseline protocol: once the critical user succeeds, it never fails again
         cfg = small_cfg(params=P10, rounds=1)
         for idx in range(60):
-            batch, _ = run_round(cfg, idx)
-            crit = next(u for s, ev, u in batch.events[0] if ev == "critical_arrival")
+            batch = run_round(cfg, idx)
+            crit = batch.pairs[0, 0]
             seen_success = False
             for obs in batch.observations[batch.critical_phase[:, 0], 0, crit].tolist():
                 if seen_success:
@@ -126,23 +130,23 @@ class TestTraceInvariants:
     def test_contention_periods_begin_idle(self):
         cfg = small_cfg(params=P10)
         for idx in range(20):
-            batch, stats = run_round(cfg, idx)
-            for start in stats.contention_starts:
+            batch = run_round(cfg, idx)
+            for start in engine_reference.batch_stats(batch).contention_starts:
                 assert not batch.actions[start - 1].any()  # row start - 1 is slot start
 
     def test_single_user_never_collides(self):
         cfg = small_cfg(params=ProtocolParams(1, 0.3, 0.4, 0.5), rounds=1)
-        batch, stats = run_round(cfg, 0)
-        assert stats.critical_collisions == 0
+        batch = run_round(cfg, 0)
+        assert batch.collisions[0] == 0
         assert (batch.actions.sum(axis=2) <= 1).all()
         assert (batch.observations != FAILURE_CODE).all()
 
     def test_normal_phase_length_and_phase_labels(self):
         cfg = small_cfg(normal_phase_slots=37)
-        batch, stats = run_round(cfg, 2)
+        batch = run_round(cfg, 2)
         phase = batch.critical_phase[:, 0]
-        assert (~phase).sum() == 37 == stats.normal_slots
-        assert phase.sum() == stats.critical_phase_slots
+        assert (~phase).sum() == 37 == batch.flags.shape[1]
+        assert phase.sum() == batch.critical_slots[0]
         assert not critical_flags(batch)[~phase].any()
 
 
@@ -157,7 +161,7 @@ class TestEnhancedRules:
     def test_normal_users_never_exceed_backoff_run(self):
         cfg = small_cfg(params=P10, enhancement=self.ENH, rounds=1, seed=8)
         for idx in range(80):
-            batch, _ = run_round(cfg, idx)
+            batch = run_round(cfg, idx)
             n = cfg.params.n_users
             runs = [0] * n
             for critical, obs in zip(critical_flags(batch).tolist(),
