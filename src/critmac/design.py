@@ -18,10 +18,17 @@ strict-improvement rule, so grid search beats gradient machinery here.  Each
 refinement pass, `_refine`, follows its pick while it lands on an inner side
 of the scanned window, so it can track a steep constraint curve.  A binding
 solution more than 0.005 from D_crit = eta gets one more `_refine` over the
-whole square at the finest step.  The edge bisection, the candidate pick and
-the reported values read one point at a time.  Ties within 1e-9 break toward
-smaller q, then smaller r.  An eta sweep solves the unconstrained problem
-once and each eta from it.
+whole square at the finest step.  The candidate pick and the reported values
+read one point at a time; the edge bisection reads D_crit one q at a time
+from r = eps tables it solves once.  Ties within 1e-9 break toward smaller q,
+then smaller r.
+
+An eta sweep solves the unconstrained problem once and each eta from it.
+Every top-level solve (`solve_design_problem`, an eta sweep, each row of an
+N, theta or nhat sweep) keeps the grids that no eta changes in a `_Grids`
+of its own: the square's coarse T_c and D_crit, and those of the r = eps
+edge over the whole q range.  Each is computed at most once per solve and
+read by every eta after it; nothing is kept from one call to the next.
 
 The constraint is slack above eta* = D_crit(q*, r*), binding with an
 interior tangency in a middle band, and binding at the corner r = eps for
@@ -50,6 +57,7 @@ from .markov import (
     contention_time,
     contention_times,
     critical_delay,
+    critical_delay_along_q,
     critical_delays,
 )
 from .protocol import ProtocolParams
@@ -120,6 +128,35 @@ class _Constraint:
     lows: list[tuple[float, float, float]] = field(default_factory=list)
 
 
+@dataclass
+class _Grids:
+    """One solve's problem, and the grids of it that no eta changes, kept for that solve.
+
+    A scan whose q axis runs the whole range [eps, 1 - eps] reads the same
+    grid at every eta: the square's coarse scan, and the r = eps edge scan
+    when no bisection cut it.  Its T_c and D_crit are kept, keyed by the
+    exact axes, so every eta of the solve reuses them bit for bit: at most
+    four arrays.  Refine windows (at most 0.02 wide in q) and a bisected
+    edge move with eta and are computed each time.  (From eps = 0.49 on the
+    range is no wider than a refine window, so whole-range windows are kept
+    too: a few more arrays, still not one per eta.)
+    """
+
+    prob: DesignProblem
+    kept: dict = field(default_factory=dict)
+
+    def read(self, grid: Callable, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+        """grid(N, theta, qs, rs), from the kept grids when qs runs the whole q range."""
+        prob = self.prob
+        if not (qs[0] == prob.epsilon and qs[-1] == 1.0 - prob.epsilon):
+            return grid(prob.n_users, prob.theta, qs, rs)
+        key = (grid, qs.tobytes(), rs.tobytes())
+        if key not in self.kept:
+            self.kept[key] = grid(prob.n_users, prob.theta, qs, rs)
+            self.kept[key].flags.writeable = False
+        return self.kept[key]
+
+
 def _at(prob: DesignProblem, q: float, r: float) -> ProtocolParams:
     return ProtocolParams(prob.n_users, prob.theta, q, r)
 
@@ -153,7 +190,7 @@ def _scan_pick(
 
 
 def _argmin_tc(
-    prob: DesignProblem,
+    grids: _Grids,
     qs: np.ndarray,
     rs: np.ndarray,
     constraint: _Constraint | None,
@@ -165,15 +202,15 @@ def _argmin_tc(
     cell in scan order whose value it reads as NaN, the one-point error is
     raised, D_crit's before T_c's.
     """
-    t = contention_times(prob.n_users, prob.theta, qs, rs)
+    t = grids.read(contention_times, qs, rs)
     bad = np.isnan(t)
     if constraint is not None:
-        d = critical_delays(prob.n_users, prob.theta, qs, rs)
+        d = grids.read(critical_delays, qs, rs)
         ok = d <= constraint.eta
         bad = np.isnan(d) | (ok & bad)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        params = _at(prob, float(qs[i]), float(rs[j]))
+        params = _at(grids.prob, float(qs[i]), float(rs[j]))
         # the grids are NaN exactly where the one-point functions raise
         if constraint is not None:
             critical_delay(params)
@@ -186,7 +223,7 @@ def _argmin_tc(
 
 
 def _refine(
-    prob: DesignProblem,
+    grids: _Grids,
     best: tuple[float, float, float],
     q_box: tuple[float, float],
     r_box: tuple[float, float],
@@ -204,7 +241,7 @@ def _refine(
         q0, r0, _ = best
         qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
         rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
-        pick = _argmin_tc(prob, qs, rs, constraint, best)
+        pick = _argmin_tc(grids, qs, rs, constraint, best)
         q, r, _ = pick
         inner_q = q in (qs[0], qs[-1]) and q not in q_box
         inner_r = r in (rs[0], rs[-1]) and r not in r_box
@@ -214,7 +251,7 @@ def _refine(
 
 
 def _search(
-    prob: DesignProblem,
+    grids: _Grids,
     q_box: tuple[float, float],
     r_box: tuple[float, float],
     step: float,
@@ -226,11 +263,11 @@ def _search(
     tenth of the previous step.  A box side with equal ends pins that
     coordinate.  Returns None when no scanned point is feasible.
     """
-    best = _argmin_tc(prob, _axis(*q_box, step), _axis(*r_box, step), constraint, None)
+    best = _argmin_tc(grids, _axis(*q_box, step), _axis(*r_box, step), constraint, None)
     if best is None:
         return None
     for _ in range(_REFINE_PASSES):
-        best = _refine(prob, best, q_box, r_box, step, constraint)
+        best = _refine(grids, best, q_box, r_box, step, constraint)
         step /= 10.0
     return best
 
@@ -246,29 +283,34 @@ def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[floa
     return lo, hi
 
 
-def _edge_search(prob: DesignProblem, constraint: _Constraint) -> tuple[float, float, float] | None:
+def _edge_search(grids: _Grids, constraint: _Constraint) -> tuple[float, float, float] | None:
     """Best feasible point on the r = eps edge, where small-eta optima sit.
 
     They lie inside a feasible sliver thinner than the coarse grid step, so
     the edge gets a search of its own: a box with r pinned to eps, scanned
     100 steps across q.  When the corner (eps, eps) is feasible and q = 1 - eps
-    is not, the scan stops at a crossing D_crit = eta found by bisection.
+    is not, the scan stops at a crossing D_crit = eta found by bisection,
+    which solves the r = eps tables once and contracts each q it tests with
+    them (`critical_delay_along_q`, the one-point D_crit bit for bit); an
+    edge scan over the whole q range is computed once per solve (`_Grids`).
     D_crit need not be monotone along the edge (at N = 10, theta = 0.1 it
     rises to 0.74 near q = 0.12, then falls to 0.61 near q = 0.5), so the
     crossing only bounds the scanned range: every scanned point is tested
     for feasibility.  The q = eps edge needs no search of its own: it is the
     first row of the square's scan, and `_refine` follows a pick along it.
     """
+    prob = grids.prob
     eps, eta = prob.epsilon, constraint.eta
+    d_at = critical_delay_along_q(prob.n_users, prob.theta, eps)
 
     def feasible(q: float) -> bool:
-        return critical_delay(_at(prob, q, eps)) <= eta
+        return d_at(q) <= eta
 
     lo, q_max = eps, 1.0 - eps
     if feasible(lo) and not feasible(q_max):
         q_max, _ = _bisect(feasible, lo, q_max)
     step = max((q_max - lo) / 100.0, 1e-6)
-    return _search(prob, (lo, q_max), (eps, eps), step, constraint)
+    return _search(grids, (lo, q_max), (eps, eps), step, constraint)
 
 
 def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tuple[float, float]:
@@ -285,7 +327,7 @@ def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tupl
     return best[0], best[1]
 
 
-def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> DesignSolution:
+def _solve(grids: _Grids, eta: float, unconstrained: DesignSolution) -> DesignSolution:
     """Design solution at one eta, from the unconstrained optimum of the same (N, theta).
 
     When that optimum is infeasible, the search over the square and the
@@ -295,12 +337,13 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
     """
     if unconstrained.d_crit <= eta:
         return replace(unconstrained, eta=eta)
+    prob = grids.prob
     eps, eta_star = prob.epsilon, unconstrained.eta_star
     constraint = _Constraint(eta)
     box = (eps, 1.0 - eps)
     candidates = [
-        _search(prob, box, box, _COARSE_STEP, constraint),
-        _edge_search(prob, constraint),
+        _search(grids, box, box, _COARSE_STEP, constraint),
+        _edge_search(grids, constraint),
     ]
     if all(cand is None for cand in candidates):
         q, r, d = min(constraint.lows, key=lambda low: low[2])  # the first least
@@ -313,7 +356,7 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
     if abs(d - eta) > _BINDING_TOL:
         # the scans can stop short of the constraint curve; follow it over the whole square
         start = (q, r, contention_time(_at(prob, q, r)))
-        q, r, _ = _refine(prob, start, box, box, 10 * _FINAL_STEP, constraint)
+        q, r, _ = _refine(grids, start, box, box, 10 * _FINAL_STEP, constraint)
         d = critical_delay(_at(prob, q, r))
     status = SolutionStatus.BINDING_CORNER if r == eps else SolutionStatus.BINDING_INTERIOR
     return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d, status, eta, eta_star)
@@ -321,8 +364,14 @@ def _solve(prob: DesignProblem, eta: float, unconstrained: DesignSolution) -> De
 
 def maximize_utilization(prob: DesignProblem) -> DesignSolution:
     """Unconstrained maximizer of C_norm over the restricted square."""
+    return _maximize(_Grids(prob))
+
+
+def _maximize(grids: _Grids) -> DesignSolution:
+    """maximize_utilization, its square's T_c kept in grids for the constrained solves after it."""
+    prob = grids.prob
     box = (prob.epsilon, 1.0 - prob.epsilon)
-    q, r, _ = _search(prob, box, box, _COARSE_STEP, None)
+    q, r, _ = _search(grids, box, box, _COARSE_STEP, None)
     d = critical_delay(_at(prob, q, r))
     return DesignSolution(
         q_opt=q,
@@ -337,7 +386,8 @@ def maximize_utilization(prob: DesignProblem) -> DesignSolution:
 
 def solve_design_problem(prob: DesignProblem) -> DesignSolution:
     """Solve the constrained design problem; Infeasible is a status, not an error."""
-    return _solve(prob, prob.eta, maximize_utilization(prob))
+    grids = _Grids(prob)
+    return _solve(grids, prob.eta, _maximize(grids))
 
 
 def _solution_row(sol: DesignSolution) -> dict:
@@ -352,9 +402,10 @@ def _solution_row(sol: DesignSolution) -> dict:
 
 
 def _sweep_eta(prob: DesignProblem, etas: Iterable[float]) -> list[dict]:
-    """The design solution at each eta, all from one unconstrained solve."""
-    unconstrained = maximize_utilization(prob)
-    return [{"eta": eta, **_solution_row(_solve(prob, eta, unconstrained))} for eta in etas]
+    """The design solution at each eta, all from one unconstrained solve and one `_Grids`."""
+    grids = _Grids(prob)
+    unconstrained = _maximize(grids)
+    return [{"eta": eta, **_solution_row(_solve(grids, eta, unconstrained))} for eta in etas]
 
 
 def _error_name(prob: DesignProblem, q: float, r: float) -> str:

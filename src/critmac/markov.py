@@ -41,8 +41,10 @@ no digits cancel, even for q or r next to 0 or 1.  `contention_times` and
 `critical_delays` evaluate the grid qs x rs, a (len(qs), len(rs)) array:
 one table solve per r and one Binomial row per q, contracted cell by cell
 in the same arithmetic as the one-point functions, so each cell has their
-bits.  The dense normal chain and `stationary_distribution` are the
-explicit form, which the oracle draws from; the explicit (d, v) contraction
+bits; `critical_delay_along_q` reads D_crit one q at a time from one r's
+tables, solved once, with the one-point bits.  The dense normal chain and
+`stationary_distribution` are the explicit form, which the oracle draws
+from; the explicit (d, v) contraction
 and the critical chain are test references (tests/explicit_forms.py).  The
 float Pascal table C(N, k) overflows from N = 1030 on, and such N is
 rejected with BadParams.
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -353,6 +356,22 @@ def critical_delay(params: ProtocolParams) -> float:
     transmission is never interrupted.
     """
     return _at_point(_delay_tables, _delay_contract, params)
+
+
+def critical_delay_along_q(n_users: int, theta: float, r: float) -> Callable[[float], float]:
+    """q -> critical_delay(ProtocolParams(n_users, theta, q, r)), with r's tables solved once.
+
+    Each call has critical_delay's bits and raises where it raises; the
+    tables are solved at the first call that gets past the parameter checks.
+    """
+    solved = []
+
+    def tables(n: int, theta: float, rs: np.ndarray) -> tuple:
+        if not solved:
+            solved.append(_delay_tables(n, theta, rs))
+        return solved[0]
+
+    return lambda q: _at_point(tables, _delay_contract, ProtocolParams(n_users, theta, q, r))
 
 
 def enhanced_critical_delay(params: ProtocolParams) -> float:

@@ -479,7 +479,6 @@ class _Batch:
 
     indices: list[int]
     flags: np.ndarray             # (rounds, normal slots): success slots of the normal phase
-    critical_slots: np.ndarray    # critical-phase slots per round
     collisions: np.ndarray        # the first critical user's failures in its critical phase
     arrived: np.ndarray           # (rounds, users) critical milestones: slots, 0 for none;
     entered: np.ndarray           # the arrival, first rule-g entry and completion of each
@@ -607,7 +606,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     return _Batch(
         indices=list(indices),
         flags=flags,
-        critical_slots=critical_slots,
         collisions=collisions,
         arrived=engine.arrived,
         entered=engine.entered,

@@ -69,7 +69,7 @@ def batch_stats(batch) -> RoundStats:
         ts_trials=int(ph.trials[0]),
         ts_stops=int(ph.stops[0]),
         critical_collisions=int(batch.collisions[0]),
-        critical_phase_slots=int(batch.critical_slots[0]),
+        critical_phase_slots=int(batch.critical_phase[:, 0].sum()),
     )
 
 

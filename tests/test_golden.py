@@ -9,7 +9,8 @@ design cases sit at N = 3, theta = 0.1 with one eta per regime
 unconstrained N = 50 solve, the N = 10 eta = 0.65 solve whose optimum sits
 past the D_crit peak along r = eps, eta sweeps through the corner and
 interior regimes at N = 10, 20 (whose first row is infeasible and reports
-the dip along r = eps, not the corner) and 50, and a (q, r) grid that
+the dip along r = eps, not the corner) and 50, N, theta and nhat sweeps
+under a binding eta (each row a constrained solve), and a (q, r) grid that
 mixes interior points, boundary points (SingularSystem) and out-of-range
 points (BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
 error cells fall in several of the blocks a qr sweep is written in, as
@@ -87,6 +88,14 @@ CASES = {
                       False, 0),
     "sweep-qr-boundary": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
                            "--from", "-0.25", "--to", "1", "--step", "0.25", "--format", "csv"],
+                          False, 0),
+    "sweep-n-eta07": (["sweep", "--axis", "n", "--n", "10", "--theta", "0.1", "--eta", "0.7",
+                       "--from", "3", "--to", "40", "--format", "csv"], False, 0),
+    "sweep-theta-eta1": (["sweep", "--axis", "theta", "--n", "10", "--theta", "0.1",
+                          "--eta", "1.0", "--from", "0.1", "--to", "1.0", "--step", "0.1",
+                          "--format", "csv"], False, 0),
+    "sweep-nhat-eta065": (["sweep", "--axis", "nhat", "--n", "10", "--theta", "0.1",
+                           "--eta", "0.65", "--from", "5", "--to", "20", "--format", "csv"],
                           False, 0),
     "sweep-qr-boundary-json": (["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
                                 "--from", "-0.25", "--to", "1", "--step", "0.25",
@@ -223,6 +232,10 @@ GOLDEN = {
         "da13e96a7919f3959237cc39ec0fcb9a54ee24901e68f114bbf4059ff868fce1", None),
     "sweep-eta-table": (
         "0e8a49315bcfc946bdd418bdd4d0feac948253e4839ce09756cf7d2d3c786de4", None),
+    "sweep-n-eta07": (
+        "9f74ab9502359cf7f6c54207aa4a5cab2ff18f04561e9aab116750891c967372", None),
+    "sweep-nhat-eta065": (
+        "beee2e7c8cdeacc59ee5a1d99d74ef4db2d7ec7a5713b12184d16d55ac1f10d8", None),
     "sweep-qr-blocks-csv": (
         "804482ca01cfb5d5e8f02463342594b43a5cd17138043287a6d4ee24cc73d454", None),
     "sweep-qr-blocks-json": (
@@ -235,6 +248,8 @@ GOLDEN = {
         "b49a1e8e64c6ef4b7aed38eed0f50cc47c16997a264d16b7573fb77f181929d8", None),
     "sweep-qr-boundary-table": (
         "1934243e031b2380ea077c5bfb50d88f4bac31ba4f20cd0c6d7949fc350cc5b1", None),
+    "sweep-theta-eta1": (
+        "007be86e56ac48e347d97a7861e5c4d63b3df21ad148ed0fa2ec122207dfe5b9", None),
 }
 
 

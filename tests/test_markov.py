@@ -467,6 +467,27 @@ class TestStackedEvaluation:
                     else:
                         assert bits([got[i, j]]) == bits([single(ProtocolParams(n, theta, q, r))])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 10, 50]), st.sampled_from([0.01, 0.05, 0.3]),
+           st.floats(1e-3, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_delay_along_q_equals_one_point_bit_for_bit(self, n, r, theta, qs):
+        # one set of r's tables serves every q, boundary q (which raises) included
+        def outcome(metric, q):
+            try:
+                return bits([metric(q)])
+            except (SingularSystem, BadParams) as exc:
+                return type(exc), str(exc)
+
+        solves = []
+        tables = markov._delay_tables
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_delay_tables", lambda *a: solves.append(a) or tables(*a))
+            d_at = markov.critical_delay_along_q(n, theta, r)
+            got = [outcome(d_at, q) for q in qs]
+        assert len(solves) <= 1
+        assert got == [outcome(lambda q: critical_delay(ProtocolParams(n, theta, q, r)), q)
+                       for q in qs]
+
     def test_rejects_single_user(self):
         for batched, _ in POINT_METRICS:
             with pytest.raises(BadParams):
