@@ -38,7 +38,6 @@ from .sim import (
     CriticalTrafficModel,
     ExperimentResult,
     Scenario,
-    ScenarioRoundReport,
     ScenarioSummary,
     SimConfig,
     run_experiment,
@@ -59,7 +58,6 @@ __all__ = [
     "PerformanceMetrics",
     "ProtocolParams",
     "Scenario",
-    "ScenarioRoundReport",
     "ScenarioSummary",
     "ScenarioUnsatisfiable",
     "SimConfig",

@@ -41,6 +41,7 @@ from .protocol import EnhancementConfig, ProtocolParams
 from .sim import (
     CriticalTrafficModel,
     Scenario,
+    ScenarioSummary,
     SimConfig,
     run_experiment,
     simulate_two_critical,
@@ -277,58 +278,55 @@ def _cmd_simulate(args) -> int:
         analysis = evaluate_metrics(cfg.params, enhanced=cfg.enhancement.enabled)
         with _trace_sink(args.trace_output) as sink:
             res = run_experiment(cfg, trace_sink=sink)
-        rows = [
-            {"metric": "t_s", "analysis": analysis.t_s, "simulation": res.t_s, "se": res.t_s_se},
-            {"metric": "t_c", "analysis": analysis.t_c, "simulation": res.t_c, "se": res.t_c_se},
-            {"metric": "c_norm", "analysis": analysis.c_norm, "simulation": res.c_norm,
-             "se": res.c_norm_se},
-            {"metric": "d_crit", "analysis": analysis.d_crit, "simulation": res.d_crit,
-             "se": res.d_crit_se},
-            {"metric": "max_d_crit", "analysis": "", "simulation": res.max_d_crit, "se": ""},
-        ]
-        _emit(args.output, [_render_rows(["metric", "analysis", "simulation", "se"], rows,
-                                         args.format)])
+        columns = ["metric", "analysis", "simulation", "se"]
+        rows = [(m, getattr(analysis, m), getattr(res, m), getattr(res, f"{m}_se"))
+                for m in ("t_s", "t_c", "c_norm", "d_crit")]
+        rows.append(("max_d_crit", "", res.max_d_crit, ""))
+        rows = [dict(zip(columns, row)) for row in rows]
+        _emit(args.output, [_render_rows(columns, rows, args.format)])
         return EXIT_OK
 
     with _trace_sink(args.trace_output) as sink:
         summary = simulate_two_critical(cfg, trace_sink=sink)
-    entry_first = [
-        r.first_joint_g_slot - r.arrival_slots[1]
-        for r in summary.reports
-        if r.first_joint_g_slot is not None
-    ]
     if args.format == "csv":
-        # a row per attempted round; an invalid round has no report
-        invalid = {"injected": False, "second_arrival": "", "slots_to_joint_inference": "",
-                   "critical_collisions": 0, "first_finisher": "", "violations": ""}
-        rows = [{"round": i, **invalid} for i in range(summary.attempted_rounds)]
-        for r in summary.reports:
-            rows[r.round_index] = {
-                "round": r.round_index,
-                "injected": True,
-                "second_arrival": r.arrival_slots[1],
-                "slots_to_joint_inference": (
-                    (r.first_joint_g_slot - r.arrival_slots[1])
-                    if r.first_joint_g_slot is not None
-                    else ""
-                ),
-                "critical_collisions": r.critical_collisions,
-                "first_finisher": r.completion_order[0],
-                "violations": ";".join(r.violations),
-            }
-        _emit(args.output, [_render_rows(["round", *invalid], rows, "csv")])
-    else:
-        pairs: list[tuple[str, object]] = [
-            ("scenario", cfg.scenario.value),
-            ("valid_rounds", len(summary.reports)),
-            ("attempted_rounds", summary.attempted_rounds),
-            ("mean_slots_to_inference",
-             sum(entry_first) / len(entry_first) if entry_first else math.nan),
-            ("max_slots_to_inference", max(entry_first, default=math.nan)),
-            ("violations", summary.violation_count),
-        ]
-        _emit(args.output, [_render_pairs(pairs, args.format)])
+        blocks = functools.partial(_scenario_blocks, summary)
+        _emit(args.output, _encode_rows(["round", *_NOT_INJECTED], blocks, "csv"))
+        return EXIT_OK
+    inference = (summary.joint - summary.arrived[:, 1])[summary.joint > 0]
+    count = inference.size
+    pairs: list[tuple[str, object]] = [
+        ("scenario", cfg.scenario.value),
+        ("valid_rounds", len(summary.round_index)),
+        ("attempted_rounds", summary.attempted_rounds),
+        ("mean_slots_to_inference", int(inference.sum()) / count if count else math.nan),
+        ("max_slots_to_inference", int(inference.max()) if count else math.nan),
+        ("violations", summary.violation_count),
+    ]
+    _emit(args.output, [_render_pairs(pairs, args.format)])
     return EXIT_OK
+
+
+# the CSV cells of an attempted round that admitted no second arrival
+_NOT_INJECTED = {"injected": False, "second_arrival": "", "slots_to_joint_inference": "",
+                 "critical_collisions": 0, "first_finisher": "", "violations": ""}
+
+
+def _scenario_blocks(s: ScenarioSummary) -> Iterator[list[list[str]]]:
+    """The CSV columns of a two-critical run, spelled a block of attempted rounds at a time."""
+    finisher = np.where(s.finished[:, 0] < s.finished[:, 1], s.users[:, 0], s.users[:, 1])
+    for start in range(0, s.attempted_rounds, _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, s.attempted_rounds)
+        valid = slice(*np.searchsorted(s.round_index, (start, stop)).tolist())
+        second, joint = s.arrived[valid, 1].tolist(), s.joint[valid].tolist()
+        values = [[True] * len(second), second, [j - a if j else "" for j, a in zip(joint, second)],
+                  s.collisions[valid].tolist(), finisher[valid].tolist(),
+                  [";".join(v) for v in s.violations[valid]]]
+        block = [_spell(range(start, stop), "csv")]
+        for blank, cells in zip(_NOT_INJECTED.values(), values):
+            column = np.full(stop - start, _fmt_full(blank), dtype=object)
+            column[s.round_index[valid] - start] = _spell(cells, "csv")
+            block.append(column.tolist())
+        yield block
 
 
 _SWEEP_COLUMNS = {

@@ -33,9 +33,9 @@ milestones (the slots of its arrival, first rule-g entry and completion)
 and, when traced, the packed cells it is written from in chunks of rows
 (:func:`write_trace_rows`).  A two-critical batch's valid rounds are
 verified together from it (:func:`_verify_rounds`), and only they get a
-report.  A run's records do grow: per-round counts, contention periods and
-the reports of valid scenario rounds, with its rounds and normal-phase
-slots, up to the bounds that :class:`SimConfig` sets.
+row.  A run's records do grow: per-round counts, contention periods and
+the rows of valid scenario rounds, with its rounds and normal-phase slots,
+up to the bounds that :class:`SimConfig` sets.
 
 Randomness: each round draws from its own counter-based Philox stream keyed
 by (seed, round_index), with a fixed draw order inside the round (critical
@@ -104,6 +104,7 @@ _EXTRA_ROWS = 16
 _GEOMETRIC_TAIL = 20
 # binomial standard deviations of valid rounds a scenario batch holds spare
 _SHARE_SPREAD = 3
+_ATTEMPTS_PER_ROUND = 5  # rounds a two-critical run attempts at most, per valid round asked for
 
 
 class Scenario(Enum):
@@ -192,10 +193,10 @@ class SimConfig:
             raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.normal_phase_slots < 1:
             raise BadParams("normal_phase_slots must be >= 1")
-        # a run's records grow with its rounds (about 65 B a round, 0.7 KB a
-        # valid scenario round), a batch's normal-phase statistics with its slots
-        # (about 9 B per round and slot); at N = 3, 10**6 rounds of 100 slots
-        # peak at 102 MB and 10**4 rounds of 10**4 slots at 151 MB
+        # a run's records grow with its rounds (about 65 B a round, 80 B a valid
+        # scenario round), a batch's normal-phase statistics with its slots (about
+        # 9 B per round and slot); at N = 3, 10**6 rounds of 100 slots peak at
+        # 102 MB (120 MB two-critical) and 10**4 rounds of 10**4 slots at 151 MB
         for name, size, cap in (
             ("rounds", self.rounds, 10**6),
             ("normal_phase_slots", self.normal_phase_slots, 10**4),
@@ -240,6 +241,15 @@ class SimConfig:
             raise ScenarioUnsatisfiable(f"{never}: X = 1 leaves no packet after the first success")
         if self.scenario is Scenario.TWO_CRITICAL_DURING_COLLISION and self.params.q == 0:
             raise ScenarioUnsatisfiable(f"{never}: at q = 0 no normal user leaves the idle start")
+        # the valid rounds the most rounds a run attempts hold, _SHARE_SPREAD binomial
+        # deviations above their mean (see _rounds_to_try); all, if single-critical
+        share, attempts = _valid_share(self), _ATTEMPTS_PER_ROUND * self.rounds
+        spread = _SHARE_SPREAD * math.sqrt(attempts * share * (1.0 - share))
+        if attempts * share + spread < self.rounds:
+            raise ScenarioUnsatisfiable(
+                f"{self.scenario.value} admits its second arrival in about {share:.3f} of "
+                f"rounds: {attempts} rounds would not hold {self.rounds} valid ones"
+            )
 
 
 def _expected_slots(cfg: SimConfig) -> int:
@@ -826,40 +836,38 @@ def write_trace_rows(sink: IO[str], batch: _Batch, rounds: int) -> None:
 # --- two-critical scenarios --------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioRoundReport:
-    """What the verifier found in one valid scenario round (see :func:`_verify_rounds`)."""
-
-    round_index: int
-    arrival_slots: tuple[int, int]          # of the first and the second critical user
-    g_entry_slots: dict[int, int]           # each critical user's first rule-g entry
-    first_joint_g_slot: int | None          # the later of the two, if both entered
-    first_shared_success_slot: int | None   # the first solo success after it
-    critical_collisions: int
-    completion_order: list[int]
-    completion_slots: list[int]
-    violations: list[str]
-
-
-@dataclass
+@dataclass(eq=False)
 class ScenarioSummary:
-    """A two-critical run: the rounds it attempted, and a report of each valid one in order."""
+    """A two-critical run: the rounds it attempted, and a row of columns per valid round, in order.
+
+    Slots count from 1 at the start of a round, 0 for none.  A ``(rounds, 2)`` column is by
+    pair position: by arrival (simultaneous: by user index).  A round that owed a joint rule-g
+    entry it never made counts no collisions.
+    """
 
     scenario: Scenario
     attempted_rounds: int
-    reports: list[ScenarioRoundReport]
+    round_index: np.ndarray  # the round's index, which keys its random stream
+    users: np.ndarray        # (rounds, 2) the two critical users
+    arrived: np.ndarray      # (rounds, 2) slots of each one's arrival,
+    entered: np.ndarray      # first rule-g entry
+    finished: np.ndarray     # and completion
+    joint: np.ndarray        # the slot of the later entry, if both entered
+    shared: np.ndarray       # that of the first solo critical success after it
+    collisions: np.ndarray   # slots in which the two collided while both were critical
+    violations: np.ndarray   # a tuple of messages a round, one per check it failed
 
     @property
     def violation_count(self) -> int:
-        return sum(len(r.violations) for r in self.reports)
+        return sum(map(len, self.violations))
 
 
-def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[ScenarioRoundReport]:
-    """Check the valid scenario rounds ``rows`` of a traced batch, one report each.
+def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Check the valid scenario rounds ``rows`` of a traced batch: their summary's columns.
 
     A round's cells, end slot, milestones, critical users and index are
     read from the batch (:class:`_Batch`); each check is one array operation
-    over all the rounds, and only the reports are built round by round.
+    over all the rounds, and only the messages are spelled round by round.
 
     Deterministic consequences asserted here: both critical users switch to
     rule_g within backoff_bound + 2 slots of coexistence (exactly after
@@ -885,7 +893,6 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
     """
     b = cfg.enhancement.backoff_bound
     users = batch.pairs[rows]
-    pairs = users.tolist()
     rounds = np.arange(len(rows))
     first, second = users.T
     # (rounds, 2) by pair position: arrivals, first entries (0: none) and completions
@@ -924,8 +931,7 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
     broken = sharing & (t >= shared - 1) & (shared > 0) & ~in_turn
     broken_at = np.where(broken.any(axis=0), broken.argmax(axis=0) + 1, 0)
     # the handover: rows done, done + 1 and done + 2 are the three slots after the completion
-    survivor_sent = np.where(first_done, at(act2, done), at(act1, done))
-    took_over = survivor_sent & at(alone, done)
+    took_over = np.where(first_done, at(act2, done), at(act1, done)) & at(alone, done)
     idle = at(transmitters == 0, done + 1)
     # only a user that finished in g-mode owes the wait after the idle slot
     waits = np.where(first_done, entered[:, 0], entered[:, 1]) > 0
@@ -947,7 +953,7 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
             yield f"rule-g inference took {joint[j] - a2[j]} slots, bound is {b + 2}"
         if cfg.scenario is Scenario.TWO_CRITICAL_SIMULTANEOUS:
             # entry exactly one slot after the count first reaches b + 1
-            for u, e, hit in zip(pairs[j], entry, hits[j].tolist()):
+            for u, e, hit in zip(users[j].tolist(), entry, hits[j].tolist()):
                 if e != (hit + 1 if hit else 0):
                     yield (
                         f"user {u} entered rule-g at slot {e or None}, expected one slot "
@@ -972,23 +978,13 @@ def _verify_rounds(cfg: SimConfig, batch: _Batch, rows: np.ndarray) -> list[Scen
         if finisher_sent[j]:
             yield "finished user transmitted in the slot after the idle slot"
 
-    reports = []
-    for j, (pair, arrival, entry, ends) in enumerate(
-        zip(pairs, arrived.tolist(), entered.tolist(), finished.tolist())
-    ):
-        reports.append(ScenarioRoundReport(
-            round_index=batch.indices[rows[j]],
-            arrival_slots=tuple(arrival),
-            g_entry_slots={u: e for e, u in sorted(zip(entry, pair)) if e},  # in entry order
-            first_joint_g_slot=int(joint[j]) or None,
-            first_shared_success_slot=int(shared[j]) or None,
-            # a round that owed a joint entry it never made reports no collisions
-            critical_collisions=0 if missed[j] else int(collisions[j]),
-            completion_order=pair if ends[0] < ends[1] else pair[::-1],
-            completion_slots=sorted(ends),
-            violations=list(violations(j, entry)),
-        ))
-    return reports
+    # a tuple of messages a round, set one by one (equal-length tuples would make a 2-d array)
+    found = np.empty(len(rows), dtype=object)
+    for j, entry in enumerate(entered.tolist()):
+        found[j] = tuple(violations(j, entry))
+    return dict(round_index=np.asarray(batch.indices)[rows], users=users, arrived=arrived,
+                entered=entered, finished=finished, joint=joint, shared=shared,
+                collisions=np.where(missed, 0, collisions), violations=found)
 
 
 def _valid_share(cfg: SimConfig) -> float:
@@ -1052,10 +1048,11 @@ def simulate_two_critical(cfg: SimConfig, trace_sink: IO[str] | None = None) -> 
     A round is valid when the second critical event could be injected (the
     during-success / during-collision conditions are state-dependent, so a
     round may end before its condition occurs); only valid rounds are
-    verified and reported.  At most 5 * cfg.rounds rounds are attempted.
-    (SimConfig refuses a two-critical scenario without the enhanced rules,
-    which the inference relies on.)  With ``trace_sink`` set, every slot of
-    every attempted round is streamed to it in the documented trace format.
+    verified.  At most 5 * cfg.rounds rounds are attempted: SimConfig
+    refuses a scenario whose expected share of valid rounds could not fill
+    the count in as many, and one without the enhanced rules, which the
+    inference relies on.  With ``trace_sink`` set, every slot of every
+    attempted round is streamed to it in the documented trace format.
 
     Rounds run in batches, each sized to hold the valid rounds still
     missing (:func:`_rounds_to_try`): exactly those when every round is
@@ -1065,33 +1062,37 @@ def simulate_two_critical(cfg: SimConfig, trace_sink: IO[str] | None = None) -> 
     later one, needed when a batch was cut by its memory bound
     (:func:`_batch_rounds`) or fell short, takes the share seen so far if
     that is lower.  Rounds of a batch past the one that completes the count
-    are discarded unreported; every round is seeded by its index, so batch
+    are discarded unverified; every round is seeded by its index, so batch
     sizes change no output.
     """
     if cfg.scenario not in TWO_CRITICAL_SCENARIOS:
         raise BadParams(f"scenario {cfg.scenario} is not a two-critical scenario")
     if trace_sink is not None:
         write_trace_header(trace_sink, cfg.params.n_users)
-    reports: list[ScenarioRoundReport] = []
-    idx = 0
-    limit = 5 * cfg.rounds
+    columns: dict[str, np.ndarray] = {}  # of all cfg.rounds valid rounds, made by the first batch
+    valid = idx = 0
+    limit = _ATTEMPTS_PER_ROUND * cfg.rounds
     share = _valid_share(cfg)
-    while len(reports) < cfg.rounds and idx < limit:
-        missing = cfg.rounds - len(reports)
+    while valid < cfg.rounds and idx < limit:
+        missing = cfg.rounds - valid
         if idx:  # a batch was cut or fell short: the share seen so far, if lower
-            share = min(share, len(reports) / idx)
+            share = min(share, valid / idx)
         size = _rounds_to_try(missing, share, limit - idx)
         size = max(1, min(size, _batch_rounds(cfg, keep_trace=True)))
         batch = _run_batch(cfg, range(idx, idx + size), keep_trace=True)
         # the batch's valid rounds up to the one that completes the count
         rows = np.flatnonzero(batch.injected)[:missing]
         used = int(rows[-1]) + 1 if len(rows) == missing else size
-        reports += _verify_rounds(cfg, batch, rows)
+        for name, part in _verify_rounds(cfg, batch, rows).items():
+            if name not in columns:
+                columns[name] = np.empty((cfg.rounds, *part.shape[1:]), part.dtype)
+            columns[name][valid : valid + len(rows)] = part
+        valid += len(rows)
         if trace_sink is not None:
             write_trace_rows(trace_sink, batch, used)
         idx += used
-    if len(reports) < cfg.rounds:
+    if valid < cfg.rounds:
         raise ScenarioUnsatisfiable(
-            f"only {len(reports)} of {cfg.rounds} rounds admitted the scenario injection"
+            f"only {valid} of {cfg.rounds} rounds admitted the scenario injection"
         )
-    return ScenarioSummary(scenario=cfg.scenario, attempted_rounds=idx, reports=reports)
+    return ScenarioSummary(scenario=cfg.scenario, attempted_rounds=idx, **columns)

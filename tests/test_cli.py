@@ -18,7 +18,6 @@ from critmac import (
     EnhancementConfig,
     ProtocolParams,
     Scenario,
-    ScenarioRoundReport,
     ScenarioSummary,
     SimConfig,
     cli,
@@ -136,7 +135,7 @@ class TestOptimize:
 
 
 # a scenario that would spin through 5 * 10**6 rounds if it were not refused at once
-NEVER_INJECTS = ["--rounds", "1000000", "--enhanced", "--scenario"]
+SPINS = ["--rounds", "1000000", "--enhanced", "--scenario"]
 
 
 class TestSimulate:
@@ -233,13 +232,15 @@ class TestSimulate:
     def test_two_critical_summary_without_joint_entry(self, monkeypatch, capsys):
         # a valid round in which one user never entered rule-g mode is a
         # violation to report, not a crash of the summary
-        report = ScenarioRoundReport(
-            round_index=0, arrival_slots=(101, 101), g_entry_slots={3: 107},
-            first_joint_g_slot=None, first_shared_success_slot=None, critical_collisions=0,
-            completion_order=[3, 5], completion_slots=[121, 141],
-            violations=["a critical user never entered rule-g mode"],
+        violations = np.empty(1, dtype=object)
+        violations[0] = ("a critical user never entered rule-g mode",)
+        summary = ScenarioSummary(
+            Scenario.TWO_CRITICAL_SIMULTANEOUS, 1, round_index=np.array([0]),
+            users=np.array([[3, 5]]), arrived=np.array([[101, 101]]),
+            entered=np.array([[107, 0]]), finished=np.array([[121, 141]]),
+            joint=np.array([0]), shared=np.array([0]), collisions=np.array([0]),
+            violations=violations,
         )
-        summary = ScenarioSummary(Scenario.TWO_CRITICAL_SIMULTANEOUS, 1, [report])
         monkeypatch.setattr(cli, "simulate_two_critical", lambda cfg, trace_sink=None: summary)
         code = cli.main([
             "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
@@ -251,6 +252,33 @@ class TestSimulate:
         assert data["violations"] == 1
         assert data["mean_slots_to_inference"] is None
         assert data["max_slots_to_inference"] is None
+
+    def test_two_critical_csv_rows_from_the_columns(self, monkeypatch, capsys):
+        # attempted rounds 0-3, of which 1 and 3 are valid; round 3 never
+        # made its joint entry and failed two checks
+        violations = np.empty(2, dtype=object)
+        violations[:] = (), ("a critical user never entered rule-g mode", "second")
+        summary = ScenarioSummary(
+            Scenario.TWO_CRITICAL_DURING_COLLISION, 4, round_index=np.array([1, 3]),
+            users=np.array([[0, 2], [1, 0]]), arrived=np.array([[101, 102], [101, 103]]),
+            entered=np.array([[106, 108], [0, 0]]), finished=np.array([[150, 131], [121, 141]]),
+            joint=np.array([108, 0]), shared=np.array([110, 0]), collisions=np.array([6, 0]),
+            violations=violations,
+        )
+        monkeypatch.setattr(cli, "simulate_two_critical", lambda cfg, trace_sink=None: summary)
+        assert cli.main([
+            "simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896",
+            "--rounds", "2", "--enhanced", "--scenario", "two-critical-during-collision",
+            "--format", "csv",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "round,injected,second_arrival,slots_to_joint_inference,critical_collisions,"
+            "first_finisher,violations",
+            "0,false,,,0,,",
+            "1,true,102,6,6,2,",
+            "2,false,,,0,,",
+            "3,true,103,,0,1,a critical user never entered rule-g mode;second",
+        ]
 
     def test_single_user_fails_before_any_round(self, monkeypatch, capsys):
         def no_rounds(*args, **kwargs):
@@ -344,6 +372,24 @@ class TestSimulate:
         small, large = peak(200), peak(rounds)
         assert large - small < 2, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at {rounds}"
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_scenario_peak_memory_does_not_grow_with_the_rounds(self, fmt, tmp_path):
+        # a two-critical run keeps its valid rounds as columns of a few
+        # bytes each, and spells its CSV rows a block at a time; as
+        # test_peak_memory_does_not_grow_with_the_rounds, on a warm cache
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+
+        def peak(count):
+            return peak_rss_mb("simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397",
+                               "--r", "0.4896", "--seed", "3", "--enhanced",
+                               "--scenario", "two-critical-simultaneous", "--format", fmt,
+                               "--rounds", str(count), env=env)
+
+        peak(1)
+        small, large = peak(200), peak(20_000)
+        assert large - small < 8, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at 20000"
+
     def test_scenario_requires_enhancement(self):
         proc = run_cli(
             "simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
@@ -359,11 +405,17 @@ class TestSimulate:
         ["--normal-slots", "10001"],
         ["--rounds", "20000", "--normal-slots", "5001"],
         # scenarios that never inject their second arrival, refused before any round runs
-        [*NEVER_INJECTS, "two-critical-during-success", "--x-fixed", "1"],
-        [*NEVER_INJECTS, "two-critical-during-success", "--x-geometric", "1"],
-        [*NEVER_INJECTS, "two-critical-during-collision", "--q", "0"],
+        [*SPINS, "two-critical-during-success", "--x-fixed", "1"],
+        [*SPINS, "two-critical-during-success", "--x-geometric", "1"],
+        [*SPINS, "two-critical-during-collision", "--q", "0"],
+        # and scenarios that inject it in too few rounds: expected shares of 0.048 and
+        # 0.009, against the 0.2 that 5 x --rounds rounds need
+        [*SPINS, "two-critical-during-success", "--q", "0.3397", "--r", "0.4896",
+         "--x-geometric", "1.05"],
+        [*SPINS, "two-critical-during-collision", "--n", "10", "--q", "0.0001", "--r", "0.4786"],
     ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "rounds-times-slots",
-            "during-success-x1", "during-success-geometric-mean1", "during-collision-q0"])
+            "during-success-x1", "during-success-geometric-mean1", "during-collision-q0",
+            "during-success-rare", "during-collision-rare"])
     def test_refused_simulate_leaves_the_output_files(self, refusal, tmp_path):
         out, trace = tmp_path / "kept.csv", tmp_path / "kept-trace.csv"
         out.write_bytes(b"metric,analysis\n")

@@ -31,7 +31,6 @@ pins every field of every report over a grid of 54 configs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -300,8 +299,20 @@ def test_report_field_digest():
     for cfg in REPORT_GRID:
         summary = simulate_two_critical(cfg)
         digest.update(repr(summary.attempted_rounds).encode())
-        for rep in summary.reports:
-            fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
-            fields["g_entry_slots"] = sorted(rep.g_entry_slots.items())
-            digest.update(repr(list(fields.values())).encode())
+        # each valid round's fields as a per-round report listed them, rebuilt from the columns
+        for k, index in enumerate(summary.round_index.tolist()):
+            pair, arrival = summary.users[k].tolist(), summary.arrived[k].tolist()
+            entry, ends = summary.entered[k].tolist(), summary.finished[k].tolist()
+            fields = [
+                index,
+                tuple(arrival),
+                sorted((u, e) for u, e in zip(pair, entry) if e),  # rule-g entries by user
+                int(summary.joint[k]) or None,
+                int(summary.shared[k]) or None,
+                int(summary.collisions[k]),
+                pair if ends[0] < ends[1] else pair[::-1],  # completion order
+                sorted(ends),
+                list(summary.violations[k]),
+            ]
+            digest.update(repr(fields).encode())
     assert digest.hexdigest() == REPORT_DIGEST

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,31 +48,30 @@ def scenario_cfg(scenario, **kwargs):
 @pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
 def test_zero_violations(scenario):
     summary = simulate_two_critical(scenario_cfg(scenario))
-    assert len(summary.reports) == 150
+    assert len(summary.round_index) == 150
     assert summary.violation_count == 0
 
 
 def test_simultaneous_inference_exactly_b_plus_one(self=None):
     summary = simulate_two_critical(scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS))
-    for rep in summary.reports:
-        a2 = rep.arrival_slots[1]
-        assert set(rep.g_entry_slots.values()) == {a2 + ENH.backoff_bound + 1}
+    # both users of every round enter one slot after their b + 1 collisions
+    a2 = summary.arrived[:, 1:]
+    assert (summary.entered == a2 + ENH.backoff_bound + 1).all()
 
 
 def test_inference_bound_all_scenarios():
     for scenario in TWO_CRITICAL_SCENARIOS:
         summary = simulate_two_critical(scenario_cfg(scenario, rounds=100))
-        for rep in summary.reports:
-            assert rep.first_joint_g_slot - rep.arrival_slots[1] <= ENH.backoff_bound + 2
+        assert (summary.joint > 0).all()
+        assert (summary.joint - summary.arrived[:, 1] <= ENH.backoff_bound + 2).all()
 
 
 def test_completion_handover_fields():
     summary = simulate_two_critical(scenario_cfg(Scenario.TWO_CRITICAL_DURING_SUCCESS))
-    for rep in summary.reports:
-        assert len(rep.completion_order) == 2
-        assert rep.completion_order[0] != rep.completion_order[1]
-        assert rep.critical_collisions >= 1
-        assert rep.first_shared_success_slot is not None
+    assert summary.users.shape == summary.finished.shape == (150, 2)
+    assert (summary.users[:, 0] != summary.users[:, 1]).all()
+    assert (summary.collisions >= 1).all()
+    assert (summary.shared > 0).all()
 
 
 def test_geometric_lengths_survivor_phase():
@@ -89,13 +89,12 @@ def test_geometric_lengths_survivor_phase():
     assert summary.violation_count == 0
     batch = _run_batch(cfg, range(summary.attempted_rounds), keep_trace=True)
     alone = 0
-    for rep in summary.reports:
-        if rep.first_joint_g_slot is None:
-            continue
-        done, end = rep.completion_slots
+    for k in np.flatnonzero(summary.joint).tolist():
+        done, end = sorted(summary.finished[k].tolist())
+        survivor = summary.users[k, summary.finished[k].argmax()]
         # slots done + 3 to end are rows done + 2 to end - 1
-        sent = batch.actions[done + 2 : end, rep.round_index, rep.completion_order[1]]
-        assert sent.all(), rep
+        sent = batch.actions[done + 2 : end, summary.round_index[k], survivor]
+        assert sent.all(), row_of(vars(summary), k)
         alone += len(sent) >= 2
     assert alone > 0
 
@@ -120,6 +119,33 @@ def test_refuses_scenarios_that_never_inject(scenario, kwargs):
         scenario_cfg(scenario, **kwargs)
 
 
+RARE = [  # expected shares of valid rounds of 0.048 and 0.009
+    (Scenario.TWO_CRITICAL_DURING_SUCCESS,
+     dict(params=ProtocolParams(3, 0.1, 0.3397, 0.4896),
+          traffic_model=CriticalTrafficModel.geometric(1.05))),
+    (Scenario.TWO_CRITICAL_DURING_COLLISION,
+     dict(params=ProtocolParams(10, 0.1, 0.0001, 0.4786))),
+]
+
+
+@pytest.mark.parametrize("scenario,kwargs", RARE)
+def test_refuses_scenarios_too_rare_to_fill_the_rounds(scenario, kwargs):
+    # 5 x 10**6 attempted rounds would hold far fewer than 10**6 valid ones:
+    # refused when the config is made, not after minutes of rounds
+    with pytest.raises(ScenarioUnsatisfiable, match="would not hold 1000000 valid ones"):
+        scenario_cfg(scenario, rounds=10**6, **kwargs)
+
+
+def test_rare_scenario_refused_where_three_deviations_fall_short():
+    # at a share of 0.048, 15 rounds hold 0.71 valid ones, and three binomial
+    # deviations more 3.19: enough for 3 valid rounds; 20 rounds hold 0.95 + 2.86
+    scenario, kwargs = RARE[0]
+    cfg = scenario_cfg(scenario, rounds=3, **kwargs)
+    assert _valid_share(cfg) == pytest.approx(0.0476, abs=1e-4)
+    with pytest.raises(ScenarioUnsatisfiable, match="would not hold 4 valid ones"):
+        scenario_cfg(scenario, rounds=4, **kwargs)
+
+
 @pytest.mark.parametrize("n,q,r,share", [
     (3, 0.3397, 0.4896, 0.5949), (10, 0.1051, 0.4786, 0.7797), (50, 0.0213, 0.4754, 0.8417),
 ])
@@ -131,7 +157,7 @@ def test_during_collision_share_from_the_normal_chain(n, q, r, share):
     # and the share of valid rounds a run sees, within four binomial deviations
     summary = simulate_two_critical(cfg)
     attempted = summary.attempted_rounds
-    seen = len(summary.reports) / attempted
+    seen = len(summary.round_index) / attempted
     assert abs(seen - share) <= 4 * (share * (1 - share) / attempted) ** 0.5
 
 
@@ -228,25 +254,27 @@ def test_no_suppress_after_critical_zero_violations(scenario):
     # survivor's slot, so no handover is owed
     enh = replace(ENH, suppress_after_critical=False)
     summary = simulate_two_critical(scenario_cfg(scenario, enhancement=enh))
-    assert len(summary.reports) == 150
+    assert len(summary.round_index) == 150
     assert summary.violation_count == 0
 
 
 def test_reports_are_the_verified_rounds(tmp_path):
     # at N = 3 about 40 % of during-collision rounds never admit the second
-    # arrival: they count as attempted, get no report and an empty CSV row
+    # arrival: they count as attempted, get no row and an empty CSV row
     cfg = scenario_cfg(Scenario.TWO_CRITICAL_DURING_COLLISION,
                        params=ProtocolParams(3, 0.1, 0.3397, 0.4896), rounds=60)
     summary = simulate_two_critical(cfg)
-    indices = [r.round_index for r in summary.reports]
+    indices = summary.round_index.tolist()
     assert len(indices) == 60 < summary.attempted_rounds
     # strictly increasing, within the rounds attempted
     assert indices == sorted(set(indices)) and 0 <= indices[0] <= indices[-1]
     assert indices[-1] < summary.attempted_rounds
-    for report in summary.reports:
-        batch = run_round(cfg, report.round_index)
+    columns = {name: getattr(summary, name) for name in COLUMNS}
+    for k, index in enumerate(indices):
+        batch = run_round(cfg, index)
         assert batch.injected[0]
-        assert verify(cfg, batch) == report
+        # the one-round verifier's row is the run's, column by column
+        assert vars(verify(cfg, batch)) == row_of(columns, k)
     out = tmp_path / "rounds.csv"
     assert main(["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896",
                  "--rounds", "60", "--seed", "314", "--enhanced", "--format", "csv",
@@ -260,21 +288,34 @@ def test_reports_are_the_verified_rounds(tmp_path):
             assert row[1:] == ["false", "", "", "0", "", ""]
 
 
+# the columns of a summary that hold its valid rounds, a row each
+COLUMNS = ["round_index", "users", "arrived", "entered", "finished", "joint", "shared",
+           "collisions", "violations"]
+
+
+def row_of(columns, k):
+    """Row k of the columns, as plain values: ints, lists of two, a tuple of messages."""
+    return {name: column[k] if name == "violations" else column[k].tolist()
+            for name, column in columns.items() if name in COLUMNS}
+
+
 def verify(cfg, batch):
-    """The verifier's report of a one-round batch."""
-    (report,) = _verify_rounds(cfg, batch, np.array([0]))
-    return report
+    """The verifier's row of a one-round batch, its columns as attributes."""
+    columns = _verify_rounds(cfg, batch, np.array([0]))
+    assert sorted(columns) == sorted(COLUMNS)
+    assert all(len(column) == 1 for column in columns.values())
+    return SimpleNamespace(**row_of(columns, 0))
 
 
 @functools.cache
 def valid_round(scenario):
-    """Config, one-round batch, (first, second) critical users and report of a passed round."""
+    """Config, one-round batch, (first, second) critical users and row of a passed round."""
     cfg = scenario_cfg(scenario, rounds=20)
     for index in range(20):
         batch = run_round(cfg, index)
         if batch.injected[0]:
             report = verify(cfg, batch)
-            assert report.violations == []
+            assert report.violations == ()
             return cfg, batch, tuple(batch.pairs[0].tolist()), report
     raise AssertionError(f"no round of {scenario} admitted the injection")
 
@@ -297,23 +338,23 @@ def moved_entry(batch, user, slot):
 def edited(check, batch, users, report, b):
     """The valid round with one edit that breaks what `check` verifies."""
     u1, u2 = users
-    a2, joint = report.arrival_slots[1], report.first_joint_g_slot
-    done, finisher = report.completion_slots[0], report.completion_order[0]
-    survivor = u2 if finisher == u1 else u1
+    a2, joint = report.arrived[1], report.joint
+    done = min(report.finished)
+    finisher, survivor = users if report.finished[0] < report.finished[1] else (u2, u1)
     acts = batch.actions[:, 0]
     if check == "entry":
         return moved_entry(batch, u2, 0)
     if check == "inference-bound":
         return moved_entry(batch, u1, a2 + b + 3)
     if check in ("simultaneous-entry", "run-owner-entry"):
-        return moved_entry(batch, u1, report.g_entry_slots[u1] + 1)
+        return moved_entry(batch, u1, report.entered[0] + 1)
     if check == "collision":
         both = [s for s in range(a2, done + 1) if acts[s - 1, u1] and acts[s - 1, u2]]
         return with_actions(batch, [(s, u2, False) for s in both])
     if check == "shared-success":
         return with_actions(batch, [(s, u, False) for s in range(joint, done + 1) for u in users])
     if check == "alternation":
-        s = report.first_shared_success_slot + 1
+        s = report.shared + 1
         return with_actions(batch, [(s, u1, not acts[s - 1, u1])])
     if check == "handover":
         return with_actions(batch, [(done + 1, survivor, False)])
@@ -351,6 +392,36 @@ def test_verifier_reports_each_broken_check(check, scenario, message):
     assert any(message in v for v in violations), violations
 
 
+def test_violations_stay_with_their_round():
+    # a batch verified together: only its edited round holds messages, each
+    # other round an empty tuple, whatever the lengths (a ragged list set into
+    # an object array whole can be broadcast into the wrong shape)
+    cfg = scenario_cfg(Scenario.TWO_CRITICAL_SIMULTANEOUS, rounds=6)
+    batch = _run_batch(cfg, range(6), keep_trace=True)
+    rows = np.flatnonzero(batch.injected)
+    assert len(rows) == 6
+    assert _verify_rounds(cfg, batch, rows)["violations"].tolist() == [()] * 6
+
+    def late_entries(rounds):
+        """The batch with both users of each of rounds entering rule-g one slot late."""
+        entered = batch.entered.copy()
+        for j in rounds:
+            entered[j, batch.pairs[j]] += 1
+        return replace(batch, entered=entered)
+
+    bad = late_entries([2])
+    violations = _verify_rounds(cfg, bad, rows)["violations"]
+    assert violations.shape == (6,)
+    assert [v for j, v in enumerate(violations) if j != 2] == [()] * 5
+    assert sum("entered rule-g at slot" in v for v in violations[2]) == 2
+    # the round's messages are those it gets when verified alone
+    assert violations[2] == _verify_rounds(cfg, bad, rows[2:3])["violations"][0]
+    # every round with as many messages: still one tuple a round
+    violations = _verify_rounds(cfg, late_entries(range(6)), rows)["violations"]
+    assert violations.shape == (6,)
+    assert all(isinstance(v, tuple) and len(v) >= 2 for v in violations)
+
+
 
 # geometric lengths of mean 2: the first completion often comes before the
 # inference bound, so the two never run rule g together
@@ -362,14 +433,13 @@ def test_short_traffic_zero_violations(scenario):
     summary = simulate_two_critical(scenario_cfg(scenario, traffic_model=SHORT, seed=0))
     assert summary.violation_count == 0
     b = ENH.backoff_bound
-    for rep in summary.reports:
-        if rep.first_joint_g_slot is None:
-            # no entry was owed: the first completion came before the bound
-            assert rep.completion_slots[0] < rep.arrival_slots[1] + b + 2
-            assert rep.first_shared_success_slot is None
-            assert rep.critical_collisions >= 1
+    apart = summary.joint == 0
+    # no entry was owed: the first completion came before the bound
+    assert (summary.finished.min(axis=1) < summary.arrived[:, 1] + b + 2)[apart].all()
+    assert (summary.shared[apart] == 0).all()
+    assert (summary.collisions[apart] >= 1).all()
     if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS:
-        assert any(rep.first_joint_g_slot is None for rep in summary.reports)
+        assert apart.any()
 
 
 @functools.cache
@@ -380,8 +450,8 @@ def early_round():
         batch = run_round(cfg, index)
         if batch.injected[0]:
             report = verify(cfg, batch)
-            if report.first_joint_g_slot is None:
-                assert report.violations == []
+            if report.joint == 0:
+                assert report.violations == ()
                 return cfg, batch, tuple(batch.pairs[0].tolist()), report
     raise AssertionError("no round ended before the joint entry")
 
@@ -397,7 +467,7 @@ def moved_completion(batch, slot):
 @pytest.mark.parametrize("shift,owed", [(1, False), (2, True)])
 def test_entry_owed_when_both_are_critical_at_the_bound(shift, owed):
     cfg, batch, users, report = early_round()
-    bound = report.arrival_slots[1] + cfg.enhancement.backoff_bound
+    bound = report.arrived[1] + cfg.enhancement.backoff_bound
     violations = verify(cfg, moved_completion(batch, bound + shift)).violations
     assert ("a critical user never entered rule-g mode" in violations) == owed
 
