@@ -272,6 +272,9 @@ def _trace_sink(path: str | None):
 
 
 def _cmd_simulate(args) -> int:
+    if args.output and args.trace_output:
+        if Path(args.output).resolve() == Path(args.trace_output).resolve():
+            raise BadParams(f"--output and --trace-output name the same file {args.output}")
     cfg = _sim_config(args)
     if cfg.scenario is Scenario.SINGLE_CRITICAL:
         # the analysis column first: parameters it rejects fail before any round runs

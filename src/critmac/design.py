@@ -21,7 +21,9 @@ solution more than 0.005 from D_crit = eta gets one more `_refine` over the
 whole square at the finest step.  The candidate pick and the reported values
 read one point at a time; the edge bisection reads D_crit one q at a time
 from r = eps tables it solves once.  Ties within 1e-9 break toward smaller q,
-then smaller r.
+then smaller r: one walk (`_walk`) takes a value only when it is more than
+1e-9 below the best so far, over a scan's grid in row-major order and over
+the two candidates (square and edge) in (q, r) order.
 
 An eta sweep solves the unconstrained problem once and each eta from it.
 Every top-level solve (`solve_design_problem`, an eta sweep, each row of an
@@ -167,26 +169,34 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.clip(pts, lo, hi)
 
 
+def _walk(values: np.ndarray, best: float) -> tuple[int | None, float]:
+    """Where a walk of values in order ends that takes each value below best - _TIE_TOL.
+
+    Returns the index and value of the last one taken (None and best if
+    none is).  Only a strict drop of the running minimum can be taken, so
+    the walk visits those alone; inf values never count.
+    """
+    low = np.minimum.accumulate(values)
+    drops = np.flatnonzero(np.r_[True, low[1:] < low[:-1]])
+    pick = None
+    for i, value in zip(drops.tolist(), low[drops].tolist()):
+        if value < best - _TIE_TOL:
+            pick, best = i, value
+    return pick, best
+
+
 def _scan_pick(
     qs: np.ndarray,
     rs: np.ndarray,
     t: np.ndarray,
     incumbent: tuple[float, float, float] | None,
 ) -> tuple[float, float, float] | None:
-    """Where a row-major walk of t over qs x rs ends that takes each cell with t < best - _TIE_TOL.
-
-    best starts at the incumbent's T_c; inf cells never count.  The first
-    cell below a threshold is where the running minimum first drops below it.
-    """
-    low = np.minimum.accumulate(t.ravel())
-    rising = -low  # sorted; and -(best - tol) is tol - best exactly
-    best, pick = (math.inf if incumbent is None else incumbent[2]), None
-    while (i := np.searchsorted(rising, _TIE_TOL - best, side="right")) < low.size:
-        pick, best = i, low[i]
+    """Where a row-major `_walk` of t over qs x rs ends, from the incumbent's T_c."""
+    pick, best = _walk(t.ravel(), math.inf if incumbent is None else incumbent[2])
     if pick is None:
         return incumbent
-    i, j = divmod(int(pick), len(rs))
-    return float(qs[i]), float(rs[j]), float(best)
+    i, j = divmod(pick, len(rs))
+    return float(qs[i]), float(rs[j]), best
 
 
 def _argmin_tc(
@@ -314,17 +324,10 @@ def _edge_search(grids: _Grids, constraint: _Constraint) -> tuple[float, float, 
 
 
 def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tuple[float, float]:
-    """Lowest-T_c (q, r, T_c) candidate; ties break toward smaller q, then smaller r."""
-    best = None
-    for cand in candidates:
-        if cand is None:
-            continue
-        q, r, t = cand
-        if best is None or t < best[2] - _TIE_TOL or (
-            abs(t - best[2]) <= _TIE_TOL and (q, r) < (best[0], best[1])
-        ):
-            best = (q, r, t)
-    return best[0], best[1]
+    """Lowest-T_c (q, r, T_c) candidate, a tie within _TIE_TOL to the smaller (q, r): a `_walk`."""
+    found = sorted((cand for cand in candidates if cand is not None), key=lambda c: c[:2])
+    pick, _ = _walk(np.array([t for _, _, t in found]), math.inf)
+    return found[pick][:2]
 
 
 def _solve(grids: _Grids, eta: float, unconstrained: DesignSolution) -> DesignSolution:

@@ -111,17 +111,17 @@ class EnhancementConfig:
 class UserArrays:
     """The state of many users as arrays of one shape, e.g. (rounds, users).
 
-    Everything a user remembers between slots: the observations of the
-    previous two slots as codes (``last``, ``prev``), the length of the
-    current failure run, the traffic of this and the previous slot as
-    critical flags, the critical packets still to send, the two-critical
-    mode and its own one-slot memory (``g_observation``, idle on entry), and
-    ``yield_after_idle``: a wait owed after the next idle slot, by a user
-    that finished critical traffic in a shared (two-critical) phase.  For
-    the two-critical inference the slot engine also keeps ``in_phase`` (the
-    user observed a slot of its critical phase, counted from the arrival or
-    from a return to the plain critical rule) and ``success_failure`` (in
-    that span it observed its own success followed by a failure).
+    Everything a user remembers between slots, and nothing more: the
+    observations of the previous two slots as codes (``last``, ``prev``),
+    the length of the current failure run (``failures``), the traffic of
+    this and of the previous slot as critical flags (``critical``,
+    ``prev_critical``; an arrival clears the latter, so for a critical user
+    it means critical in the previous slot of this phase), the critical
+    packets still to send (``remaining``), the two-critical mode
+    (``g_mode``) and its own one-slot memory (``g_observation``, idle on
+    entry), and ``yield_after_idle``: a wait owed after the next idle slot,
+    by a user that finished critical traffic in a shared (two-critical)
+    phase.
     """
 
     last: np.ndarray
@@ -133,8 +133,6 @@ class UserArrays:
     g_mode: np.ndarray
     g_observation: np.ndarray
     yield_after_idle: np.ndarray
-    in_phase: np.ndarray
-    success_failure: np.ndarray
 
     @classmethod
     def initial(cls, shape: tuple[int, ...]) -> "UserArrays":
@@ -226,18 +224,28 @@ def transmission_probabilities(
 def two_critical_mode_trigger(cfg: EnhancementConfig, users: UserArrays) -> np.ndarray:
     """Which critical users infer a second critical user and switch to :func:`rule_g`.
 
-    Each pattern is impossible while at most one critical user is present
-    (given the enhanced rules with bound B = backoff_bound):
+    It reads only the user's memory: its failure run, its last two
+    observations, and its traffic in the slots they were made in
+    (``critical``, ``prev_critical``).  Each pattern is impossible while at
+    most one critical user is present (given the enhanced rules with bound
+    B = backoff_bound):
 
     * B + 1 consecutive collisions -- normal users back off after B, and a
       lone critical user inherits that bound because colliding normal users
       always share one failure count;
-    * an own success followed by a collision, both while critical
-      (``success_failure``; a success obtained while still normal does not
-      count) -- after any success every normal user observes busy and
-      waits, so only another critical user can collide with the next slot.
+    * an own success followed by a collision, both while critical (a
+      success obtained while still normal, or before the arrival of the
+      current critical traffic, does not count) -- after any success every
+      normal user observes busy and waits, so only another critical user
+      can collide with the next slot.
 
-    Meaningful for critical users only.  The slot engine keeps the switch
-    (``g_mode``) until the traffic completes or the alternation breaks.
+    Meaningful for critical users only.  The slot engine calls it after
+    recording a slot's observation and failure run, before
+    ``prev_critical`` takes that slot's traffic.  A user outside rule g for
+    which it holds enters rule g in that same step, so the pattern need not
+    be kept.  The engine keeps the switch (``g_mode``) until the traffic
+    completes or the alternation breaks.
     """
-    return (users.failures >= cfg.backoff_bound + 1) | users.success_failure
+    success_then_collision = (users.prev == SUCCESS_CODE) & (users.last == FAILURE_CODE)
+    success_then_collision &= users.critical & users.prev_critical
+    return (users.failures >= cfg.backoff_bound + 1) | success_then_collision

@@ -67,7 +67,7 @@ Metric estimation from the normal phase:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -185,6 +185,8 @@ class SimConfig:
     traffic_model: CriticalTrafficModel = CriticalTrafficModel.fixed(20)
     seed: int = 0
     scenario: Scenario = Scenario.SINGLE_CRITICAL
+    # the expected share of rounds that admit the second arrival (_valid_share), from __post_init__
+    valid_share: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -244,6 +246,7 @@ class SimConfig:
         # the valid rounds the most rounds a run attempts hold, _SHARE_SPREAD binomial
         # deviations above their mean (see _rounds_to_try); all, if single-critical
         share, attempts = _valid_share(self), _ATTEMPTS_PER_ROUND * self.rounds
+        object.__setattr__(self, "valid_share", share)
         spread = _SHARE_SPREAD * math.sqrt(attempts * share * (1.0 - share))
         if attempts * share + spread < self.rounds:
             raise ScenarioUnsatisfiable(
@@ -304,7 +307,10 @@ class SlotEngine:
     outside via :meth:`set_critical` and :meth:`step`.  Two-critical
     inference (mode switching to ``rule_g``) runs only when
     ``two_critical_inference`` is set, which the scenario runner enables;
-    single-critical experiments never evaluate those triggers.  Failure
+    single-critical experiments never evaluate those triggers.  A step
+    calls :func:`protocol.two_critical_mode_trigger` before
+    ``prev_critical`` takes the slot's traffic, and :meth:`set_critical`
+    clears an arriving user's ``prev_critical``.  Failure
     runs (``users.failures``) are counted only under the enhanced rules or
     the inference, the only rules that read them.  ``completed`` is the
     last slot in which some user's critical traffic completed.
@@ -345,8 +351,7 @@ class SlotEngine:
             raise BadParams("a user that is already critical received critical traffic")
         s.critical[at, users] = True
         s.remaining[at, users] = packets
-        s.in_phase[at, users] = False
-        s.success_failure[at, users] = False
+        s.prev_critical[at, users] = False  # a success before the arrival does not count
         self.arrived[at, users] = self.slot + 1
 
     def _uniforms(self) -> np.ndarray:
@@ -377,21 +382,21 @@ class SlotEngine:
         self.slot += 1
 
         s.prev, s.last = s.last, obs
-        failure = obs == FAILURE_CODE
         if self._count_failures:
-            s.failures = (s.failures + 1) * failure
+            s.failures = (s.failures + 1) * (obs == FAILURE_CODE)
         critical = s.critical
+        any_critical = critical.any()
+        if self.two_critical_inference and any_critical:
+            # it reads the previous slot's traffic, before prev_critical takes this slot's
+            trigger = two_critical_mode_trigger(self.enh, s)
         np.copyto(s.prev_critical, critical)
         if s.yield_after_idle.any():
             s.yield_after_idle &= critical | (s.prev != IDLE_CODE)
-        if not critical.any():
+        if not any_critical:
             return tx, obs, k
 
         # only critical users are in g-mode
         s.g_observation = np.where(s.g_mode, obs, s.g_observation)
-        if self.two_critical_inference:
-            s.success_failure |= critical & s.in_phase & (s.prev == SUCCESS_CODE) & failure
-            s.in_phase |= critical
         served = critical & (obs == SUCCESS_CODE)
         s.remaining -= served
         done = served & (s.remaining == 0)
@@ -405,7 +410,7 @@ class SlotEngine:
 
         if self.two_critical_inference and critical.any():
             g_mode = s.g_mode
-            enter = critical & ~g_mode & two_critical_mode_trigger(self.enh, s)
+            enter = critical & ~g_mode & trigger
             revert = (
                 critical & g_mode & (s.prev == SUCCESS_CODE) & (s.last == IDLE_CODE)
             )
@@ -416,8 +421,6 @@ class SlotEngine:
                 s.g_mode = g_mode ^ switch
                 s.g_observation[enter] = IDLE_CODE
                 s.failures[revert] = 0
-                s.in_phase &= ~revert
-                s.success_failure &= ~revert
                 self.entered[enter & (self.entered == 0)] = self.slot + 1
         return tx, obs, k
 
@@ -581,8 +584,8 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
                 arrive(np.flatnonzero(ready))
                 stage[ready] = _CRITICAL
         elif two_crit:
-            # inject on an in-phase observation of the first, so far only, critical user
-            ready = (users.critical & users.in_phase & (users.last == trigger)).any(axis=1)
+            # inject on an observation the first, so far only, critical user made while critical
+            ready = (users.critical & users.prev_critical & (users.last == trigger)).any(axis=1)
             ready &= (stage == _CRITICAL) & ~injected
             if ready.any():
                 sel = np.flatnonzero(ready)
@@ -1072,7 +1075,7 @@ def simulate_two_critical(cfg: SimConfig, trace_sink: IO[str] | None = None) -> 
     columns: dict[str, np.ndarray] = {}  # of all cfg.rounds valid rounds, made by the first batch
     valid = idx = 0
     limit = _ATTEMPTS_PER_ROUND * cfg.rounds
-    share = _valid_share(cfg)
+    share = cfg.valid_share
     while valid < cfg.rounds and idx < limit:
         missing = cfg.rounds - valid
         if idx:  # a batch was cut or fell short: the share seen so far, if lower

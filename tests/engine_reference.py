@@ -186,8 +186,6 @@ def as_arrays(states: list[list[UserState]]) -> UserArrays:
         g_mode=column(lambda u: u.two_crit_mode, bool),
         g_observation=codes(lambda u: u.g_observation),
         yield_after_idle=column(lambda u: u.yield_after_idle, bool),
-        in_phase=column(lambda u: len(u.critical_window) >= 2, bool),
-        success_failure=column(lambda u: success_failure(u.critical_window), bool),
     )
 
 

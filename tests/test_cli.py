@@ -1,12 +1,21 @@
-"""End-to-end CLI tests via the console entry point."""
+"""End-to-end CLI tests.
+
+Most run `cli.main` in this process (`run_cli`).  A fresh interpreter
+(`spawn_cli`) is kept where only a real process shows what is tested: peak
+memory, the modules an import loads, the `python -m critmac.cli` entry, and
+the exit codes 2, 3 and 4 as a shell sees them.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,9 +53,26 @@ def assert_one_line_error(proc, code):
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True
-    )
+    """`cli.main(args)` in this process, its output captured, as a finished process.
+
+    argparse's exit becomes the return code; any other exception escapes
+    and fails the test, as its traceback would show in a real process.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def spawn_cli(*args, check=True):
+    """`python -m critmac.cli args` in a fresh interpreter, for what only a real process shows."""
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -54,7 +80,7 @@ def run_cli(*args, check=True):
 
 class TestAnalyze:
     def test_table_values(self):
-        out = run_cli(
+        out = spawn_cli(
             "analyze", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"
         ).stdout
         rows = dict(line.split() for line in out.splitlines())
@@ -83,7 +109,7 @@ class TestAnalyze:
         assert data["f_norm"] == 1.0
 
     def test_bad_params_exit_code(self):
-        proc = run_cli(
+        proc = spawn_cli(
             "analyze", "--n", "10", "--theta", "2.0", "--q", "0.1", "--r", "0.4",
             check=False,
         )
@@ -91,7 +117,7 @@ class TestAnalyze:
         assert "BadParams" in proc.stderr
 
     def test_singular_exit_code(self):
-        proc = run_cli(
+        proc = spawn_cli(
             "analyze", "--n", "10", "--theta", "0.1", "--q", "0.0", "--r", "0.4",
             check=False,
         )
@@ -127,7 +153,7 @@ class TestOptimize:
         assert data["status"] == "slack-interior"
 
     def test_infeasible_exit_code(self):
-        proc = run_cli(
+        proc = spawn_cli(
             "optimize", "--n", "10", "--theta", "0.1", "--eta", "0.2", check=False
         )
         assert proc.returncode == 4
@@ -354,40 +380,32 @@ class TestSimulate:
         (3, "0.3397", "0.4896", 20_000, True),
         (50, "0.0213", "0.4754", 2_000, False),
     ], ids=["n3", "n3-traced", "n50"])
-    def test_peak_memory_does_not_grow_with_the_rounds(self, n, q, r, rounds, trace, tmp_path):
+    def test_peak_memory_does_not_grow_with_the_rounds(self, n, q, r, rounds, trace, warm_env):
         # a batch's memory is bounded whatever the number of rounds; beyond
         # it a run keeps a few bytes per round and per T_c sample.  The runs
         # read a warm bytecode cache: compiling the sources would raise the
         # small run's peak and hide growth
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-        env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
-
         def peak(count):
             args = ["simulate", "--n", str(n), "--theta", "0.1", "--q", q, "--r", r,
                     "--rounds", str(count), "--seed", "3"]
             return peak_rss_mb(*args, *(["--trace-output", os.devnull] if trace else []),
-                               env=env)
+                               env=warm_env)
 
-        peak(1)
-        small, large = peak(200), peak(rounds)
+        small, large = at_once(peak, 200, rounds)
         assert large - small < 2, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at {rounds}"
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])
-    def test_scenario_peak_memory_does_not_grow_with_the_rounds(self, fmt, tmp_path):
+    def test_scenario_peak_memory_does_not_grow_with_the_rounds(self, fmt, warm_env):
         # a two-critical run keeps its valid rounds as columns of a few
         # bytes each, and spells its CSV rows a block at a time; as
         # test_peak_memory_does_not_grow_with_the_rounds, on a warm cache
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-        env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
-
         def peak(count):
             return peak_rss_mb("simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397",
                                "--r", "0.4896", "--seed", "3", "--enhanced",
                                "--scenario", "two-critical-simultaneous", "--format", fmt,
-                               "--rounds", str(count), env=env)
+                               "--rounds", str(count), env=warm_env)
 
-        peak(1)
-        small, large = peak(200), peak(20_000)
+        small, large = at_once(peak, 200, 20_000)
         assert large - small < 8, f"{small:.2f} MB at 200 rounds, {large:.2f} MB at 20000"
 
     def test_scenario_requires_enhancement(self):
@@ -426,6 +444,24 @@ class TestSimulate:
         assert_one_line_error(proc, 2)
         assert out.read_bytes() == b"metric,analysis\n"
         assert trace.read_bytes() == b"round,slot\n"
+
+    @pytest.mark.parametrize("spelling", ["same", "relative"])
+    def test_output_and_trace_output_must_differ(self, spelling, tmp_path, monkeypatch):
+        # the report would overwrite the trace; refused before any round runs
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_rounds)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"round,slot\n")
+        trace = str(path) if spelling == "same" else "run.csv"
+        proc = run_cli("simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+                       "--rounds", "5", "--output", str(path), "--trace-output", trace,
+                       check=False)
+        assert_one_line_error(proc, 2)
+        assert "--output and --trace-output" in proc.stderr
+        assert path.read_bytes() == b"round,slot\n"
 
 
 class TestSweep:
@@ -628,6 +664,27 @@ class TestEncoding:
             assert cli._spell(grid, fmt) == cli._spell(cells, fmt)
 
 
+def at_once(fn, *values) -> list:
+    """[fn(value) for value in values], the calls made at once; each waits on its own process."""
+    with ThreadPoolExecutor(len(values)) as pool:
+        return list(pool.map(fn, values))
+
+
+@pytest.fixture(scope="module")
+def warm_env(tmp_path_factory):
+    """An environment with a bytecode cache of its own, warmed by a traced run.
+
+    That run loads every module the simulate runs load, numpy.random and
+    numpy.linalg included, so no measured run compiles.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path_factory.mktemp("pycache"))
+    simulate = ["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896"]
+    subprocess.run([*CLI, *simulate, "--rounds", "1", "--trace-output", os.devnull],
+                   check=True, stdout=subprocess.DEVNULL, env=env)
+    return env
+
+
 def peak_rss_mb(*args, env=None) -> float:
     """Peak RSS of one CLI run, read in a fresh interpreter that runs the CLI as its only child."""
     probe = ("import resource, subprocess, sys; "
@@ -711,7 +768,7 @@ class TestStreaming:
                                "--step", step, "--format", fmt,
                                "--output", str(tmp_path / f"{side}.{fmt}"))
 
-        small, large = peak(10), peak(300)
+        small, large = at_once(peak, 10, 300)
         assert (tmp_path / f"300.{fmt}").read_text().count("0.99") > 300
         assert large - small < 30, f"{fmt}: {small:.1f} MB at 10 x 10, {large:.1f} MB at 300 x 300"
 

@@ -345,6 +345,37 @@ class TestScanPick:
             design._argmin_tc(design._Grids(prob), qs, rs, design._Constraint(1.0), None)
 
 
+def pick_reference(candidates):
+    """The candidate pick as an explicit comparison: the reference for design._pick_candidate.
+
+    A later candidate wins with a T_c lower by more than 1e-9, or within
+    1e-9 and with a smaller (q, r).
+    """
+    best = None
+    for cand in candidates:
+        if cand is None:
+            continue
+        q, r, t = cand
+        if best is None or t < best[2] - 1e-9 or (
+            abs(t - best[2]) <= 1e-9 and (q, r) < (best[0], best[1])
+        ):
+            best = (q, r, t)
+    return best[0], best[1]
+
+
+class TestPickCandidate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_walk_equals_the_explicit_comparison(self, data):
+        # square and edge candidates in either order, one of them possibly
+        # missing; few coordinates, so that equal q (and equal (q, r)) occur
+        coordinate = st.sampled_from([0.01, 0.1, 0.35])
+        candidate = st.tuples(coordinate, coordinate, T_VALUES)
+        pair = data.draw(st.lists(st.none() | candidate, min_size=2, max_size=2)
+                         .filter(lambda cands: any(c is not None for c in cands)))
+        assert design._pick_candidate(pair) == pick_reference(pair)
+
+
 class TestSweeps:
     def test_qr_grid_contains_optimum(self):
         grid = design.qr_grid(DesignProblem(10, 0.1), step=0.05)

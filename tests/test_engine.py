@@ -234,9 +234,9 @@ def test_batch_keys_are_the_seed_sequence_keys():
 QUIET = ProtocolParams(3, 1.0, 0.0, 0.0)
 
 
-def inference_engine():
+def inference_engine(params=QUIET):
     engine = SlotEngine(
-        QUIET, EnhancementConfig(enabled=True, backoff_bound=5), [round_rng(0, 0)], 8,
+        params, EnhancementConfig(enabled=True, backoff_bound=5), [round_rng(0, 0)], 8,
         two_critical_inference=True,
     )
 
@@ -266,6 +266,22 @@ def test_pre_arrival_success_does_not_count():
     arrive(0, packets=1)
     engine.step()
     assert not engine.users.critical.any()
+    arrive(0)
+    arrive(1)
+    engine.step()
+    users = engine.users
+    assert (users.prev[0, 0], users.last[0, 0]) == (SUCCESS_CODE, FAILURE_CODE)
+    assert not users.g_mode.any()
+    assert not engine.entered.any()
+
+
+def test_normal_success_does_not_count():
+    # user 0 wins slot 1 as a normal user (q = 1, and the others heard busy),
+    # then it and user 1 get critical traffic and collide in slot 2: the
+    # success was not won while critical, so the pair does not count
+    engine, arrive = inference_engine(ProtocolParams(3, 1.0, 1.0, 0.0))
+    engine.users.last[0, 1:] = BUSY_CODE
+    assert engine.step()[1][0].tolist() == [SUCCESS_CODE, BUSY_CODE, BUSY_CODE]
     arrive(0)
     arrive(1)
     engine.step()

@@ -168,8 +168,8 @@ class TestRuleG:
 
 
 class TestTwoCriticalTrigger:
-    """The trigger on the flags the slot engine keeps; the engine's own
-    updates of them are tested in test_engine.py."""
+    """The trigger on a user's memory; when the slot engine calls it, and
+    how an arrival clears ``prev_critical``, is tested in test_engine.py."""
 
     CFG = EnhancementConfig(enabled=True, backoff_bound=5)
 
@@ -177,13 +177,16 @@ class TestTwoCriticalTrigger:
         return bool(two_critical_mode_trigger(self.CFG, user(critical=True, **state))[0])
 
     def test_b_plus_one_collisions(self):
-        assert self.trigger(failures=6, last=F, in_phase=True)
+        assert self.trigger(failures=6, last=F, prev_critical=True)
 
     def test_success_then_failure_in_phase(self):
-        assert self.trigger(prev=S, last=F, in_phase=True, success_failure=True)
+        assert self.trigger(prev=S, last=F, prev_critical=True)
 
     def test_few_failures_no_trigger(self):
-        assert not self.trigger(failures=3, last=F, in_phase=True)
+        assert not self.trigger(failures=3, last=F, prev_critical=True)
+
+    def test_success_while_normal_no_trigger(self):
+        assert not self.trigger(prev=S, last=F, prev_critical=False)
 
 
 class TestNonIntrusiveness:

@@ -176,6 +176,17 @@ def test_valid_share_of_each_scenario():
     assert _valid_share(boundary) == 1.0
 
 
+@pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
+def test_valid_share_computed_once_per_run(scenario, monkeypatch):
+    # the config's refusal and the first batch's size read one estimate
+    # (at N = 1000 a during-collision estimate solves the normal chain in 29 ms)
+    calls = []
+    share = sim._valid_share
+    monkeypatch.setattr(sim, "_valid_share", lambda cfg: calls.append(cfg) or share(cfg))
+    simulate_two_critical(scenario_cfg(scenario, rounds=20))
+    assert len(calls) == 1
+
+
 def test_rounds_to_try():
     # every round valid: exactly the rounds missing, within the limit
     assert _rounds_to_try(55, 1.0, 275) == 55
