@@ -5,12 +5,14 @@ number it emits comes from a library operation.  Output formats: an aligned
 table with 4 decimal places, JSON at full precision, or CSV (the default
 for sweeps); a qr sweep of any format is written from its grids a block of
 rows at a time, after every check has passed.  Exit codes: 0 success, 2
-bad arguments (an unwritable output path included), 3 singular chain at
-boundary parameters, 4 infeasible design problem.
+bad arguments (an unwritable output path, a second --config, and two of
+--config, --output and --trace-output naming one file included), 3
+singular chain at boundary parameters, 4 infeasible design problem.
 
-A config file (--config, before or after the subcommand) may supply
+A config file (one --config, before or after the subcommand) may supply
 defaults as flat key=value lines whose keys mirror the flag names; explicit
-flags override it.
+flags override it.  Blank lines and lines starting with # are skipped, and
+a value true or false (any case) sets or omits a switch such as enhanced.
 """
 
 from __future__ import annotations
@@ -272,9 +274,6 @@ def _trace_sink(path: str | None):
 
 
 def _cmd_simulate(args) -> int:
-    if args.output and args.trace_output:
-        if Path(args.output).resolve() == Path(args.trace_output).resolve():
-            raise BadParams(f"--output and --trace-output name the same file {args.output}")
     cfg = _sim_config(args)
     if cfg.scenario is Scenario.SINGLE_CRITICAL:
         # the analysis column first: parameters it rejects fail before any round runs
@@ -332,27 +331,18 @@ def _scenario_blocks(s: ScenarioSummary) -> Iterator[list[list[str]]]:
         yield block
 
 
-_SWEEP_COLUMNS = {
-    SweepAxis.QR_GRID: ["q", "r", "c_norm", "d_crit", "error"],
-    SweepAxis.N_RANGE: ["n", "q_opt", "r_opt", "c_norm", "d_crit", "status", "eta_star"],
-    SweepAxis.THETA_RANGE: ["theta", "q_opt", "r_opt", "c_norm", "d_crit", "status", "eta_star"],
-    SweepAxis.ETA_RANGE: ["eta", "q_opt", "r_opt", "c_norm", "d_crit", "status", "eta_star"],
-    SweepAxis.NHAT_RANGE: ["nhat", "q_opt", "r_opt", "c_norm", "d_crit", "constraint_satisfied"],
-}
-
-
 def _cmd_sweep(args) -> int:
     axis = SweepAxis(args.axis)
     eta = args.eta if args.eta is not None else math.inf
     prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
     span = {"start": args.sweep_from, "stop": args.sweep_to, "step": args.step}
-    columns = _SWEEP_COLUMNS[axis]
     if axis is SweepAxis.QR_GRID:
         # the grids whole (8 bytes a cell), then the text a block of q rows at a time
         blocks = functools.partial(_qr_blocks, qr_grid(prob, **span), args.format)
-        _emit(args.output, _encode_rows(columns, blocks, args.format))
+        _emit(args.output, _encode_rows(["q", "r", "c_norm", "d_crit", "error"], blocks, args.format))
     else:
-        _emit(args.output, [_render_rows(columns, sweep(prob, axis, **span), args.format)])
+        rows = sweep(prob, axis, **span)  # never empty: start <= stop
+        _emit(args.output, [_render_rows(list(rows[0]), rows, args.format)])
     return EXIT_OK
 
 
@@ -449,8 +439,25 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+def _check_paths(args, cfg_path: str | None) -> None:
+    """Refuse an unread --config, and two of --config, --output and --trace-output naming one file.
+
+    Run before any output is opened, so a refused command leaves every file as it was.
+    """
+    if args.config is not None:  # a second --config (on the line or in the file), or abbreviated
+        raise BadParams(f"only one --config is read, spelled in full: not {args.config}")
+    named: dict[Path, tuple[str, str]] = {}
+    for flag, path in (("--config", cfg_path), ("--output", args.output),
+                       ("--trace-output", getattr(args, "trace_output", None))):
+        if path:
+            first, first_path = named.setdefault(Path(path).resolve(), (flag, path))
+            if first != flag:
+                raise BadParams(f"{first} and {flag} name the same file {first_path}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    cfg_path = None
     i = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if i is not None:
         # spelled --config PATH (two tokens) or --config=PATH (one)
@@ -473,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = argv[:1] + tokens + argv[1:]
     args = _parser().parse_args(argv)
     try:
+        _check_paths(args, cfg_path)
         return args.func(args)
     except BadParams as exc:
         print(f"error: BadParams: {exc}", file=sys.stderr)

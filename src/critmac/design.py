@@ -12,18 +12,19 @@ serves the whole square (coarse step 0.01) and the edge r = eps, as a box
 with its r side pinned to eps; the square's first row is the edge q = eps.
 Each scan reads T_c on its whole grid as an array
 (`markov.contention_times`), and D_crit too when a constraint applies
-(`markov.critical_delays`); it masks the infeasible cells, takes the
-least-D_crit cell with argmin and the smallest-T_c cell by the walk's
-strict-improvement rule, so grid search beats gradient machinery here.  Each
-refinement pass, `_refine`, follows its pick while it lands on an inner side
-of the scanned window, so it can track a steep constraint curve.  A binding
-solution more than 0.005 from D_crit = eta gets one more `_refine` over the
-whole square at the finest step.  The candidate pick and the reported values
-read one point at a time; the edge bisection reads D_crit one q at a time
-from r = eps tables it solves once.  Ties within 1e-9 break toward smaller q,
-then smaller r: one walk (`_walk`) takes a value only when it is more than
-1e-9 below the best so far, over a scan's grid in row-major order and over
-the two candidates (square and edge) in (q, r) order.
+(`markov.critical_delays`); it masks the infeasible cells and takes the
+smallest-T_c cell by the walk's strict-improvement rule (the least-D_crit
+cell with argmin when none is feasible), so grid search beats gradient
+machinery here.  Each refinement pass, `_refine`, follows its pick while it
+lands on an inner side of the scanned window, so it can track a steep
+constraint curve.  A binding solution more than 0.005 from D_crit = eta
+gets one more `_refine` over the whole square at the finest step.  The
+candidate pick and the reported values read one point at a time; the edge
+bisection reads D_crit one q at a time from r = eps tables it solves once.
+Ties within 1e-9 break toward smaller q, then smaller r: one walk (`_walk`)
+takes a value only when it is more than 1e-9 below the best so far, over a
+scan's grid in row-major order and over the two candidates (square and
+edge) in (q, r) order.
 
 An eta sweep solves the unconstrained problem once and each eta from it.
 Every top-level solve (`solve_design_problem`, an eta sweep, each row of an
@@ -72,6 +73,8 @@ _FINAL_STEP = _COARSE_STEP / 10 ** _REFINE_PASSES
 # at 1000 x 1000 rows (N = 3) a qr sweep, which the CLI writes a block at a time in every
 # format, peaks at 62 MB RSS as CSV, JSON or a table (a subprocess, RUSAGE_CHILDREN)
 _MAX_SWEEP_ROWS = 10**6
+# a scanned cell: (q, r, T_c), or (q, r, D_crit) where no cell is feasible
+_Point = tuple[float, float, float]
 
 
 class SolutionStatus(Enum):
@@ -120,14 +123,6 @@ class DesignSolution:
     status: SolutionStatus
     eta: float
     eta_star: float
-
-
-@dataclass
-class _Constraint:
-    """D_crit <= eta, and the least-D_crit cell of each scan made under it."""
-
-    eta: float
-    lows: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -189,8 +184,8 @@ def _scan_pick(
     qs: np.ndarray,
     rs: np.ndarray,
     t: np.ndarray,
-    incumbent: tuple[float, float, float] | None,
-) -> tuple[float, float, float] | None:
+    incumbent: _Point | None,
+) -> _Point | None:
     """Where a row-major `_walk` of t over qs x rs ends, from the incumbent's T_c."""
     pick, best = _walk(t.ravel(), math.inf if incumbent is None else incumbent[2])
     if pick is None:
@@ -203,43 +198,41 @@ def _argmin_tc(
     grids: _Grids,
     qs: np.ndarray,
     rs: np.ndarray,
-    constraint: _Constraint | None,
-    incumbent: tuple[float, float, float] | None,
-) -> tuple[float, float, float] | None:
-    """Smallest-T_c cell of the grid qs x rs, counting under a constraint only D_crit <= eta.
+    eta: float,
+    incumbent: _Point | None,
+) -> _Point | None:
+    """Smallest-T_c cell of the grid qs x rs with D_crit <= eta (any cell when eta is inf).
 
-    The scan's first least-D_crit cell joins constraint.lows.  At the first
-    cell in scan order whose value it reads as NaN, the one-point error is
-    raised, D_crit's before T_c's.
+    At the first cell in scan order whose value it reads as NaN, the
+    one-point error is raised, D_crit's before T_c's.
     """
     t = grids.read(contention_times, qs, rs)
     bad = np.isnan(t)
-    if constraint is not None:
+    constrained = eta < math.inf
+    if constrained:
         d = grids.read(critical_delays, qs, rs)
-        ok = d <= constraint.eta
+        ok = d <= eta
         bad = np.isnan(d) | (ok & bad)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         params = _at(grids.prob, float(qs[i]), float(rs[j]))
         # the grids are NaN exactly where the one-point functions raise
-        if constraint is not None:
+        if constrained:
             critical_delay(params)
         contention_time(params)
-    if constraint is not None:
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        constraint.lows.append((float(qs[i]), float(rs[j]), float(d[i, j])))
+    if constrained:
         t = np.where(ok, t, math.inf)
     return _scan_pick(qs, rs, t, incumbent)
 
 
 def _refine(
     grids: _Grids,
-    best: tuple[float, float, float],
+    best: _Point,
     q_box: tuple[float, float],
     r_box: tuple[float, float],
     span: float,
-    constraint: _Constraint | None,
-) -> tuple[float, float, float]:
+    eta: float,
+) -> _Point:
     """Rescan the +-span window around best (clipped to the box) at span/10, then follow the pick.
 
     While the pick lands on a side of its window that is not a side of the
@@ -251,7 +244,7 @@ def _refine(
         q0, r0, _ = best
         qs = _axis(max(q_box[0], q0 - span), min(q_box[1], q0 + span), step)
         rs = _axis(max(r_box[0], r0 - span), min(r_box[1], r0 + span), step)
-        pick = _argmin_tc(grids, qs, rs, constraint, best)
+        pick = _argmin_tc(grids, qs, rs, eta, best)
         q, r, _ = pick
         inner_q = q in (qs[0], qs[-1]) and q not in q_box
         inner_r = r in (rs[0], rs[-1]) and r not in r_box
@@ -265,21 +258,25 @@ def _search(
     q_box: tuple[float, float],
     r_box: tuple[float, float],
     step: float,
-    constraint: _Constraint | None,
-) -> tuple[float, float, float] | None:
+    eta: float,
+) -> tuple[_Point | None, _Point | None]:
     """Smallest-T_c feasible point of a box and its T_c: a grid scan, then local refinement.
 
     Each of the _REFINE_PASSES passes is one `_refine` of the incumbent at a
     tenth of the previous step.  A box side with equal ends pins that
-    coordinate.  Returns None when no scanned point is feasible.
+    coordinate.  Returns (point, None), or, when no scanned point is
+    feasible, (None, (q, r, D_crit)) at the scan's first least-D_crit cell.
     """
-    best = _argmin_tc(grids, _axis(*q_box, step), _axis(*r_box, step), constraint, None)
+    qs, rs = _axis(*q_box, step), _axis(*r_box, step)
+    best = _argmin_tc(grids, qs, rs, eta, None)
     if best is None:
-        return None
+        d = grids.read(critical_delays, qs, rs)  # the grid just scanned
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        return None, (float(qs[i]), float(rs[j]), float(d[i, j]))
     for _ in range(_REFINE_PASSES):
-        best = _refine(grids, best, q_box, r_box, step, constraint)
+        best = _refine(grids, best, q_box, r_box, step, eta)
         step /= 10.0
-    return best
+    return best, None
 
 
 def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
@@ -293,7 +290,7 @@ def _bisect(inside: Callable[[float], bool], lo: float, hi: float) -> tuple[floa
     return lo, hi
 
 
-def _edge_search(grids: _Grids, constraint: _Constraint) -> tuple[float, float, float] | None:
+def _edge_search(grids: _Grids, eta: float) -> tuple[_Point | None, _Point | None]:
     """Best feasible point on the r = eps edge, where small-eta optima sit.
 
     They lie inside a feasible sliver thinner than the coarse grid step, so
@@ -308,9 +305,10 @@ def _edge_search(grids: _Grids, constraint: _Constraint) -> tuple[float, float, 
     crossing only bounds the scanned range: every scanned point is tested
     for feasibility.  The q = eps edge needs no search of its own: it is the
     first row of the square's scan, and `_refine` follows a pick along it.
+    Returns what `_search` returns.
     """
     prob = grids.prob
-    eps, eta = prob.epsilon, constraint.eta
+    eps = prob.epsilon
     d_at = critical_delay_along_q(prob.n_users, prob.theta, eps)
 
     def feasible(q: float) -> bool:
@@ -320,10 +318,10 @@ def _edge_search(grids: _Grids, constraint: _Constraint) -> tuple[float, float, 
     if feasible(lo) and not feasible(q_max):
         q_max, _ = _bisect(feasible, lo, q_max)
     step = max((q_max - lo) / 100.0, 1e-6)
-    return _search(grids, (lo, q_max), (eps, eps), step, constraint)
+    return _search(grids, (lo, q_max), (eps, eps), step, eta)
 
 
-def _pick_candidate(candidates: list[tuple[float, float, float] | None]) -> tuple[float, float]:
+def _pick_candidate(candidates: list[_Point | None]) -> tuple[float, float]:
     """Lowest-T_c (q, r, T_c) candidate, a tie within _TIE_TOL to the smaller (q, r): a `_walk`."""
     found = sorted((cand for cand in candidates if cand is not None), key=lambda c: c[:2])
     pick, _ = _walk(np.array([t for _, _, t in found]), math.inf)
@@ -336,30 +334,28 @@ def _solve(grids: _Grids, eta: float, unconstrained: DesignSolution) -> DesignSo
     When that optimum is infeasible, the search over the square and the
     r = eps edge search test feasibility at every point they scan.  When
     neither finds a feasible point the problem is infeasible, and the scanned
-    point with the least D_crit is reported.
+    point with the least D_crit is reported (the square's on a tie).  Only
+    the two coarse scans run then, both on grids kept in `_Grids`.
     """
     if unconstrained.d_crit <= eta:
         return replace(unconstrained, eta=eta)
     prob = grids.prob
     eps, eta_star = prob.epsilon, unconstrained.eta_star
-    constraint = _Constraint(eta)
     box = (eps, 1.0 - eps)
-    candidates = [
-        _search(grids, box, box, _COARSE_STEP, constraint),
-        _edge_search(grids, constraint),
-    ]
-    if all(cand is None for cand in candidates):
-        q, r, d = min(constraint.lows, key=lambda low: low[2])  # the first least
+    square, square_low = _search(grids, box, box, _COARSE_STEP, eta)
+    edge, edge_low = _edge_search(grids, eta)
+    if square is None and edge is None:
+        q, r, d = min(square_low, edge_low, key=lambda low: low[2])  # the first least
         return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d,
                               SolutionStatus.INFEASIBLE, eta, eta_star)
-    q, r = _pick_candidate(candidates)
+    q, r = _pick_candidate([square, edge])
     if r <= eps + 1.5 * _FINAL_STEP:
         r = eps
     d = critical_delay(_at(prob, q, r))
     if abs(d - eta) > _BINDING_TOL:
         # the scans can stop short of the constraint curve; follow it over the whole square
         start = (q, r, contention_time(_at(prob, q, r)))
-        q, r, _ = _refine(grids, start, box, box, 10 * _FINAL_STEP, constraint)
+        q, r, _ = _refine(grids, start, box, box, 10 * _FINAL_STEP, eta)
         d = critical_delay(_at(prob, q, r))
     status = SolutionStatus.BINDING_CORNER if r == eps else SolutionStatus.BINDING_INTERIOR
     return DesignSolution(q, r, channel_utilization(_at(prob, q, r)), d, status, eta, eta_star)
@@ -374,7 +370,7 @@ def _maximize(grids: _Grids) -> DesignSolution:
     """maximize_utilization, its square's T_c kept in grids for the constrained solves after it."""
     prob = grids.prob
     box = (prob.epsilon, 1.0 - prob.epsilon)
-    q, r, _ = _search(grids, box, box, _COARSE_STEP, None)
+    (q, r, _), _ = _search(grids, box, box, _COARSE_STEP, math.inf)
     d = critical_delay(_at(prob, q, r))
     return DesignSolution(
         q_opt=q,

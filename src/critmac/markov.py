@@ -64,7 +64,7 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -111,26 +111,23 @@ class PerformanceMetrics:
     f_norm: float
 
 
-_COEFFICIENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+# 16 (n + 1)^2 bytes a table: the last few N (a solve reads N and N - 1), not every N seen
+@lru_cache(maxsize=8)
 def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C(k, j) for k, j = 0..n and max(k - j, 0); BadParams if C(n, j) overflows (n >= 1030)."""
-    if n not in _COEFFICIENTS:
-        rows = [np.ones(1)]
-        for k in range(1, n + 1):
-            row = np.append(rows[-1], 0.0)
-            with np.errstate(over="ignore"):
-                row[1:] += rows[-1]
-            if np.isinf(row[k // 2]):  # the largest of C(k, j); raised before any table exists
-                raise BadParams(f"too many users: the binomial coefficients C({n}, k) overflow a float")
-            rows.append(row)
-        comb = np.zeros((n + 1, n + 1))
-        for k, row in enumerate(rows):
-            comb[k, : k + 1] = row
-        k, j = np.indices(comb.shape)
-        _COEFFICIENTS[n] = comb, np.maximum(k - j, 0)
-    return _COEFFICIENTS[n]
+    rows = [np.ones(1)]
+    for k in range(1, n + 1):
+        row = np.append(rows[-1], 0.0)
+        with np.errstate(over="ignore"):
+            row[1:] += rows[-1]
+        if np.isinf(row[k // 2]):  # the largest of C(k, j); raised before any table exists
+            raise BadParams(f"too many users: the binomial coefficients C({n}, k) overflow a float")
+        rows.append(row)
+    comb = np.zeros((n + 1, n + 1))
+    for k, row in enumerate(rows):
+        comb[k, : k + 1] = row
+    k, j = np.indices(comb.shape)
+    return comb, np.maximum(k - j, 0)
 
 
 def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,7 @@ def _critical_collision_counts(
     """Inject one critical user after a stationary slot, count its failures in the slot process."""
     n = params.n_users
     k = _stationary_counts(params, size, rng)
-    obs = channel_feedback(np.arange(n) < k[:, None])
+    obs = channel_feedback(np.arange(n) < k[:, None], k[:, None])
     table = normal_rule_table(params).astype(np.float32)
     crit = rng.integers(0, n, size)
     fails = np.zeros(size, dtype=np.int64)

@@ -147,16 +147,13 @@ class UserArrays:
         })
 
 
-def channel_feedback(tx: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+def channel_feedback(tx: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Collision-channel observation codes for transmit flags of shape (rows, users).
 
     No transmitter: everyone observes idle; one: it observes success and
     everyone else busy; several: the transmitters observe failure and the
-    rest busy.  ``k`` is the per-row transmitter count, shaped (rows, 1),
-    when the caller already has it.
+    rest busy.  ``k`` is the per-row transmitter count, shaped (rows, 1).
     """
-    if k is None:
-        k = tx.sum(axis=1, keepdims=True)
     t = tx.view(np.int8)
     # a transmitter: SUCCESS_CODE (2) + 1 if anyone else transmitted;
     # a listener: IDLE_CODE (0) + 1 if anyone transmitted

@@ -564,7 +564,6 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     trigger = SUCCESS_CODE if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS else FAILURE_CODE
     injected = np.zeros(size, dtype=bool)
     collisions = np.zeros(size, dtype=np.int64)
-    critical_slots = np.zeros(size, dtype=np.int64)
     slots = np.full(size, w, dtype=np.int64)
     rows = np.arange(size)
 
@@ -603,13 +602,15 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         in_critical = stage == _CRITICAL
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
-        critical_slots += in_critical
         # a failure is always the user's own transmission
         collisions += in_critical & (obs[rows, first] == FAILURE_CODE)
-        # no round has been critical longer than the slots since the normal
-        # phase, and a guarded round has waited all of them
+        # a critical round has been so for slot - arrived + 1 slots (arrived is
+        # the first's arrival), no more than the slots since the normal phase;
+        # a guarded round has waited all of those
         ran = engine.slot - w
-        if ran > _MAX_CRITICAL_SLOTS and critical_slots.max() > _MAX_CRITICAL_SLOTS:
+        if ran > _MAX_CRITICAL_SLOTS and (
+            in_critical & (engine.slot - engine.arrived[rows, first] >= _MAX_CRITICAL_SLOTS)
+        ).any():
             raise RuntimeError("critical phase failed to terminate")
         if ran > _GUARD_SLOTS and (stage == _GUARD).any():
             raise RuntimeError("no collision-free boundary found")

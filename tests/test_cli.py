@@ -350,10 +350,22 @@ class TestSimulate:
         monkeypatch.setattr(cli, "simulate_two_critical", no_rounds)
         argv = ["simulate", "--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
                 "--rounds", "1", *traffic]
-        assert cli.main(argv) == 2
         proc = run_cli(*argv, check=False)
         assert_one_line_error(proc, 2)
         assert "BadParams" in proc.stderr
+
+    def test_optimal_protocol_when_q_and_r_are_omitted(self, tmp_path):
+        # without --q and --r a run uses the unconstrained optimum, bit for bit
+        sol = design.solve_design_problem(design.DesignProblem(3, 0.1))
+        solved = ["--q", repr(sol.q_opt), "--r", repr(sol.r_opt)]
+        runs = []
+        for name, given in (("omitted", []), ("given", solved)):
+            trace = tmp_path / f"{name}.csv"
+            proc = run_cli("simulate", "--n", "3", "--theta", "0.1", "--rounds", "40",
+                           "--seed", "42", *given, "--format", "json",
+                           "--trace-output", str(trace))
+            runs.append((proc.stdout, proc.stderr, trace.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_collisions_at_the_slot_cap_are_accepted(self):
         params = ProtocolParams(3, 0.1, 0.3397, 0.4896)
@@ -833,6 +845,51 @@ class TestConfigFile:
     def test_unreadable_config_file(self, tmp_path):
         proc = run_cli("analyze", "--config", str(tmp_path), check=False)  # a directory
         assert_one_line_error(proc, 2)
+
+    @pytest.mark.parametrize("value", ["true", "false", "TRUE", "False"])
+    def test_config_comments_blank_lines_and_switches(self, value, tmp_path):
+        # comment and blank lines are skipped; true sets a switch, false leaves it off
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("# the paper's N = 10 optimum\n\nn=10\ntheta=0.1\n  # q, then r\n"
+                       f"q=0.1051\nr=0.4786\n\nenhanced = {value}\n")
+        switch = ["--enhanced"] if value.lower() == "true" else []
+        explicit = run_cli("analyze", "--n", "10", "--theta", "0.1", "--q", "0.1051",
+                           "--r", "0.4786", *switch).stdout
+        assert ("d_crit_enhanced" in explicit) == bool(switch)
+        assert run_cli("analyze", "--config", str(cfg)).stdout == explicit
+
+    @pytest.mark.parametrize("command,flag,in_file", [
+        ("analyze", "--output", False),
+        ("analyze", "--output", True),
+        ("simulate", "--output", False),
+        ("simulate", "--trace-output", False),
+    ], ids=["analyze-output", "analyze-output-in-file", "simulate-output", "simulate-trace-output"])
+    def test_config_and_an_output_must_differ(self, command, flag, in_file, tmp_path, monkeypatch):
+        # the result would overwrite the config; refused before any file is written
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.conf"
+        text = "n=3\ntheta=0.1\nq=0.3\nr=0.4\n" + ("rounds=2\n" if command == "simulate" else "")
+        text += f"{flag[2:]}=run.conf\n" if in_file else ""
+        cfg.write_text(text)
+        proc = run_cli(command, "--config", str(cfg), *([] if in_file else [flag, "run.conf"]),
+                       check=False)
+        assert_one_line_error(proc, 2)
+        assert f"--config and {flag} name the same file" in proc.stderr
+        assert cfg.read_text() == text
+
+    @pytest.mark.parametrize("where", ["command-line", "config-file", "abbreviated"])
+    def test_unread_config_is_refused(self, where, tmp_path):
+        # a second or abbreviated --config used to be ignored without a word
+        cfg, other = tmp_path / "run.conf", tmp_path / "absent.conf"
+        cfg.write_text("n=3\ntheta=0.1\nq=0.3\nr=0.4\n"
+                       + (f"config={other}\n" if where == "config-file" else ""))
+        argv = {"command-line": ["--config", str(cfg), "--config", str(other)],
+                "config-file": ["--config", str(cfg)],
+                "abbreviated": ["--n", "3", "--theta", "0.1", "--q", "0.3", "--r", "0.4",
+                                "--conf", str(other)]}[where]
+        proc = run_cli("analyze", *argv, check=False)
+        assert_one_line_error(proc, 2)
+        assert f"only one --config is read, spelled in full: not {other}" in proc.stderr
 
     @pytest.mark.parametrize(
         "args",

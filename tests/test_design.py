@@ -342,7 +342,7 @@ class TestScanPick:
         monkeypatch.setattr(design, "critical_delays", with_nans)
         monkeypatch.setattr(design, "critical_delay", raising)
         with pytest.raises(SingularSystem, match=f"at {qs[3]}, {rs[4]}$"):
-            design._argmin_tc(design._Grids(prob), qs, rs, design._Constraint(1.0), None)
+            design._argmin_tc(design._Grids(prob), qs, rs, 1.0, None)
 
 
 def pick_reference(candidates):

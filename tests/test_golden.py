@@ -25,12 +25,14 @@ scenarios, among them during-collision runs whose invalid rounds once took
 a second batch (N = 10, 55 rounds) and that span several batches (N = 50,
 130 rounds).  Two runs take seeds of two and three uint32 words, whose
 round streams hash more entropy words than any seed below 2**32.  The CLI
-writes only some fields of a two-critical round's report, so a last digest
-pins every field of every report over a grid of 54 configs.
+writes only some fields of a two-critical round's report, so a digest
+pins every field of every report over a grid of 54 configs.  A last digest
+pins the estimates of the vectorized oracle (`estimate_metrics_oracle`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -40,9 +42,11 @@ from critmac import (
     EnhancementConfig,
     ProtocolParams,
     SimConfig,
+    estimate_metrics_oracle,
     simulate_two_critical,
 )
 from critmac.cli import main
+from critmac.oracle import _BATCH
 from critmac.sim import TWO_CRITICAL_SCENARIOS
 
 P10 = ["--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786"]
@@ -316,3 +320,21 @@ def test_report_field_digest():
             ]
             digest.update(repr(fields).encode())
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+# the oracle at the paper's optima for N = 3 and 50, three seeds each, and
+# an N = 3 run of one batch and three rounds more: (params, rounds, seed)
+ORACLE_RUNS = [
+    *((ProtocolParams(3, 0.1, 0.3397, 0.4896), 2000, seed) for seed in (1, 2, 3)),
+    *((ProtocolParams(50, 0.1, 0.0213, 0.4754), 2000, seed) for seed in (1, 2, 3)),
+    (ProtocolParams(3, 0.1, 0.3397, 0.4896), _BATCH + 3, 4),
+]
+ORACLE_DIGEST = "6cc165712cfc61677e72a2d1defd1ba96729d370a5cdafdff825c986f802dd92"
+
+
+def test_oracle_digest():
+    digest = hashlib.sha256()
+    for params, rounds, seed in ORACLE_RUNS:
+        estimate = estimate_metrics_oracle(params, rounds, seed)
+        digest.update(repr(dataclasses.astuple(estimate)).encode())
+    assert digest.hexdigest() == ORACLE_DIGEST

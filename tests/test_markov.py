@@ -502,6 +502,27 @@ def test_too_many_users_for_the_binomial_table():
             contention_time(ProtocolParams(n, 0.1, 0.001, 0.5))
 
 
+def test_pascal_table_memo_is_bounded():
+    # 16 (N + 1)^2 bytes a table: the memo keeps the tables of the last few
+    # N, all those that solves at three N read (N and N - 1 each), and an
+    # evicted N is rebuilt with the same bits
+    coefficients = markov._coefficients
+    kept = [a.tobytes() for a in coefficients(7)]
+    for n in range(3, 61):
+        coefficients(n)
+        info = coefficients.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    misses = coefficients.cache_info().misses
+    assert [a.tobytes() for a in coefficients(7)] == kept
+    assert coefficients.cache_info().misses == misses + 1  # 7 was evicted
+    for n in (3, 10, 50):
+        critical_delay(ProtocolParams(n, 0.1, 0.1, 0.4))
+    misses = coefficients.cache_info().misses
+    for n in (3, 10, 50):
+        critical_delay(ProtocolParams(n, 0.1, 0.2, 0.3))
+    assert coefficients.cache_info().misses == misses
+
+
 def test_the_explicit_forms_are_test_references():
     # the package computes D_crit once, in renewal form; its explicit forms
     # live in tests/explicit_forms.py, and a matrix is only its entries

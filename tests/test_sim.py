@@ -346,6 +346,22 @@ def test_critical_overrun_raises(scenario, monkeypatch):
         _run_batch(cfg, range(5), keep_trace=False)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_critical_overrun_raises_past_the_longest_phase(scenario, monkeypatch):
+    # the cap admits a batch whose longest critical phase (first arrival to
+    # last completion, both slots counted) fits in it, and no shorter cap does
+    cfg = SimConfig(params=P10, enhancement=EnhancementConfig(enabled=True), rounds=5,
+                    scenario=scenario)
+    batch = _run_batch(cfg, range(5), keep_trace=False)
+    first = np.where(batch.arrived > 0, batch.arrived, np.iinfo(batch.arrived.dtype).max)
+    longest = int((batch.finished.max(axis=1) - first.min(axis=1) + 1).max())
+    monkeypatch.setattr(sim, "_MAX_CRITICAL_SLOTS", longest)
+    _run_batch(cfg, range(5), keep_trace=False)
+    monkeypatch.setattr(sim, "_MAX_CRITICAL_SLOTS", longest - 1)
+    with pytest.raises(RuntimeError, match="critical phase failed to terminate"):
+        _run_batch(cfg, range(5), keep_trace=False)
+
+
 class TestTrafficModel:
     def test_fixed(self):
         m = CriticalTrafficModel.fixed(7)
