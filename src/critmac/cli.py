@@ -13,6 +13,7 @@ A config file (one --config, before or after the subcommand) may supply
 defaults as flat key=value lines whose keys mirror the flag names; explicit
 flags override it.  Blank lines and lines starting with # are skipped, and
 a value true or false (any case) sets or omits a switch such as enhanced.
+Any other line without = is refused.
 """
 
 from __future__ import annotations
@@ -67,13 +68,19 @@ def _fmt_cell(value) -> str:
 
 
 def _fmt_full(value) -> str:
-    """A CSV cell at full precision; None is empty, as in a table (JSON writes null)."""
+    """A CSV cell at full precision; None is empty, as in a table (JSON writes null).
+
+    A string that holds a comma, a double quote or a line break is quoted as
+    RFC 4180 does (the csv module's minimal quoting); other cells never are.
+    """
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
@@ -424,11 +431,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config_tokens(path: str) -> list[str]:
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {number} is not key=value: {line}")
         key = key.strip().replace("_", "-")
         value = value.strip()
         if value.lower() in ("true", "false"):
@@ -470,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_BAD_ARGS
         try:
             tokens = _config_tokens(cfg_path)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: undecodable, or a line without =
             print(f"error: cannot read config file {cfg_path}: {exc}", file=sys.stderr)
             return EXIT_BAD_ARGS
         # with --config and its path taken out, the subcommand name comes first

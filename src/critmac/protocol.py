@@ -15,9 +15,11 @@ Two extensions are implemented on top of the base family:
   pattern, wait after backoff_bound consecutive collisions, optionally
   wait for one slot right after finishing critical traffic, and wait once
   after an idle slot when a shared two-critical phase ended;
-* a two-critical-user mode: a critical user that infers the presence of a
-  second critical user switches to the sharing rule ``rule_g`` until its
-  critical traffic completes.
+* a two-critical-user mode, part of the enhanced rules in every run: a
+  critical user that infers the presence of a second critical user
+  switches to the sharing rule ``rule_g`` until its critical traffic
+  completes.  A user cannot know whether a run holds one critical user or
+  two; with one, the patterns it infers from never occur.
 
 The rules exist once, as array functions over :class:`UserArrays` (the
 state of many users in many rounds, observations as integer codes):

@@ -304,16 +304,13 @@ class SlotEngine:
     each user's last critical arrival (``arrived``), first rule-g entry
     (``entered``) and last completion (``finished``): slots, 0 for none.
     Round structure (phase lengths, critical arrivals) is driven from
-    outside via :meth:`set_critical` and :meth:`step`.  Two-critical
-    inference (mode switching to ``rule_g``) runs only when
-    ``two_critical_inference`` is set, which the scenario runner enables;
-    single-critical experiments never evaluate those triggers.  A step
-    calls :func:`protocol.two_critical_mode_trigger` before
-    ``prev_critical`` takes the slot's traffic, and :meth:`set_critical`
-    clears an arriving user's ``prev_critical``.  Failure
-    runs (``users.failures``) are counted only under the enhanced rules or
-    the inference, the only rules that read them.  ``completed`` is the
-    last slot in which some user's critical traffic completed.
+    outside via :meth:`set_critical` and :meth:`step`.  Under the enhanced
+    rules, the only rules that read failure runs (``users.failures``), a
+    step counts them, and it calls :func:`protocol.two_critical_mode_trigger`
+    for the critical users before ``prev_critical`` takes the slot's traffic;
+    :meth:`set_critical` clears an arriving user's ``prev_critical``.
+    ``completed`` is the last slot in which some user's critical traffic
+    completed.
     """
 
     def __init__(
@@ -322,13 +319,10 @@ class SlotEngine:
         enhancement: EnhancementConfig,
         rngs: Sequence[np.random.Generator],
         rows: int,
-        *,
-        two_critical_inference: bool = False,
     ):
         self.params = params
         self.enh = enhancement
         self.rngs = list(rngs)
-        self.two_critical_inference = two_critical_inference
         shape = (len(self.rngs), params.n_users)
         self.users = UserArrays.initial(shape)
         self.slot = 0
@@ -338,8 +332,6 @@ class SlotEngine:
         self._block = self._buffer.reshape(shape[0], 0, shape[1])
         self._block_start = 0
         self._ones = np.ones(params.n_users)
-        # only the enhanced rules and the two-critical inference read failure runs
-        self._count_failures = enhancement.enabled or two_critical_inference
         self.completed = -1
 
     def set_critical(self, at: np.ndarray, users: np.ndarray, packets: np.ndarray) -> None:
@@ -382,11 +374,11 @@ class SlotEngine:
         self.slot += 1
 
         s.prev, s.last = s.last, obs
-        if self._count_failures:
+        if self.enh.enabled:
             s.failures = (s.failures + 1) * (obs == FAILURE_CODE)
         critical = s.critical
         any_critical = critical.any()
-        if self.two_critical_inference and any_critical:
+        if self.enh.enabled and any_critical:
             # it reads the previous slot's traffic, before prev_critical takes this slot's
             trigger = two_critical_mode_trigger(self.enh, s)
         np.copyto(s.prev_critical, critical)
@@ -408,7 +400,7 @@ class SlotEngine:
             s.g_mode &= keep
             self.finished[done] = self.slot
 
-        if self.two_critical_inference and critical.any():
+        if self.enh.enabled and critical.any():
             g_mode = s.g_mode
             enter = critical & ~g_mode & trigger
             revert = (
@@ -544,9 +536,7 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         if model.kind == "geometric":
             lengths[j, : 1 + two_crit] = [model.draw(rng) for _ in range(1 + two_crit)]
 
-    engine = SlotEngine(
-        params, cfg.enhancement, rngs, _expected_slots(cfg), two_critical_inference=two_crit
-    )
+    engine = SlotEngine(params, cfg.enhancement, rngs, _expected_slots(cfg))
     flags = np.empty((size, w), dtype=bool)
     cells: list[np.ndarray] = []  # packed trace cells of every round, per step
     for t in range(w):

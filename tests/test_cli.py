@@ -9,6 +9,7 @@ the exit codes 2, 3 and 4 as a shell sees them.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from critmac import (
     SimConfig,
     cli,
     design,
+    sim,
 )
 
 CLI = [sys.executable, "-m", "critmac.cli"]
@@ -306,6 +308,31 @@ class TestSimulate:
             "3,true,103,,0,1,a critical user never entered rule-g mode;second",
         ]
 
+    @pytest.mark.parametrize("message", [
+        "rule-g inference took 9 slots, bound is 7",
+        'a "quoted" message, with a comma\nand a line break',
+    ], ids=["comma", "quote-and-line-break"])
+    def test_two_critical_csv_quotes_a_message_with_a_comma(self, message, monkeypatch, capsys):
+        # a violations cell that holds a comma used to add cells to its row
+        verify = sim._verify_rounds
+
+        def one_violation(*args):
+            columns = verify(*args)
+            columns["violations"][:] = [(message,)] * len(columns["violations"])
+            return columns
+
+        monkeypatch.setattr(sim, "_verify_rounds", one_violation)
+        assert cli.main([
+            "simulate", "--n", "3", "--theta", "0.1", "--q", "0.3397", "--r", "0.4896",
+            "--rounds", "3", "--seed", "5", "--enhanced",
+            "--scenario", "two-critical-during-collision", "--format", "csv",
+        ]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(rows) >= 3
+        assert all(len(row) == len(header) for row in rows)
+        violations = [row[-1] for row in rows if row[1] == "true"]
+        assert violations == [message] * 3
+
     def test_single_user_fails_before_any_round(self, monkeypatch, capsys):
         def no_rounds(*args, **kwargs):
             raise AssertionError("rounds ran before the analysis column was checked")
@@ -433,6 +460,7 @@ class TestSimulate:
         ["--scenario", "two-critical-simultaneous"],
         ["--rounds", "100000000000"],
         ["--normal-slots", "10001"],
+        ["--normal-slots", "0"],
         ["--rounds", "20000", "--normal-slots", "5001"],
         # scenarios that never inject their second arrival, refused before any round runs
         [*SPINS, "two-critical-during-success", "--x-fixed", "1"],
@@ -443,7 +471,8 @@ class TestSimulate:
         [*SPINS, "two-critical-during-success", "--q", "0.3397", "--r", "0.4896",
          "--x-geometric", "1.05"],
         [*SPINS, "two-critical-during-collision", "--n", "10", "--q", "0.0001", "--r", "0.4786"],
-    ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "rounds-times-slots",
+    ], ids=["two-critical-without-enhanced", "rounds", "normal-slots", "normal-slots-zero",
+        "rounds-times-slots",
             "during-success-x1", "during-success-geometric-mean1", "during-collision-q0",
             "during-success-rare", "during-collision-rare"])
     def test_refused_simulate_leaves_the_output_files(self, refusal, tmp_path):
@@ -589,13 +618,18 @@ def json_reference(doc) -> str:
 
 
 def csv_cell_reference(value) -> str:
-    """A CSV cell at full precision: empty for None, lower-case booleans, repr for floats."""
+    """A CSV cell at full precision: empty for None, lower-case booleans, repr for floats,
+    and a string as the csv module's minimal quoting writes it."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, str):
+        out = io.StringIO()
+        csv.writer(out).writerow([value, ""])  # a lone empty field would be quoted
+        return out.getvalue()[: -len(",\r\n")]
     return str(value)
 
 
@@ -640,7 +674,7 @@ KEYS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=6)
 
 
 class TestEncoding:
-    """The one column encoder against `json.dumps`, the plain CSV join and the ljust table."""
+    """The one column encoder against `json.dumps`, the csv module's cells and the ljust table."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(KEYS, min_size=1, max_size=5, unique=True).flatmap(
@@ -857,6 +891,21 @@ class TestConfigFile:
                            "--r", "0.4786", *switch).stdout
         assert ("d_crit_enhanced" in explicit) == bool(switch)
         assert run_cli("analyze", "--config", str(cfg)).stdout == explicit
+
+    def test_config_line_without_equals_sign_is_refused(self, tmp_path, monkeypatch):
+        # such a line used to become the tokens --enhanced and "", which
+        # argparse refused as "unrecognized arguments: " naming nothing
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("n=3\ntheta=0.1\nq=0.3\n# a comment\nr=0.4\n  enhanced \n")
+        out = tmp_path / "kept.txt"
+        out.write_text("kept\n")
+        proc = run_cli("analyze", "--config", str(cfg), "--output", str(out), check=False)
+        assert_one_line_error(proc, 2)
+        assert proc.stderr == (f"error: cannot read config file {cfg}: "
+                               "line 6 is not key=value: enhanced\n")
+        assert proc.stdout == ""
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command,flag,in_file", [
         ("analyze", "--output", False),

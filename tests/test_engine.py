@@ -4,7 +4,8 @@ The array engine must reproduce the per-user reference engine
 (`engine_reference.py`) trace for trace, and a round's outcome must not
 depend on which rounds share its batch, on their order, or on the batch
 size.  The two-critical inference and its mode are checked on rounds whose
-every action is certain.
+every action is certain, and its silence with one critical user on seeded
+enhanced rounds.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import engine_reference
 from engine_reference import round_rng
 from critmac import (
+    BadParams,
     CriticalTrafficModel,
     EnhancementConfig,
     ProtocolParams,
@@ -121,6 +124,38 @@ def same_round(cfg, index, batch):
 @given(cfg=configs(), index=st.integers(0, 10**6))
 def test_array_engine_equals_reference_engine(cfg, index):
     same_round(cfg, index, run_round(cfg, index))
+
+
+# (q, r) at theta = 0.1: a middle point at N = 2, the paper's optima for N = 3, 10 and 50
+SINGLE_CRITICAL_POINTS = {2: (0.5, 0.5), 3: (0.3397, 0.4896), 10: (0.1051, 0.4786),
+                          50: (0.0213, 0.4754)}
+
+
+@pytest.mark.parametrize("traffic", [CriticalTrafficModel.fixed(20),
+                                     CriticalTrafficModel.geometric(8)],
+                         ids=["fixed-20", "geometric-8"])
+@pytest.mark.parametrize("suppress", [True, False], ids=["suppress", "no-suppress"])
+@pytest.mark.parametrize("b", [2, 5])
+@pytest.mark.parametrize("n", sorted(SINGLE_CRITICAL_POINTS))
+def test_one_critical_user_never_infers_a_second(n, b, suppress, traffic):
+    # the enhanced rules always carry the two-critical trigger, and with one
+    # critical user its patterns never occur: no user enters rule g, and each
+    # round is the reference engine's, which runs single-critical rounds
+    # without the inference
+    cfg = SimConfig(
+        params=ProtocolParams(n, 0.1, *SINGLE_CRITICAL_POINTS[n]),
+        enhancement=EnhancementConfig(enabled=True, backoff_bound=b,
+                                      suppress_after_critical=suppress),
+        normal_phase_slots=40,
+        rounds=12,
+        traffic_model=traffic,
+        seed=3,
+    )
+    assert not _run_batch(cfg, range(cfg.rounds), keep_trace=False).entered.any()
+    for index in range(cfg.rounds):
+        batch = run_round(cfg, index)
+        assert not batch.entered.any()
+        same_round(cfg, index, batch)
 
 
 # 48 rounds of geometric critical traffic: they end across several uniform
@@ -236,8 +271,7 @@ QUIET = ProtocolParams(3, 1.0, 0.0, 0.0)
 
 def inference_engine(params=QUIET):
     engine = SlotEngine(
-        params, EnhancementConfig(enabled=True, backoff_bound=5), [round_rng(0, 0)], 8,
-        two_critical_inference=True,
+        params, EnhancementConfig(enabled=True, backoff_bound=5), [round_rng(0, 0)], 8
     )
 
     def arrive(user, packets=5):
@@ -305,6 +339,17 @@ def test_permanent_once_set():
         assert engine.step()[0][0].tolist() == expected
         assert engine.users.g_mode[0, 0]
     assert engine.entered[0].tolist() == [0, 3, 0]
+
+
+def test_set_critical_refusals():
+    engine, arrive = inference_engine()
+    with pytest.raises(BadParams, match="at least one packet"):
+        arrive(0, packets=0)
+    assert not engine.users.critical.any()
+    arrive(0)
+    with pytest.raises(BadParams, match="already critical"):
+        arrive(0)
+    assert engine.users.remaining[0].tolist() == [5, 0, 0]
 
 
 def test_tracer_counts_the_rule_functions(monkeypatch, capsys):

@@ -87,6 +87,17 @@ class TestNormalMatrix:
         with pytest.raises(BadParams):
             build_normal_matrix(ProtocolParams(1, 0.1, 0.5, 0.5))
 
+    @pytest.mark.parametrize("entries,message", [
+        ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], "must be square"),
+        ([0.5, 0.5], "must be square"),
+        ([[1.5, -0.5], [0.0, 1.0]], r"lie in \[0, 1\]"),
+        ([[0.5, 0.5], [0.0, 1.0 + 1e-14]], r"lie in \[0, 1\]"),
+        ([[0.5, 0.4], [0.0, 1.0]], "sum to 1"),
+    ], ids=["wide", "one-dimensional", "negative", "above-one", "row-sum"])
+    def test_transition_matrix_refusals(self, entries, message):
+        with pytest.raises(BadParams, match=message):
+            TransitionMatrix(np.array(entries))
+
 
 class TestCriticalMatrix:
     def test_absorbing_state(self):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from critmac import (
+    BadParams,
     CriticalTrafficModel,
     EnhancementConfig,
     ProtocolParams,
@@ -97,6 +98,12 @@ def test_geometric_lengths_survivor_phase():
         assert sent.all(), row_of(vars(summary), k)
         alone += len(sent) >= 2
     assert alone > 0
+
+
+def test_refuses_a_single_critical_config():
+    cfg = SimConfig(params=P10, enhancement=ENH, rounds=5, seed=1)
+    with pytest.raises(BadParams, match="not a two-critical scenario"):
+        simulate_two_critical(cfg)
 
 
 def test_requires_enhancement():
