@@ -5,9 +5,10 @@ number it emits comes from a library operation.  Output formats: an aligned
 table with 4 decimal places, JSON at full precision, or CSV (the default
 for sweeps); a qr sweep of any format is written from its grids a block of
 rows at a time, after every check has passed.  Exit codes: 0 success, 2
-bad arguments (an unwritable output path, a second --config, and two of
---config, --output and --trace-output naming one file included), 3
-singular chain at boundary parameters, 4 infeasible design problem.
+bad arguments (an output file or stdout that cannot be opened, written or
+closed, a second --config, and two of --config, --output and
+--trace-output naming one file included), 3 boundary parameters, which the
+analysis refuses, 4 infeasible design problem.
 
 A config file (one --config, before or after the subcommand) may supply
 defaults as flat key=value lines whose keys mirror the flag names; explicit
@@ -191,17 +192,29 @@ def _qr_blocks(grid: QRGrid, fmt: str) -> Iterator[list[list[str]]]:
         ]
 
 
-def _open_output(path: str, flag: str):
-    """Open an output file for writing; a path that cannot be written is a bad argument."""
+@contextlib.contextmanager
+def _open_output(path: str | None, flag: str) -> Iterator:
+    """The file at path opened for writing, or stdout if path is None, flushed at the end.
+
+    An output that cannot be opened, written, flushed or closed is a bad
+    argument.  stdout that cannot be written is closed, so that what is left
+    in its buffer is not written again, and fails again, at interpreter exit.
+    """
     try:
-        return open(path, "w")
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            yield fh
+            fh.flush()
     except OSError as exc:
-        raise BadParams(f"cannot write {flag} {path}: {exc.strerror}") from None
+        if not path:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        where = f"{flag} {path}" if path else "stdout"
+        raise BadParams(f"cannot write {where}: {exc.strerror}") from None
 
 
 def _emit(output: str | None, chunks: Iterable[str]) -> None:
     """Write the chunks in order to the --output file (opened only now), or to stdout."""
-    with _open_output(output, "--output") if output else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_output(output, "--output") as fh:
         for chunk in chunks:
             fh.write(chunk)
 
@@ -227,8 +240,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    eta = args.eta if args.eta is not None else math.inf
-    prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
+    prob = DesignProblem(args.n, args.theta, eta=args.eta, epsilon=args.epsilon)
     sol = solve_design_problem(prob)
     pairs: list[tuple[str, object]] = [
         ("n", prob.n_users),
@@ -340,8 +352,7 @@ def _scenario_blocks(s: ScenarioSummary) -> Iterator[list[list[str]]]:
 
 def _cmd_sweep(args) -> int:
     axis = SweepAxis(args.axis)
-    eta = args.eta if args.eta is not None else math.inf
-    prob = DesignProblem(args.n, args.theta, eta=eta, epsilon=args.epsilon)
+    prob = DesignProblem(args.n, args.theta, eta=args.eta, epsilon=args.epsilon)
     span = {"start": args.sweep_from, "stop": args.sweep_to, "step": args.step}
     if axis is SweepAxis.QR_GRID:
         # the grids whole (8 bytes a cell), then the text a block of q rows at a time
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="solve the protocol design problem")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--eta", type=float, default=None,
+    p.add_argument("--eta", type=float, default=math.inf,
                    help="delay constraint; omit for the unconstrained problem")
     p.add_argument("--epsilon", type=float, default=0.01)
     _add_common(p)
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=[a.value for a in SweepAxis], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=float, default=math.inf)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--from", dest="sweep_from", type=float, default=None)
     p.add_argument("--to", dest="sweep_to", type=float, default=None)
@@ -491,15 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_paths(args, cfg_path)
         return args.func(args)
-    except BadParams as exc:
-        print(f"error: BadParams: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except ScenarioUnsatisfiable as exc:
-        print(f"error: ScenarioUnsatisfiable: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except SingularSystem as exc:
-        print(f"error: SingularSystem: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (BadParams, ScenarioUnsatisfiable, SingularSystem) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC if isinstance(exc, SingularSystem) else EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -525,19 +525,13 @@ def sweep(
         raise BadParams("a qr sweep is a grid, not rows: call qr_grid")
     start, stop, step = _sweep_range(prob, axis, start, stop, step)
 
-    if axis is SweepAxis.N_RANGE:
-        ns = range(int(start), int(stop) + 1, int(step))
-        return [
-            {"n": n, **_solution_row(solve_design_problem(replace(prob, n_users=n)))}
-            for n in ns
-        ]
-
-    if axis is SweepAxis.THETA_RANGE:
-        thetas = _axis(start, stop, step)
-        return [
-            {"theta": float(t), **_solution_row(solve_design_problem(replace(prob, theta=float(t))))}
-            for t in thetas
-        ]
+    if axis in (SweepAxis.N_RANGE, SweepAxis.THETA_RANGE):
+        if axis is SweepAxis.N_RANGE:
+            key, field, pts = "n", "n_users", range(int(start), int(stop) + 1, int(step))
+        else:
+            key, field, pts = "theta", "theta", [float(t) for t in _axis(start, stop, step)]
+        return [{key: x, **_solution_row(solve_design_problem(replace(prob, **{field: x})))}
+                for x in pts]
 
     if axis is SweepAxis.ETA_RANGE:
         etas = [float(e) for e in _axis(start, stop, step)]

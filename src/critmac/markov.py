@@ -49,13 +49,18 @@ and the critical chain are test references (tests/explicit_forms.py).  The
 float Pascal table C(N, k) overflows from N = 1030 on, and such N is
 rejected with BadParams.
 
-SingularSystem is raised exactly where there is no unique finite answer:
-T_c and D_crit at boundary q or r (0 or 1), where an idle or colliding
-population that never transmits, or colliders that never back off, never
-reach a success; m at r = 1 (1 - r^k = 0); a stationary distribution of a
-matrix with more than one absorbing state (the normal chain at r = 1 with
-N >= 3; at N = 2 it has one); and an interior point whose metric is not
-finite.  Interior points near the boundary return the large finite value.
+The one-point T_c and D_crit raise SingularSystem on the whole boundary
+(q or r equal to 0 or 1), by convention, and at an interior point whose
+metric is not finite.  The chains have no finite answer on only part of
+that boundary: T_c at q = 0, where the idle population never transmits,
+and at r = 1, where colliders never back off; D_crit only at r = 1.  At
+q = 1 and at r = 0 both are finite (at N = 10, theta = 0.1: T_c = 3.2623
+and D_crit = 0.7300 at q = 0.1, r = 0; 5.5218 and 1.7112 at q = 1,
+r = 0.4; the oracle agrees).  SingularSystem is also raised for m at
+r = 1 (1 - r^k = 0) and for a stationary distribution of a matrix with
+more than one absorbing state (the normal chain at r = 1 with N >= 3; at
+N = 2 it has one).  Interior points near the boundary return the large
+finite value.
 A grid is NaN exactly where the one-point function raises: in the rows of
 q and the columns of r outside (0, 1), and at cells whose value is not
 finite.

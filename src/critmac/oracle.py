@@ -107,35 +107,27 @@ def estimate_metrics_oracle(params: ProtocolParams, rounds: int, seed: int) -> O
         raise BadParams(f"the oracle requires rounds >= 2 and seed >= 0, got {rounds} and {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
 
-    c_sum = c_sumsq = 0.0
-    s_sum = s_sumsq = 0.0
-    d_sum = d_sumsq = 0.0
+    # the sum and the sum of squares of each estimator's samples: T_c, a
+    # cycle's success run, D_crit
+    moments = np.zeros((3, 2))
     left = rounds
     while left > 0:
         b = min(_BATCH, left)
         left -= b
-        conts = _contention_lengths(params, b, rng).astype(np.float64)
-        runs = rng.geometric(params.theta, b).astype(np.float64)
-        fails = _critical_collision_counts(params, b, rng).astype(np.float64)
-        c_sum += conts.sum()
-        c_sumsq += (conts**2).sum()
-        s_sum += runs.sum()
-        s_sumsq += (runs**2).sum()
-        d_sum += fails.sum()
-        d_sumsq += (fails**2).sum()
+        draws = (_contention_lengths(params, b, rng), rng.geometric(params.theta, b),
+                 _critical_collision_counts(params, b, rng))
+        for row, x in zip(moments, draws):
+            x = x.astype(np.float64)
+            row += (x.sum(), (x**2).sum())
 
     m = float(rounds)
-    t_c = c_sum / m
-    var_c = c_sumsq / m - t_c**2
+    t_c, s_mean, d_crit = mean = moments[:, 0] / m
+    var_c, var_s, var_d = moments[:, 1] / m - mean**2
     t_c_se = math.sqrt(var_c / m)
-    s_mean = s_sum / m
-    var_s = s_sumsq / m - s_mean**2
-    c_norm = s_sum / (s_sum + c_sum)
+    c_norm = moments[1, 0] / (moments[1, 0] + moments[0, 0])
     # delta method on f(s, c) = s / (s + c) with independent cycle halves
     denom = (s_mean + t_c) ** 4
     c_norm_se = math.sqrt((t_c**2 * var_s / m + s_mean**2 * var_c / m) / denom)
-    d_crit = d_sum / m
-    var_d = d_sumsq / m - d_crit**2
     d_crit_se = math.sqrt(var_d / m)
     return OracleEstimate(t_c=t_c, t_c_se=t_c_se, c_norm=c_norm, c_norm_se=c_norm_se,
                           d_crit=d_crit, d_crit_se=d_crit_se, rounds=rounds)

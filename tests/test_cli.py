@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -750,6 +751,9 @@ class _Writes:
     def write(self, text):
         self.chunks.append(text)
 
+    def flush(self):
+        pass
+
 
 class TestStreaming:
     QR = ["sweep", "--axis", "qr", "--n", "4", "--theta", "0.1",
@@ -960,6 +964,55 @@ class TestConfigFile:
             "--format", "json", "--output", str(out_path),
         )
         assert json.loads(out_path.read_text())["t_s"] == 5.0
+
+
+class TestWriteFailures:
+    """An output that cannot be written ends in exit 2 and one line, as one that cannot be opened."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # a few hundred bytes: they fail at the flush or the close
+            ["optimize", "--n", "10", "--theta", "0.1", "--output"],
+            # 9801 rows: they fail at a write
+            ["sweep", "--axis", "qr", "--n", "10", "--theta", "0.1", "--output"],
+            ["simulate", "--n", "10", "--theta", "0.1", "--q", "0.1051", "--r", "0.4786",
+             "--rounds", "50", "--trace-output"],
+        ],
+        ids=["optimize", "sweep-qr", "simulate-trace"],
+    )
+    def test_full_device(self, args):
+        proc = run_cli(*args, "/dev/full", check=False)
+        assert_one_line_error(proc, 2)
+        assert proc.stdout == ""
+        reason = os.strerror(errno.ENOSPC)
+        assert proc.stderr == f"error: BadParams: cannot write {args[-1]} /dev/full: {reason}\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["optimize", "--n", "10", "--theta", "0.1"],
+            ["sweep", "--axis", "qr", "--n", "10", "--theta", "0.1", "--step", "0.002"],
+        ],
+        ids=["optimize", "sweep-qr"],
+    )
+    def test_closed_stdout(self, args, unbuffered):
+        # a reader that closed at once; buffered, the optimize report fails only
+        # at the final flush, and nothing may fail again at interpreter exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(CLI + args, stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+        finally:
+            os.close(write)
+        assert_one_line_error(proc, 2)
+        assert proc.stderr == f"error: BadParams: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_reused_parser_gives_the_bytes_of_fresh_ones(capsys):

@@ -136,7 +136,11 @@ class TestContentionTime:
 
 
 class TestSingularCases:
-    """SingularSystem marks exactly the chains that have no unique answer."""
+    """SingularSystem marks the chains with no unique finite answer.
+
+    The one-point metrics also refuse the rest of the boundary, q = 1 and
+    r = 0, by convention (TestContentionTime::test_boundary_params_rejected).
+    """
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_hitting_times_at_r_one(self, n):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -192,6 +193,36 @@ def test_valid_share_computed_once_per_run(scenario, monkeypatch):
     monkeypatch.setattr(sim, "_valid_share", lambda cfg: calls.append(cfg) or share(cfg))
     simulate_two_critical(scenario_cfg(scenario, rounds=20))
     assert len(calls) == 1
+
+
+def test_shortfall_after_the_attempt_limit_is_refused(monkeypatch):
+    # a share of valid rounds overstated to 1.0, where it is 0.009: the config
+    # admits the run, and 5 x 20 attempted rounds fall short
+    monkeypatch.setattr(sim, "_valid_share", lambda cfg: 1.0)
+    scenario, kwargs = RARE[1]
+    cfg = scenario_cfg(scenario, rounds=20, seed=0, **kwargs)
+    trace = io.StringIO()
+    with pytest.raises(ScenarioUnsatisfiable,
+                       match=r"^only 1 of 20 rounds admitted the scenario injection$"):
+        simulate_two_critical(cfg, trace_sink=trace)
+    # every one of the 5 x 20 rounds it may attempt was run and traced
+    rounds = {int(row[0]) for row in csv.reader(trace.getvalue().splitlines()[1:])}
+    assert rounds == set(range(100))
+
+
+def test_shortfall_after_the_attempt_limit_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sim, "_valid_share", lambda cfg: 1.0)
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--n", "10", "--theta", "0.1", "--q", "0.0001", "--r", "0.4786",
+            "--rounds", "20", "--enhanced", "--scenario", "two-critical-during-collision",
+            "--format", "json", "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ScenarioUnsatisfiable: only 1 of 20 rounds admitted the scenario injection\n"
+    )
+    assert not out.exists()
 
 
 def test_rounds_to_try():
