@@ -103,6 +103,8 @@ def estimate_metrics_oracle(params: ProtocolParams, rounds: int, seed: int) -> O
         raise BadParams("the oracle requires n_users >= 2")
     if not 0.0 < params.q < 1.0 or not 0.0 <= params.r < 1.0:
         raise BadParams("the oracle requires q in (0, 1) and r in [0, 1)")
+    if not isinstance(rounds, int) or not isinstance(seed, int):
+        raise BadParams(f"the oracle requires integer rounds and seed, got {rounds!r} and {seed!r}")
     if rounds < 2 or seed < 0:
         raise BadParams(f"the oracle requires rounds >= 2 and seed >= 0, got {rounds} and {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))

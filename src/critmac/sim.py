@@ -20,9 +20,9 @@ and row j of every array is round j until the batch ends: a round that has
 ended keeps its row and steps on, and none of its later slots is read (they
 draw from its own stream, so they change no other round).  The round
 structure is applied between steps, to each round separately: after its
-normal phase a round is guarded (simultaneous scenario only, until a
-collision-free boundary), then critical until its critical users finish,
-then done, with its end slot recorded (see :func:`_run_batch`).  A batch
+normal phase its critical users arrive (simultaneous scenario: at a
+collision-free boundary), and it ends when they have finished, at an end
+slot read from their milestones (see :func:`_run_batch`).  A batch
 holds as many rounds as 1 MB budgets allow (:func:`_batch_rounds`), so its
 memory does not grow with the run, and each lockstep step, whose cost is
 mostly fixed, serves hundreds of rounds.  A two-critical run sizes its
@@ -127,10 +127,10 @@ class CriticalTrafficModel:
 
     Under a non-intrusive protocol the delay metrics do not depend on X, so
     the default Fixed(20) only sets trace lengths; Geometric(mean) is
-    offered for more realistic traces.  Realized lengths are always >= 1.
-    A critical phase is capped at _MAX_CRITICAL_SLOTS slots, so a fixed
-    length above the cap, or a geometric mean above cap / _GEOMETRIC_TAIL,
-    is rejected.
+    offered for more realistic traces.  Realized lengths are always >= 1,
+    and a fixed length must be an integer.  A critical phase is capped at
+    _MAX_CRITICAL_SLOTS slots, so a fixed length above the cap, or a
+    geometric mean above cap / _GEOMETRIC_TAIL, is rejected.
     """
 
     kind: str
@@ -138,6 +138,8 @@ class CriticalTrafficModel:
 
     @staticmethod
     def fixed(length: int) -> "CriticalTrafficModel":
+        if not isinstance(length, int):
+            raise BadParams(f"fixed critical-traffic length must be an integer, got {length!r}")
         if length < 1:
             raise BadParams("fixed critical-traffic length must be >= 1")
         if length > _MAX_CRITICAL_SLOTS:
@@ -178,6 +180,8 @@ def _rule_g_contention() -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation run; ``rounds``, ``normal_phase_slots`` and ``seed`` must be integers."""
+
     params: ProtocolParams
     enhancement: EnhancementConfig = EnhancementConfig()
     normal_phase_slots: int = 100
@@ -189,6 +193,10 @@ class SimConfig:
     valid_share: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "normal_phase_slots", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise BadParams("rounds must be >= 1")
         if self.seed < 0:
@@ -309,8 +317,6 @@ class SlotEngine:
     step counts them, and it calls :func:`protocol.two_critical_mode_trigger`
     for the critical users before ``prev_critical`` takes the slot's traffic;
     :meth:`set_critical` clears an arriving user's ``prev_critical``.
-    ``completed`` is the last slot in which some user's critical traffic
-    completed.
     """
 
     def __init__(
@@ -332,7 +338,6 @@ class SlotEngine:
         self._block = self._buffer.reshape(shape[0], 0, shape[1])
         self._block_start = 0
         self._ones = np.ones(params.n_users)
-        self.completed = -1
 
     def set_critical(self, at: np.ndarray, users: np.ndarray, packets: np.ndarray) -> None:
         """Give user users[j] of round at[j] critical traffic, effective next slot."""
@@ -393,7 +398,6 @@ class SlotEngine:
         s.remaining -= served
         done = served & (s.remaining == 0)
         if done.any():
-            self.completed = self.slot
             s.yield_after_idle |= done & s.g_mode
             keep = ~done
             critical &= keep
@@ -467,10 +471,6 @@ def _round_rngs(seed: int, indices: Sequence[int]) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(_Key(k))) for k in _round_keys(seed, indices)]
 
 
-# stages of a round after its normal phase (see _run_batch)
-_GUARD, _CRITICAL, _DONE = 0, 1, 2
-
-
 @dataclass
 class _Batch:
     """A batch of rounds run in lockstep, by position in the batch, each to its end slot.
@@ -511,12 +511,13 @@ class _Batch:
 def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Batch:
     """Run the rounds `indices` in lockstep: a normal phase, then the scenario's critical phase.
 
-    After its normal phase a round passes through three stages: guard (the
-    simultaneous scenario only, until a collision-free boundary), critical
-    (until its critical users finish) and done.  Its end slot is recorded
-    when it is done, ``_SCENARIO_TAIL_SLOTS`` later in a round that admitted
-    the second arrival, so that its trace shows the handover.  The batch
-    ends at its last end slot.
+    The round structure is read from the engine's state: a round's first
+    critical user arrives once its normal phase ends (simultaneous: at the
+    first collision-free boundary after it), its critical phase is the
+    slots in which some user carries critical traffic, and its end slot is
+    its last completion (``finished``), ``_SCENARIO_TAIL_SLOTS`` later in a
+    round that admitted the second arrival, so that its trace shows the
+    handover.  The batch ends at its last end slot.
     """
     params, scenario = cfg.params, cfg.scenario
     n, w = params.n_users, cfg.normal_phase_slots
@@ -527,14 +528,14 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
     size = len(rngs)
     pairs = np.full((size, 2), -1, dtype=np.intp)
     first, second = pairs.T
-    model = cfg.traffic_model
-    lengths = np.full((size, 2), int(model.value), dtype=np.int64)  # fixed; geometric drawn below
+    drawn = []  # the critical users' traffic lengths, round by round, by arrival
     for j, rng in enumerate(rngs):
         first[j] = rng.integers(n)
         if two_crit:
             second[j] = (first[j] + 1 + rng.integers(n - 1)) % n
-        if model.kind == "geometric":
-            lengths[j, : 1 + two_crit] = [model.draw(rng) for _ in range(1 + two_crit)]
+        for _ in range(1 + two_crit):
+            drawn.append(cfg.traffic_model.draw(rng))
+    lengths = np.array(drawn, dtype=np.int64).reshape(size, 1 + two_crit)
 
     engine = SlotEngine(params, cfg.enhancement, rngs, _expected_slots(cfg))
     flags = np.empty((size, w), dtype=bool)
@@ -545,64 +546,52 @@ def _run_batch(cfg: SimConfig, indices: Sequence[int], keep_trace: bool) -> _Bat
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
 
-    stage = np.full(size, _CRITICAL)
-    if simultaneous:
-        # start from a collision-free boundary so both users carry zero
-        # failure counts into the phase (the canonical simultaneous case)
-        stage[k >= 2] = _GUARD
     # the first critical user's observation that lets the second one arrive
     trigger = SUCCESS_CODE if scenario is Scenario.TWO_CRITICAL_DURING_SUCCESS else FAILURE_CODE
+    pending = np.ones(size, dtype=bool)  # the first critical user has not arrived
     injected = np.zeros(size, dtype=bool)
     collisions = np.zeros(size, dtype=np.int64)
-    slots = np.full(size, w, dtype=np.int64)
     rows = np.arange(size)
-
-    def arrive(at: np.ndarray) -> None:
-        """The round structure's critical arrivals, at rounds `at`."""
-        engine.set_critical(at, first[at], lengths[at, 0])
-        if simultaneous:
-            engine.set_critical(at, second[at], lengths[at, 1])
-            injected[at] = True
-
-    arrive(np.flatnonzero(stage == _CRITICAL))
     while True:
         users = engine.users
-        if simultaneous:
-            ready = (stage == _GUARD) & (k < 2)
-            if ready.any():
-                arrive(np.flatnonzero(ready))
-                stage[ready] = _CRITICAL
-        elif two_crit:
-            # inject on an observation the first, so far only, critical user made while critical
-            ready = (users.critical & users.prev_critical & (users.last == trigger)).any(axis=1)
-            ready &= (stage == _CRITICAL) & ~injected
-            if ready.any():
-                sel = np.flatnonzero(ready)
-                engine.set_critical(sel, second[sel], lengths[sel, 1])
-                injected[sel] = True
-        # a round ends in a step in which its last critical user (first or second) completed
-        if engine.completed == engine.slot:
-            over = (stage == _CRITICAL) & ~users.critical.any(axis=1)
-            slots[over] = engine.slot + _SCENARIO_TAIL_SLOTS * injected[over]
-            stage[over] = _DONE
-        if engine.slot == slots.max() and (stage == _DONE).all():
-            break
+        # the first critical user arrives when the normal phase ends; simultaneous:
+        # at a collision-free boundary, so both users carry zero failure counts
+        # into the phase (the canonical simultaneous case)
+        at = np.flatnonzero(pending & (k < 2) if simultaneous else pending)
+        if len(at):
+            engine.set_critical(at, first[at], lengths[at, 0])
+            pending[at] = False
+        if two_crit:
+            # the second arrives with the simultaneous first, else on an
+            # observation the first, so far only, critical user made while critical
+            if not simultaneous:
+                trig = users.critical & users.prev_critical & (users.last == trigger)
+                at = np.flatnonzero(trig.any(axis=1) & ~injected)
+            if len(at):
+                engine.set_critical(at, second[at], lengths[at, 1])
+                injected[at] = True
+        # the rounds whose next slot is in the critical phase
+        live = users.critical.any(axis=1)
+        if not live.any() and not pending.any():
+            # a round ends at its last completion, and shows the handover if it had two users
+            slots = engine.finished.max(axis=1) + _SCENARIO_TAIL_SLOTS * injected
+            if engine.slot >= slots.max():
+                break
 
         tx, obs, k = engine.step()
-        in_critical = stage == _CRITICAL
         if keep_trace:
             cells.append(_pack(tx, obs, engine.users.prev_critical))
         # a failure is always the user's own transmission
-        collisions += in_critical & (obs[rows, first] == FAILURE_CODE)
+        collisions += live & (obs[rows, first] == FAILURE_CODE)
         # a critical round has been so for slot - arrived + 1 slots (arrived is
         # the first's arrival), no more than the slots since the normal phase;
-        # a guarded round has waited all of those
+        # a pending round has waited all of those
         ran = engine.slot - w
         if ran > _MAX_CRITICAL_SLOTS and (
-            in_critical & (engine.slot - engine.arrived[rows, first] >= _MAX_CRITICAL_SLOTS)
+            live & (engine.slot - engine.arrived[rows, first] >= _MAX_CRITICAL_SLOTS)
         ).any():
             raise RuntimeError("critical phase failed to terminate")
-        if ran > _GUARD_SLOTS and (stage == _GUARD).any():
+        if ran > _GUARD_SLOTS and pending.any():
             raise RuntimeError("no collision-free boundary found")
 
     if simultaneous:

@@ -108,6 +108,11 @@ class TestValidation:
         with pytest.raises(BadParams):
             estimate_metrics_oracle(P3, 100, seed=-1)
 
+    @pytest.mark.parametrize("rounds, seed", [(100.5, 0), (100, 0.5)])
+    def test_rejects_non_integer_rounds_or_seed(self, rounds, seed):
+        with pytest.raises(BadParams, match=r"^the oracle requires integer rounds and seed, got "):
+            estimate_metrics_oracle(P3, rounds, seed)
+
     def test_rejects_too_many_users(self):
         # the stationary draw needs the normal matrix, whose binomials overflow from N = 1030
         with pytest.raises(BadParams):

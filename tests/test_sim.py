@@ -362,6 +362,40 @@ def test_critical_overrun_raises_past_the_longest_phase(scenario, monkeypatch):
         _run_batch(cfg, range(5), keep_trace=False)
 
 
+# the base rules, the enhanced ones, and the enhanced ones without the wait
+# after a critical phase, in which a finished first user may collide with the
+# second; the two-critical scenarios need the enhanced rules
+RULES = {"base": EnhancementConfig(), "enhanced": EnhancementConfig(enabled=True),
+         "no-wait": EnhancementConfig(enabled=True, suppress_after_critical=False)}
+ONE_PHASE_CASES = [(scenario, n, rules) for scenario in Scenario for n in (3, 10) for rules in RULES
+                   if rules != "base" or scenario is Scenario.SINGLE_CRITICAL]
+
+
+@pytest.mark.parametrize("traffic", [CriticalTrafficModel.fixed(20),
+                                     CriticalTrafficModel.geometric(8.0)], ids=["fixed", "geometric"])
+@pytest.mark.parametrize("scenario, n, rules", ONE_PHASE_CASES)
+def test_one_critical_phase(scenario, n, rules, traffic):
+    # D_crit counts the first critical user's failures in the slots that the
+    # trace marks critical, also after it finished while the second is still
+    # critical; a round ends at its last completion, plus the handover tail
+    # if its second critical user arrived
+    params = {3: P3, 10: P10}[n]
+    cfg = SimConfig(params=params, enhancement=RULES[rules], rounds=40, traffic_model=traffic,
+                    seed=8, scenario=scenario)
+    batch = _run_batch(cfg, range(40), keep_trace=True)
+    phase, failed = batch.critical_phase, batch.observations == FAILURE_CODE
+    two_crit = scenario is not Scenario.SINGLE_CRITICAL
+    for j in range(40):
+        first = round_rng(cfg.seed, j).integers(n)  # the first draw of the round's stream
+        end = batch.slots[j]
+        assert batch.collisions[j] == np.count_nonzero(failed[:end, j, first] & phase[:end, j])
+        assert end == batch.finished[j].max() + sim._SCENARIO_TAIL_SLOTS * batch.injected[j]
+        second_arrived = two_crit and batch.arrived[j, batch.pairs[j, 1]] > 0
+        assert batch.injected[j] == second_arrived
+        assert np.count_nonzero(batch.arrived[j]) == 1 + second_arrived
+    assert batch.collisions.any()
+
+
 class TestTrafficModel:
     def test_fixed(self):
         m = CriticalTrafficModel.fixed(7)
@@ -379,6 +413,11 @@ class TestTrafficModel:
         with pytest.raises(BadParams):
             CriticalTrafficModel.fixed(bad)
 
+    def test_fixed_length_must_be_an_integer(self):
+        # 2.5 would send int(2.5) = 2 packets a round
+        with pytest.raises(BadParams, match=r"^fixed critical-traffic length must be an integer, got 2\.5$"):
+            CriticalTrafficModel.fixed(2.5)
+
 
 class TestConfigValidation:
     def test_rounds_positive(self):
@@ -388,6 +427,12 @@ class TestConfigValidation:
     def test_seed_non_negative(self):
         with pytest.raises(BadParams):
             SimConfig(params=P3, seed=-1)
+
+    @pytest.mark.parametrize("name", ["rounds", "normal_phase_slots", "seed"])
+    def test_counts_must_be_integers(self, name):
+        # a float count or seed would fail inside numpy, with a TypeError or AttributeError
+        with pytest.raises(BadParams, match=rf"^{name} must be an integer, got 50\.5$"):
+            SimConfig(params=P3, **{name: 50.5})
 
     def test_run_size_bounds(self):
         # a run's records grow with its rounds and normal-phase slots
