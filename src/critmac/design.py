@@ -11,20 +11,20 @@ local refinement passes (step divided by 10 each) around the incumbent.  It
 serves the whole square (coarse step 0.01) and the edge r = eps, as a box
 with its r side pinned to eps; the square's first row is the edge q = eps.
 Each scan reads T_c on its whole grid as an array
-(`markov.contention_times`), and D_crit too when a constraint applies
-(`markov.critical_delays`); it masks the infeasible cells and takes the
-smallest-T_c cell by the walk's strict-improvement rule (the least-D_crit
-cell with argmin when none is feasible), so grid search beats gradient
-machinery here.  Each refinement pass, `_refine`, follows its pick while it
-lands on an inner side of the scanned window, so it can track a steep
-constraint curve.  A binding solution more than 0.005 from D_crit = eta
-gets one more `_refine` over the whole square at the finest step.  The
-candidate pick and the reported values read one point at a time; the edge
-bisection reads D_crit one q at a time from r = eps tables it solves once.
-Ties within 1e-9 break toward smaller q, then smaller r: one walk (`_walk`)
-takes a value only when it is more than 1e-9 below the best so far, over a
-scan's grid in row-major order and over the two candidates (square and
-edge) in (q, r) order.
+(`markov.contention_times`), and D_crit too when a constraint applies, the
+two from one chain block per r (`markov.metric_grids`); it masks the
+infeasible cells and takes the smallest-T_c cell by the walk's
+strict-improvement rule (the least-D_crit cell with argmin when none is
+feasible), so grid search beats gradient machinery here.  Each refinement
+pass, `_refine`, follows its pick while it lands on an inner side of the
+scanned window, so it can track a steep constraint curve.  A binding
+solution more than 0.005 from D_crit = eta gets one more `_refine` over
+the whole square at the finest step.  The candidate pick and the reported
+values read one point at a time; the edge bisection reads D_crit one q at
+a time from r = eps tables it solves once.  Ties within 1e-9 break toward
+smaller q, then smaller r: one walk (`_walk`) takes a value only when it
+is more than 1e-9 below the best so far, over a scan's grid in row-major
+order and over the two candidates (square and edge) in (q, r) order.
 
 An eta sweep solves the unconstrained problem once and each eta from it.
 Every top-level solve (`solve_design_problem`, an eta sweep, each row of an
@@ -62,6 +62,7 @@ from .markov import (
     critical_delay,
     critical_delay_along_q,
     critical_delays,
+    metric_grids,
 )
 from .protocol import ProtocolParams
 
@@ -142,16 +143,27 @@ class _Grids:
     prob: DesignProblem
     kept: dict = field(default_factory=dict)
 
-    def read(self, grid: Callable, qs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-        """grid(N, theta, qs, rs), from the kept grids when qs runs the whole q range."""
+    def read(self, qs: np.ndarray, rs: np.ndarray, delays: bool) -> tuple:
+        """T_c on qs x rs, and D_crit when delays (else None); kept when qs runs the whole q range.
+
+        A kept grid is not computed again, and two grids still to compute
+        come from one `metric_grids` call, which builds each r's block once.
+        """
         prob = self.prob
-        if not (qs[0] == prob.epsilon and qs[-1] == 1.0 - prob.epsilon):
-            return grid(prob.n_users, prob.theta, qs, rs)
-        key = (grid, qs.tobytes(), rs.tobytes())
-        if key not in self.kept:
-            self.kept[key] = grid(prob.n_users, prob.theta, qs, rs)
-            self.kept[key].flags.writeable = False
-        return self.kept[key]
+        args = (prob.n_users, prob.theta, qs, rs)
+        keep = qs[0] == prob.epsilon and qs[-1] == 1.0 - prob.epsilon
+        axes = (qs.tobytes(), rs.tobytes()) if keep else None
+        t, d = self.kept.get(("T_c", axes)), self.kept.get(("D_crit", axes))
+        if t is None:
+            t, d = metric_grids(*args) if delays else (contention_times(*args), None)
+        elif delays and d is None:
+            d = critical_delays(*args)
+        if keep:
+            for name, grid in (("T_c", t), ("D_crit", d)):
+                if grid is not None:
+                    grid.flags.writeable = False
+                    self.kept[name, axes] = grid
+        return t, d if delays else None
 
 
 def _at(prob: DesignProblem, q: float, r: float) -> ProtocolParams:
@@ -172,7 +184,7 @@ def _walk(values: np.ndarray, best: float) -> tuple[int | None, float]:
     the walk visits those alone; inf values never count.
     """
     low = np.minimum.accumulate(values)
-    drops = np.flatnonzero(np.r_[True, low[1:] < low[:-1]])
+    drops = np.concatenate(([0], np.flatnonzero(low[1:] < low[:-1]) + 1))
     pick = None
     for i, value in zip(drops.tolist(), low[drops].tolist()):
         if value < best - _TIE_TOL:
@@ -206,11 +218,10 @@ def _argmin_tc(
     At the first cell in scan order whose value it reads as NaN, the
     one-point error is raised, D_crit's before T_c's.
     """
-    t = grids.read(contention_times, qs, rs)
-    bad = np.isnan(t)
     constrained = eta < math.inf
+    t, d = grids.read(qs, rs, constrained)
+    bad = np.isnan(t)
     if constrained:
-        d = grids.read(critical_delays, qs, rs)
         ok = d <= eta
         bad = np.isnan(d) | (ok & bad)
     if bad.any():
@@ -270,7 +281,7 @@ def _search(
     qs, rs = _axis(*q_box, step), _axis(*r_box, step)
     best = _argmin_tc(grids, qs, rs, eta, None)
     if best is None:
-        d = grids.read(critical_delays, qs, rs)  # the grid just scanned
+        _, d = grids.read(qs, rs, True)  # the grid just scanned
         i, j = np.unravel_index(np.argmin(d), d.shape)
         return None, (float(qs[i]), float(rs[j]), float(d[i, j]))
     for _ in range(_REFINE_PASSES):
@@ -488,8 +499,7 @@ def qr_grid(
     """
     start, stop, step = _sweep_range(prob, SweepAxis.QR_GRID, start, stop, step)
     pts = _axis(start, stop, step)
-    tc = contention_times(prob.n_users, prob.theta, pts, pts)
-    d = critical_delays(prob.n_users, prob.theta, pts, pts)
+    tc, d = metric_grids(prob.n_users, prob.theta, pts, pts)
     d[np.isnan(tc)] = np.nan  # D_crit is read only where T_c is
     c = 1.0 / (prob.theta * tc + 1.0)
     errors = np.full(d.shape, "", dtype=object)

@@ -37,12 +37,15 @@ point with Binomial(N, q).  With L the normal chain over the states 1..N:
 Row k of each system is divided by 1 - P_kk, summed from the row's entries
 left of the diagonal.  With a unit diagonal that no entry below it exceeds,
 numpy.linalg.solve never pivots and substitutes forward in positive terms:
-no digits cancel, even for q or r next to 0 or 1.  `contention_times` and
-`critical_delays` evaluate the grid qs x rs, a (len(qs), len(rs)) array:
-one table solve per r and one Binomial row per q, contracted cell by cell
-in the same arithmetic as the one-point functions, so each cell has their
-bits; `critical_delay_along_q` reads D_crit one q at a time from one r's
-tables, solved once, with the one-point bits.  The dense normal chain and
+no digits cancel, even for q or r next to 0 or 1.  Both metrics' systems
+are read from one block per r, the rows k = 1..N of Binomial(k, r) with
+their unit diagonal (`_unit_block`).  `contention_times` and
+`critical_delays` evaluate the grid qs x rs, a (len(qs), len(rs)) array,
+and `metric_grids` both on one grid: one block and one table solve per r
+and one Binomial row per q, shared by T_c and D_crit, contracted cell by
+cell in the same arithmetic as the one-point functions, so each cell has
+their bits; `critical_delay_along_q` reads D_crit one q at a time from one
+r's tables, solved once, with the one-point bits.  The dense normal chain and
 `stationary_distribution` are the explicit form, which the oracle draws
 from; the explicit (d, v) contraction
 and the critical chain are test references (tests/explicit_forms.py).  The
@@ -116,10 +119,10 @@ class PerformanceMetrics:
     f_norm: float
 
 
-# 16 (n + 1)^2 bytes a table: the last few N (a solve reads N and N - 1), not every N seen
+# 8 (n + 1)^2 bytes a table: the last few N (a solve reads N and N - 1), not every N seen
 @lru_cache(maxsize=8)
-def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(k, j) for k, j = 0..n and max(k - j, 0); BadParams if C(n, j) overflows (n >= 1030)."""
+def _coefficients(n: int) -> np.ndarray:
+    """C(k, j) for k, j = 0..n; BadParams if C(n, j) overflows (n >= 1030)."""
     rows = [np.ones(1)]
     for k in range(1, n + 1):
         row = np.append(rows[-1], 0.0)
@@ -131,8 +134,7 @@ def _coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     comb = np.zeros((n + 1, n + 1))
     for k, row in enumerate(rows):
         comb[k, : k + 1] = row
-    k, j = np.indices(comb.shape)
-    return comb, np.maximum(k - j, 0)
+    return comb
 
 
 def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:
@@ -145,14 +147,24 @@ def _powers(n: int, p) -> tuple[np.ndarray, np.ndarray]:
 def binomial_pmf(n: int, p) -> np.ndarray:
     """The Binomial(n, p) probability row over 0..n successes, one row per entry of p."""
     up, down = _powers(n, p)
-    return _coefficients(n)[0][n] * up * down[..., ::-1]
+    return _coefficients(n)[n] * up * down[..., ::-1]
 
 
 def _binomial_block(n: int, rs) -> np.ndarray:
-    """Rows k = 0..n of Binomial(k, r) over 0..k, zero right of the diagonal, for each r of rs."""
-    comb, down_power = _coefficients(n)
+    """Rows k = 0..n of Binomial(k, r) over 0..k, zero right of the diagonal, for each r of rs.
+
+    (1 - r)^(k - j) is read, without a copy, from a strided view of the row
+    padded = ((1 - r)^n, ..., (1 - r)^0, 1, ..., 1): entry (k, j) is
+    padded[n - k + j], which is 1 right of the diagonal, where C(k, j) is 0.
+    """
     up, down = _powers(n, rs)
-    return comb * up[:, None, :] * down[:, down_power]
+    padded = np.ones((len(down), 2 * n + 1))
+    padded[:, : n + 1] = down[:, ::-1]
+    size = padded.itemsize
+    # the ndarray constructor (1 us), not sliding_window_view (13 us, a fifth of a one-point solve)
+    windows = np.ndarray((len(down), n + 1, n + 1), buffer=padded, offset=n * size,
+                         strides=(padded.strides[0], -size, size))
+    return _coefficients(n) * up[:, None, :] * windows
 
 
 def _unit_block(n: int, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,81 +177,104 @@ def _unit_block(n: int, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block.reshape(len(block), -1)[:, :: n + 2] = 0.0  # the diagonal P_kk
     low = block[:, 1:]
     den = low.sum(axis=-1)
-    return np.eye(n) - low[:, :, 1:] / den[..., None], den
+    a = low[:, :, 1:] / den[..., None]
+    # in place: a fresh array of this size costs about as much in page faults as the block
+    return np.subtract(np.eye(n), a, out=a), den
 
 
-def _contention_tables(n: int, theta: float, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_k and C_k, k = 2..N, of each r: (I - L) [A, C] = [1, P_k1] over the states 2..N."""
-    a, den = _unit_block(n, rs)
+def _solved(tables: Callable) -> Callable:
+    """tables(N, theta, a, den) as a function of (N, theta, rs), from the block of rs."""
+    return lambda n, theta, rs: tables(n, theta, *_unit_block(n, rs))
+
+
+def _contention_tables(n: int, theta: float, a: np.ndarray, den: np.ndarray) -> tuple:
+    """A_k and C_k, k = 2..N, of each r of the block (a, den).
+
+    (I - L) [A, C] = [1, P_k1] over the states 2..N.
+    """
     rhs = np.concatenate([1.0 / den[:, 1:, None], -a[:, 1:, :1]], axis=-1)  # [1, P_k1] / den
     x = np.linalg.solve(a[:, 1:, 1:], rhs)
     return x[..., 0], x[..., 1]
 
 
-def _contention_contract(n: int, qs: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T_c on the grid qs x rs from each q's Binomial(N, q) row and each r's tables A and C."""
-    p0 = binomial_pmf(n, qs)[:, None]
+def _contention_contract(n: int, qs: np.ndarray, p0: np.ndarray, a: np.ndarray, c: np.ndarray):
+    """T_c on the grid qs x rs from each q's Binomial(N, q) row p0 and each r's tables A and C."""
     return (1.0 + (p0[..., 2:] * a).sum(axis=-1)) / (p0[..., 1] + (p0[..., 2:] * c).sum(axis=-1))
 
 
-def _delay_tables(n: int, theta: float, rs: np.ndarray, enhanced: bool = False) -> tuple:
-    """m, g and s of each r; `enhanced` sets d(1, W) = 1 - theta.
+def _delay_tables(n: int, theta: float, a: np.ndarray, den: np.ndarray,
+                  enhanced: bool = False) -> tuple:
+    """m, g and s of each r of the block (a, den); `enhanced` sets d(1, W) = 1 - theta.
 
-    m solves the leading N-1 rows, the critical chain's, and
-    c_j = j/N d(j-1, T) + (N-j)/N d(j, W), j = 1..N, is the coefficient of
-    w_j in sum v(l, a) d(l, a) (see the module docstring).
+    The block is left as it is, for T_c to read.  m solves the leading N-1
+    rows, the critical chain's, and c_j = j/N d(j-1, T) + (N-j)/N d(j, W),
+    j = 1..N, is the coefficient of w_j in sum v(l, a) d(l, a) (see the
+    module docstring).
     """
-    a, den = _unit_block(n, rs)
     m = np.linalg.solve(a[:, :-1, :-1], 1.0 / den[:, :-1, None])[..., 0]
-    zero = np.zeros((len(rs), 1))
-    d1w = np.full((len(rs), 1), 1.0 - theta) if enhanced else (1.0 - theta) * m[:, :1]
+    zero = np.zeros((len(den), 1))
+    d1w = np.full((len(den), 1), 1.0 - theta) if enhanced else (1.0 - theta) * m[:, :1]
     d_t = np.concatenate([zero, m - 1.0], axis=1)
     d_w = np.concatenate([d1w, m[:, 1:] - 1.0, zero], axis=1)
     j = np.arange(1, n + 1)
     c = j / n * d_t + (n - j) / n * d_w
+    den = den.copy()
     den[:, 0] = theta  # row 1 of the normal chain
     gs = np.linalg.solve(a, np.stack([c, np.ones_like(c)], axis=-1) / den[..., None])
     return m, gs[..., 0], gs[..., 1]
 
 
-def _delay_contract(n: int, qs: np.ndarray, m: np.ndarray, g: np.ndarray, s: np.ndarray):
-    """D_crit on the grid qs x rs from the Binomial(N, q) and (N-1, q) rows and each r's tables."""
-    p0 = binomial_pmf(n, qs)[:, None, 1:]
+def _delay_contract(n: int, qs: np.ndarray, p0: np.ndarray, m: np.ndarray, g: np.ndarray,
+                    s: np.ndarray):
+    """D_crit on the grid qs x rs from each q's Binomial(N, q) row p0 and each r's tables."""
+    p0 = p0[..., 1:]
     d0w = (binomial_pmf(n - 1, qs)[:, None, 1:] * m).sum(axis=-1)
     return (d0w + (p0 * g).sum(axis=-1)) / (1.0 + (p0 * s).sum(axis=-1))
 
 
 @np.errstate(all="ignore")  # a value that is not finite is NaN
-def _on_grid(tables, contract, n_users: int, theta: float, qs, rs) -> np.ndarray:
-    """contract(N, q, *tables of r) at every (qs[i], rs[j]); NaN at q or r outside (0, 1).
+def _on_grid(metrics, n_users: int, theta: float, qs, rs) -> list[np.ndarray]:
+    """contract(N, q, Binomial(N, q), *tables of r) at every (qs[i], rs[j]), for each metric.
 
-    Each r's tables are solved once, in chunks of about _STACK_ELEMENTS
-    floats, and q rows are contracted in chunks of temporaries that size.
+    metrics holds (tables, contract) pairs; a grid is NaN at q or r outside
+    (0, 1).  Each r's block is built once for all the metrics, in chunks of
+    about _STACK_ELEMENTS floats, and each metric's tables are solved from
+    it; q rows are contracted in chunks of temporaries that size, from one
+    Binomial(N, q) row set a chunk, one metric at a time.
     """
     _require_analysis_params(ProtocolParams(n_users, theta, 0.0, 0.0))  # N and theta checks
     qs = np.asarray(qs, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    out = np.full((len(qs), len(rs)), np.nan)
+    outs = [np.full((len(qs), len(rs)), np.nan) for _ in metrics]
     rows = np.flatnonzero((qs > 0.0) & (qs < 1.0))
     cols = np.flatnonzero((rs > 0.0) & (rs < 1.0))
     if rows.size and cols.size:
         size = max(1, _STACK_ELEMENTS // (n_users + 1) ** 2)
-        parts = [tables(n_users, theta, rs[cols[i : i + size]]) for i in range(0, cols.size, size)]
-        tabs = [np.concatenate(table) for table in zip(*parts)]
+        parts = []  # per r chunk, each metric's tables
+        for i in range(0, cols.size, size):
+            a, den = _unit_block(n_users, rs[cols[i : i + size]])
+            parts.append([tables(n_users, theta, a, den) for tables, _ in metrics])
+        tabs = [[np.concatenate(table) for table in zip(*solved)] for solved in zip(*parts)]
         size = max(1, _STACK_ELEMENTS // (cols.size * (n_users + 1)))
         for i in range(0, rows.size, size):
             chunk = rows[i : i + size]
-            out[np.ix_(chunk, cols)] = contract(n_users, qs[chunk], *tabs)
-    out[~np.isfinite(out)] = np.nan
-    return out
+            cells = np.ix_(chunk, cols)
+            p0 = binomial_pmf(n_users, qs[chunk])[:, None]
+            for out, (_, contract), tab in zip(outs, metrics, tabs):
+                out[cells] = contract(n_users, qs[chunk], p0, *tab)
+    for out in outs:
+        out[~np.isfinite(out)] = np.nan
+    return outs
 
 
 @np.errstate(all="ignore")  # a value that is not finite raises
-def _at_point(tables, contract, params: ProtocolParams) -> float:
-    """contract(N, q, *tables of r) at the point of params, as _on_grid computes it."""
+def _at_point(solve, contract, params: ProtocolParams) -> float:
+    """contract(N, q, Binomial(N, q), *solve(N, theta, [r])) at params, as _on_grid computes it."""
     _require_interior(params)
     n = params.n_users
-    value = contract(n, np.array([params.q]), *tables(n, params.theta, np.array([params.r])))[0, 0]
+    q = np.array([params.q])
+    tables = solve(n, params.theta, np.array([params.r]))
+    value = contract(n, q, binomial_pmf(n, q)[:, None], *tables)[0, 0]
     if not np.isfinite(value):
         raise SingularSystem("the metric has no finite value at this point")
     return float(value)
@@ -282,7 +317,7 @@ def contention_times(n_users: int, theta: float, qs, rs) -> np.ndarray:
     exactly the cells where contention_time raises: the rows of q and the
     columns of r not strictly inside (0, 1), and a T_c that is not finite.
     """
-    return _on_grid(_contention_tables, _contention_contract, n_users, theta, qs, rs)
+    return _on_grid([(_contention_tables, _contention_contract)], n_users, theta, qs, rs)[0]
 
 
 def contention_time(params: ProtocolParams) -> float:
@@ -292,7 +327,7 @@ def contention_time(params: ProtocolParams) -> float:
     next success, counting the idle slot itself.  Independent of theta,
     which only row 1 holds.
     """
-    return _at_point(_contention_tables, _contention_contract, params)
+    return _at_point(_solved(_contention_tables), _contention_contract, params)
 
 
 def channel_utilization(params: ProtocolParams) -> float:
@@ -336,7 +371,7 @@ def critical_hitting_times(params: ProtocolParams) -> np.ndarray:
     _require_analysis_params(params)
     if params.r == 1.0:
         raise SingularSystem("r = 1: colliding users never back off, so no hitting time is finite")
-    m = _delay_tables(params.n_users, params.theta, np.array([params.r]))[0][0]
+    m = _solved(_delay_tables)(params.n_users, params.theta, np.array([params.r]))[0][0]
     if not np.all(np.isfinite(m)):
         raise SingularSystem("the hitting times are not finite")
     return m
@@ -348,7 +383,17 @@ def critical_delays(n_users: int, theta: float, qs, rs) -> np.ndarray:
     Each cell has the bits critical_delay gives at that point; NaN marks
     exactly the cells where critical_delay raises, as in contention_times.
     """
-    return _on_grid(_delay_tables, _delay_contract, n_users, theta, qs, rs)
+    return _on_grid([(_delay_tables, _delay_contract)], n_users, theta, qs, rs)[0]
+
+
+def metric_grids(n_users: int, theta: float, qs, rs) -> tuple[np.ndarray, np.ndarray]:
+    """(contention_times, critical_delays) of one (N, theta) on the grid qs x rs, bit for bit.
+
+    Each r's block is built once for both, not once for each.
+    """
+    t_c, d_crit = _on_grid([(_contention_tables, _contention_contract),
+                            (_delay_tables, _delay_contract)], n_users, theta, qs, rs)
+    return t_c, d_crit
 
 
 def critical_delay(params: ProtocolParams) -> float:
@@ -357,7 +402,7 @@ def critical_delay(params: ProtocolParams) -> float:
     Independent of the critical-traffic length: after the first success the
     transmission is never interrupted.
     """
-    return _at_point(_delay_tables, _delay_contract, params)
+    return _at_point(_solved(_delay_tables), _delay_contract, params)
 
 
 def critical_delay_along_q(n_users: int, theta: float, r: float) -> Callable[[float], float]:
@@ -366,12 +411,12 @@ def critical_delay_along_q(n_users: int, theta: float, r: float) -> Callable[[fl
     Each call has critical_delay's bits and raises where it raises; the
     tables are solved at the first call that gets past the parameter checks.
     """
-    solved = []
+    memo = []
 
     def tables(n: int, theta: float, rs: np.ndarray) -> tuple:
-        if not solved:
-            solved.append(_delay_tables(n, theta, rs))
-        return solved[0]
+        if not memo:
+            memo.append(_solved(_delay_tables)(n, theta, rs))
+        return memo[0]
 
     return lambda q: _at_point(tables, _delay_contract, ProtocolParams(n_users, theta, q, r))
 
@@ -383,7 +428,7 @@ def enhanced_critical_delay(params: ProtocolParams) -> float:
     after one collision, replacing d(1, W) by 1 - theta; all other table
     entries are unchanged.
     """
-    return _at_point(partial(_delay_tables, enhanced=True), _delay_contract, params)
+    return _at_point(_solved(partial(_delay_tables, enhanced=True)), _delay_contract, params)
 
 
 def evaluate_metrics(params: ProtocolParams, enhanced: bool = False) -> PerformanceMetrics:

@@ -130,36 +130,45 @@ class CriticalTrafficModel:
     offered for more realistic traces.  Realized lengths are always >= 1,
     and a fixed length must be an integer.  A critical phase is capped at
     _MAX_CRITICAL_SLOTS slots, so a fixed length above the cap, or a
-    geometric mean above cap / _GEOMETRIC_TAIL, is rejected.
+    geometric mean above cap / _GEOMETRIC_TAIL, is rejected.  The
+    constructor checks all of this, and the kind; `fixed` and `geometric`
+    only build the instance.
     """
 
     kind: str
     value: float
 
+    def __post_init__(self) -> None:
+        kind, value = self.kind, self.value
+        if kind == "fixed":
+            if not isinstance(value, int):
+                raise BadParams(f"fixed critical-traffic length must be an integer, got {value!r}")
+            if value < 1:
+                raise BadParams("fixed critical-traffic length must be >= 1")
+            if value > _MAX_CRITICAL_SLOTS:
+                raise BadParams(
+                    f"fixed critical-traffic length {value} exceeds the "
+                    f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+                )
+        elif kind == "geometric":
+            if not value >= 1.0:
+                raise BadParams("geometric critical-traffic mean must be >= 1")
+            if value * _GEOMETRIC_TAIL > _MAX_CRITICAL_SLOTS:
+                raise BadParams(
+                    f"geometric critical-traffic mean {value} exceeds "
+                    f"{_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL}: its lengths would overrun the "
+                    f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
+                )
+        else:
+            raise BadParams(f"critical-traffic kind must be 'fixed' or 'geometric', got {kind!r}")
+
     @staticmethod
     def fixed(length: int) -> "CriticalTrafficModel":
-        if not isinstance(length, int):
-            raise BadParams(f"fixed critical-traffic length must be an integer, got {length!r}")
-        if length < 1:
-            raise BadParams("fixed critical-traffic length must be >= 1")
-        if length > _MAX_CRITICAL_SLOTS:
-            raise BadParams(
-                f"fixed critical-traffic length {length} exceeds the "
-                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
-            )
-        return CriticalTrafficModel("fixed", float(length))
+        return CriticalTrafficModel("fixed", length)
 
     @staticmethod
     def geometric(mean: float) -> "CriticalTrafficModel":
-        if not mean >= 1.0:
-            raise BadParams("geometric critical-traffic mean must be >= 1")
-        if mean * _GEOMETRIC_TAIL > _MAX_CRITICAL_SLOTS:
-            raise BadParams(
-                f"geometric critical-traffic mean {mean} exceeds "
-                f"{_MAX_CRITICAL_SLOTS // _GEOMETRIC_TAIL}: its lengths would overrun the "
-                f"{_MAX_CRITICAL_SLOTS}-slot critical-phase cap"
-            )
-        return CriticalTrafficModel("geometric", float(mean))
+        return CriticalTrafficModel("geometric", mean)
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.kind == "fixed":

@@ -5,7 +5,9 @@ This module keeps the derivation's explicit form beside it: the critical
 chain as a dense matrix, and the tables d(l, a) and v(l, a) of the last
 normal-phase slot, whose contraction sum v(l, a) d(l, a) is D_crit.  The
 tests compare the package against it (`test_markov.py`), and acceptance
-criterion 4 reads d(1, W) = 1.73 from it.
+criterion 4 reads d(1, W) = 1.73 from it.  It also keeps the Binomial(k, r)
+block as a gather of the (1 - r)^j table, which the package reads from a
+strided view.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from critmac.errors import BadParams
 from critmac.markov import (
     TransitionMatrix,
     _binomial_block,
+    _coefficients,
+    _powers,
     _require_analysis_params,
     binomial_pmf,
     critical_hitting_times,
@@ -42,6 +46,14 @@ class DelayDecomposition:
     def delay(self) -> float:
         """Contract the tables: sum of v(l, a) * d(l, a), in v's key order."""
         return float(sum(self.v_table[key] * self.d_table[key] for key in self.v_table))
+
+
+def gathered_binomial_block(n: int, rs) -> np.ndarray:
+    """Rows k = 0..n of Binomial(k, r), the (1 - r)^j table gathered at j = max(k - j, 0)."""
+    comb = _coefficients(n)
+    up, down = _powers(n, rs)
+    k, j = np.indices(comb.shape)
+    return comb * up[:, None, :] * down[:, np.maximum(k - j, 0)]
 
 
 def build_critical_matrix(params: ProtocolParams) -> TransitionMatrix:

@@ -224,20 +224,26 @@ COARSE_AXIS = design._axis(0.01, 0.99, 0.01)
 
 @pytest.fixture
 def coarse_scans(monkeypatch):
-    """Counts of design's grid calls on the square's coarse axes, by metric, as they happen."""
+    """Counts of design's grid reads on the square's coarse axes, by metric, as they happen.
+
+    A metric_grids call reads both metrics and counts once for each.
+    """
     counts = {"contention_times": 0, "critical_delays": 0}
+    reads = {"contention_times": ["contention_times"], "critical_delays": ["critical_delays"],
+             "metric_grids": ["contention_times", "critical_delays"]}
 
     def counted(name):
         grid = getattr(design, name)
 
         def wrapper(n_users, theta, qs, rs):
             if np.array_equal(qs, COARSE_AXIS) and np.array_equal(rs, COARSE_AXIS):
-                counts[name] += 1
+                for metric in reads[name]:
+                    counts[metric] += 1
             return grid(n_users, theta, qs, rs)
 
         return wrapper
 
-    for name in counts:
+    for name in reads:
         monkeypatch.setattr(design, name, counted(name))
     return counts
 
@@ -278,6 +284,32 @@ class TestKeptGrids:
         (kept,) = grids.kept.values()
         with pytest.raises(ValueError):
             kept[0, 0] = 0.0
+
+
+class TestOneBlockPerR:
+    """T_c and D_crit of one grid read one `_unit_block` per chunk of r, not one each."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        sizes = []
+        block = markov._unit_block
+        monkeypatch.setattr(markov, "_unit_block",
+                            lambda n, rs: sizes.append(len(rs)) or block(n, rs))
+        return sizes
+
+    def test_qr_grid_builds_one_block_per_chunk(self, blocks):
+        design.qr_grid(DesignProblem(50, 0.1), step=0.04)
+        assert blocks == [25]
+        blocks.clear()
+        design.qr_grid(DesignProblem(50, 0.1), step=0.01)  # 99 r: two chunks of at most 50
+        assert blocks == [50, 49]
+
+    @pytest.mark.parametrize("eta", [1.0, math.inf])
+    def test_a_scan_window_builds_one_block(self, blocks, eta):
+        # a constrained window reads both metrics, an unconstrained one T_c alone
+        qs, rs = design._axis(0.1, 0.12, 0.001), design._axis(0.4, 0.42, 0.001)
+        design._argmin_tc(design._Grids(DesignProblem(50, 0.1)), qs, rs, eta, None)
+        assert blocks == [21]
 
 
 class TestSharedEvaluator:
@@ -327,19 +359,19 @@ class TestScanPick:
 
     def test_nan_cell_raises_the_first_one_point_error(self, monkeypatch):
         # the first NaN cell in row-major order raises its one-point error
-        grid = design.critical_delays
+        grid = design.metric_grids
 
         def with_nans(n_users, theta, qs, rs):
-            d = grid(n_users, theta, qs, rs)
+            t, d = grid(n_users, theta, qs, rs)
             d[5, 1] = d[3, 4] = np.nan
-            return d
+            return t, d
 
         def raising(params):
             raise SingularSystem(f"at {params.q}, {params.r}")
 
         prob = DesignProblem(10, 0.1)
         qs, rs = design._axis(0.01, 0.99, 0.1), design._axis(0.01, 0.99, 0.1)
-        monkeypatch.setattr(design, "critical_delays", with_nans)
+        monkeypatch.setattr(design, "metric_grids", with_nans)
         monkeypatch.setattr(design, "critical_delay", raising)
         with pytest.raises(SingularSystem, match=f"at {qs[3]}, {rs[4]}$"):
             design._argmin_tc(design._Grids(prob), qs, rs, 1.0, None)

@@ -14,7 +14,9 @@ under a binding eta (each row a constrained solve), and a (q, r) grid that
 mixes interior points, boundary points (SingularSystem) and out-of-range
 points (BadParams), as CSV and as JSON (null cells), and a 101 x 101 grid whose
 error cells fall in several of the blocks a qr sweep is written in, as
-CSV and as JSON.  The table cases pin the aligned layout: both qr grids,
+CSV and as JSON, and two N = 50 grids, one of 99 x 99 cells (CSV) whose r
+axis fills two table chunks, and the 25 x 25 grid of the benchmark (JSON).
+The table cases pin the aligned layout: both qr grids,
 the eta sweep, a single- and a two-critical simulate report and a binding
 optimize.  The simulate cases cover the baseline and enhanced rules at
 N = 10 and 50, a 200-round run that spans several batches of rounds, a
@@ -109,6 +111,11 @@ CASES = {
     "sweep-qr-blocks-json": (["sweep", "--axis", "qr", "--n", "3", "--theta", "0.1",
                               "--from", "0", "--to", "1", "--step", "0.01", "--format", "json"],
                              False, 0),
+    # 99 r values at N = 50 fill two table chunks and several q chunks
+    "sweep-qr-n50-csv": (["sweep", "--axis", "qr", "--n", "50", "--theta", "0.1",
+                          "--step", "0.01", "--format", "csv"], False, 0),
+    "sweep-qr-n50-json": (["sweep", "--axis", "qr", "--n", "50", "--theta", "0.1",
+                           "--step", "0.04", "--format", "json"], False, 0),
     "simulate-n50-enhanced": (["simulate", *P50, "--rounds", "10", "--seed", "11",
                                "--enhanced", "--format", "json"], True, 0),
     "simulate-baseline-200": (["simulate", *P10, "--rounds", "200", "--seed", "17",
@@ -245,6 +252,10 @@ GOLDEN = {
         "12303412a2225c70516b69e6a77d4dd6682cc581ec4d2f7ebeb31e7c3070f65f", None),
     "sweep-qr-blocks-table": (
         "b690924d63f0c6f1e173632dd5fc0f40f474bd24c0c8c1480cea66caa8647a9b", None),
+    "sweep-qr-n50-csv": (
+        "f27e7456720ea24dd4ad2ee96ee68869569967d4ad5a27b3a7cae7f4bffaf615", None),
+    "sweep-qr-n50-json": (
+        "935e86d02350bc0a65b30670ebc1bbf3eeaf723c126f03f4581ffe45fb2a311f", None),
     "sweep-qr-boundary": (
         "800a14d9000b71e1a44c934916dd27f341a0b5c0ce132267dde2aaf9f4952e78", None),
     "sweep-qr-boundary-json": (

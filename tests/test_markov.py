@@ -32,7 +32,7 @@ from critmac import (
     evaluate_metrics,
     stationary_distribution,
 )
-from explicit_forms import build_critical_matrix, delay_decomposition
+from explicit_forms import build_critical_matrix, delay_decomposition, gathered_binomial_block
 
 # (n, theta) -> (q*, r*, t_c, c_norm, d_crit) from the published table
 TABLE = {
@@ -404,7 +404,10 @@ class TestDenseReference:
 UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 MODERATE = st.floats(1e-3, 1.0 - 1e-3)
 POINT_METRICS = ((markov.contention_times, contention_time),
-                 (markov.critical_delays, critical_delay))
+                 (markov.critical_delays, critical_delay),
+                 # the joint reader, each of its grids against its one-point function
+                 (lambda *grid: markov.metric_grids(*grid)[0], contention_time),
+                 (lambda *grid: markov.metric_grids(*grid)[1], critical_delay))
 
 
 def grids(coordinate):
@@ -518,17 +521,17 @@ def test_too_many_users_for_the_binomial_table():
 
 
 def test_pascal_table_memo_is_bounded():
-    # 16 (N + 1)^2 bytes a table: the memo keeps the tables of the last few
+    # 8 (N + 1)^2 bytes a table: the memo keeps the tables of the last few
     # N, all those that solves at three N read (N and N - 1 each), and an
     # evicted N is rebuilt with the same bits
     coefficients = markov._coefficients
-    kept = [a.tobytes() for a in coefficients(7)]
+    kept = coefficients(7).tobytes()
     for n in range(3, 61):
         coefficients(n)
         info = coefficients.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     misses = coefficients.cache_info().misses
-    assert [a.tobytes() for a in coefficients(7)] == kept
+    assert coefficients(7).tobytes() == kept
     assert coefficients.cache_info().misses == misses + 1  # 7 was evicted
     for n in (3, 10, 50):
         critical_delay(ProtocolParams(n, 0.1, 0.1, 0.4))
@@ -536,6 +539,24 @@ def test_pascal_table_memo_is_bounded():
     for n in (3, 10, 50):
         critical_delay(ProtocolParams(n, 0.1, 0.2, 0.3))
     assert coefficients.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 1029])
+def test_binomial_block_equals_the_gather_bit_for_bit(n):
+    rs = [0.0, 1.0, 1e-300, 1.0 - 1e-12, 0.5, 0.4754, 0.01, 0.99]
+    for r in rs:  # one r at a time: at N = 1029 a block is 8.5 MB
+        assert bits(markov._binomial_block(n, [r])) == bits(gathered_binomial_block(n, [r]))
+    if n <= 100:
+        assert bits(markov._binomial_block(n, rs)) == bits(gathered_binomial_block(n, rs))
+
+
+def test_table_solves_leave_the_block_unchanged():
+    # T_c and D_crit of one grid read one block, and D_crit writes theta into a copy of den
+    a, den = markov._unit_block(10, np.array([0.2, 0.7]))
+    kept = bits(a), bits(den)
+    markov._delay_tables(10, 0.1, a, den)
+    markov._contention_tables(10, 0.1, a, den)
+    assert (bits(a), bits(den)) == kept
 
 
 def test_the_explicit_forms_are_test_references():

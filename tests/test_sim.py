@@ -418,6 +418,21 @@ class TestTrafficModel:
         with pytest.raises(BadParams, match=r"^fixed critical-traffic length must be an integer, got 2\.5$"):
             CriticalTrafficModel.fixed(2.5)
 
+    @pytest.mark.parametrize("kind, value, message", [
+        # an unknown kind was drawn as geometric, 2.5 ran 2-packet rounds, and a
+        # geometric mean of 0.5 failed inside numpy's draw
+        ("uniform", 3.0, r"^critical-traffic kind must be 'fixed' or 'geometric', got 'uniform'$"),
+        ("fixed", 2.5, r"^fixed critical-traffic length must be an integer, got 2\.5$"),
+        ("fixed", 0, r"^fixed critical-traffic length must be >= 1$"),
+        ("fixed", 10**9, r"^fixed critical-traffic length 1000000000 exceeds the "),
+        ("geometric", 0.5, r"^geometric critical-traffic mean must be >= 1$"),
+        ("geometric", float("nan"), r"^geometric critical-traffic mean must be >= 1$"),
+        ("geometric", 1e9, r"^geometric critical-traffic mean 1000000000\.0 exceeds "),
+    ])
+    def test_constructor_checks_as_the_builders_do(self, kind, value, message):
+        with pytest.raises(BadParams, match=message):
+            CriticalTrafficModel(kind, value)
+
 
 class TestConfigValidation:
     def test_rounds_positive(self):
