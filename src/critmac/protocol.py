@@ -120,10 +120,9 @@ class UserArrays:
     ``prev_critical``; an arrival clears the latter, so for a critical user
     it means critical in the previous slot of this phase), the critical
     packets still to send (``remaining``), the two-critical mode
-    (``g_mode``) and its own one-slot memory (``g_observation``, idle on
-    entry), and ``yield_after_idle``: a wait owed after the next idle slot,
-    by a user that finished critical traffic in a shared (two-critical)
-    phase.
+    (``g_mode``; rule g reads ``last``, which entry resets to idle), and
+    ``yield_after_idle``: a wait owed after the next idle slot, by a user
+    that finished critical traffic in a shared (two-critical) phase.
     """
 
     last: np.ndarray
@@ -133,13 +132,12 @@ class UserArrays:
     prev_critical: np.ndarray
     remaining: np.ndarray
     g_mode: np.ndarray
-    g_observation: np.ndarray
     yield_after_idle: np.ndarray
 
     @classmethod
     def initial(cls, shape: tuple[int, ...]) -> "UserArrays":
         """Users that start a round: normal traffic, idle observations."""
-        codes = {"last", "prev", "g_observation"}  # int8 observation codes
+        codes = {"last", "prev"}  # int8 observation codes
         counts = {"failures", "remaining"}  # int32; the rest are flags
         return cls(**{
             f.name: np.zeros(
@@ -216,7 +214,7 @@ def transmission_probabilities(
         np.putmask(p, critical, 1.0)
         if users.g_mode.any():
             g_mode = critical & users.g_mode
-            p[g_mode] = rule_g(users.g_observation[g_mode])
+            p[g_mode] = rule_g(last[g_mode])
     return p
 
 

@@ -12,10 +12,11 @@ rest busy.
 Engine: :class:`SlotEngine` steps a batch of rounds in lockstep.  The state
 of every user of every round is a set of ``(rounds, users)`` arrays
 (:class:`protocol.UserArrays`: observation codes, failure counts, critical
-flags and remaining packets, the rule-g memory and the wait owed after a
-shared phase), and one slot is one array rule lookup, one comparison with
-the slot's uniforms, the feedback from each round's transmitter count, and
-masked state updates.  All rounds of a batch are always at the same slot,
+flags and remaining packets, the rule-g switch and the wait owed after a
+shared phase; rule g reads the last observation, reset to idle on entry),
+and one slot is one array rule lookup, one comparison with the slot's
+uniforms, the feedback from each round's transmitter count, and masked
+state updates.  All rounds of a batch are always at the same slot,
 and row j of every array is round j until the batch ends: a round that has
 ended keeps its row and steps on, and none of its later slots is read (they
 draw from its own stream, so they change no other round).  The round
@@ -401,8 +402,6 @@ class SlotEngine:
         if not any_critical:
             return tx, obs, k
 
-        # only critical users are in g-mode
-        s.g_observation = np.where(s.g_mode, obs, s.g_observation)
         served = critical & (obs == SUCCESS_CODE)
         s.remaining -= served
         done = served & (s.remaining == 0)
@@ -424,8 +423,9 @@ class SlotEngine:
                 # alternation broke on an idle slot: the partner finished, so
                 # a reverting user behaves like a fresh critical arrival again
                 s.g_mode = g_mode ^ switch
-                s.g_observation[enter] = IDLE_CODE
                 s.failures[revert] = 0
+                # rule g starts from idle; a new array, as step returns the old one
+                s.last = np.where(enter, IDLE_CODE, s.last)
                 self.entered[enter & (self.entered == 0)] = self.slot + 1
         return tx, obs, k
 

@@ -96,7 +96,9 @@ class UserState:
     last_observation / prev_observation are the observations of the previous
     two slots; consecutive_failures is the length of the current run of
     failure observations.  g_observation is the separate one-slot memory used
-    while two_crit_mode is active (initialized to idle on mode entry), and
+    while two_crit_mode is active (initialized to idle on mode entry).  The
+    array engine keeps no separate rule-g memory: its rule g reads the last
+    observation, which entry resets to idle (see `as_arrays`).
     critical_window records the observations around a critical arrival
     (one slot before it plus the first slots of the critical phase), which
     the two-critical inference reads. yield_after_idle marks a user that
@@ -176,15 +178,15 @@ def as_arrays(states: list[list[UserState]]) -> UserArrays:
     def codes(obs):
         return column(lambda u: OBSERVATIONS.index(obs(u)), np.int8)
 
+    # the array engine's rule g reads `last`
     return UserArrays(
-        last=codes(lambda u: u.last_observation),
+        last=codes(lambda u: u.g_observation if u.two_crit_mode else u.last_observation),
         prev=codes(lambda u: u.prev_observation),
         failures=column(lambda u: u.consecutive_failures, np.int64),
         critical=column(lambda u: u.traffic is CRITICAL, bool),
         prev_critical=column(lambda u: u.prev_traffic is CRITICAL, bool),
         remaining=column(lambda u: u.critical_remaining, np.int64),
         g_mode=column(lambda u: u.two_crit_mode, bool),
-        g_observation=codes(lambda u: u.g_observation),
         yield_after_idle=column(lambda u: u.yield_after_idle, bool),
     )
 

@@ -37,9 +37,12 @@ from critmac.protocol import (
     BUSY_CODE,
     CRITICAL,
     FAILURE_CODE,
+    IDLE_CODE,
     NORMAL,
     OBSERVATIONS,
     SUCCESS_CODE,
+    rule_g,
+    transmission_probabilities,
 )
 from critmac.sim import (
     TWO_CRITICAL_SCENARIOS,
@@ -327,18 +330,55 @@ def test_normal_success_does_not_count():
 
 def test_permanent_once_set():
     # user 0 is in the two-critical mode although neither pattern holds: it
-    # waits on its g-observation (success) while user 1 succeeds, then both
+    # waits on its last observation (success) while user 1 succeeds, then both
     # transmit and collide; the mode stays set throughout, and only user 1,
     # whose (success, failure) is in its phase, enters it
     engine, arrive = inference_engine()
     arrive(0)
     arrive(1)
     engine.users.g_mode[0, 0] = True
-    engine.users.g_observation[0, 0] = SUCCESS_CODE
+    engine.users.last[0, 0] = SUCCESS_CODE
     for expected in ([False, True, False], [True, True, False]):
         assert engine.step()[0][0].tolist() == expected
         assert engine.users.g_mode[0, 0]
     assert engine.entered[0].tolist() == [0, 3, 0]
+
+
+def test_entry_resets_the_last_observation_to_idle():
+    # user 0's (success, failure) switches it to rule_g in slot 2, and rule g
+    # reads its last observation from idle: it transmits next.  The reset
+    # replaces the memory, so the observations that step returned still
+    # read failure
+    engine, arrive = inference_engine()
+    arrive(0)
+    engine.step()
+    arrive(1)
+    obs = engine.step()[1]
+    users = engine.users
+    assert users.g_mode[0].tolist() == [True, False, False]
+    assert users.last[0].tolist() == [IDLE_CODE, FAILURE_CODE, BUSY_CODE]
+    assert obs[0].tolist() == [FAILURE_CODE, FAILURE_CODE, BUSY_CODE]
+    p = transmission_probabilities(QUIET, engine.enh, users)
+    assert p[0, 0] == rule_g(np.array([IDLE_CODE]))[0] == 1.0
+    assert engine.step()[0][0].tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("scenario", TWO_CRITICAL_SCENARIOS)
+def test_trace_keeps_the_observation_of_the_entry_slot(scenario):
+    # a user enters rule g on its own failure, which its trace cell of that
+    # slot keeps (row t is slot t + 1, and entered is the slot after entry)
+    cfg = SimConfig(
+        params=ProtocolParams(10, 0.1, *SINGLE_CRITICAL_POINTS[10]),
+        enhancement=EnhancementConfig(enabled=True),
+        rounds=40,
+        seed=11,
+        scenario=scenario,
+    )
+    batch = _run_batch(cfg, range(cfg.rounds), keep_trace=True)
+    rounds, users = np.nonzero(batch.entered)
+    assert len(rounds) >= cfg.rounds
+    rows = batch.entered[rounds, users] - 2
+    assert (batch.observations[rows, rounds, users] == FAILURE_CODE).all()
 
 
 def test_set_critical_refusals():

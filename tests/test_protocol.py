@@ -7,6 +7,7 @@ runs them on many.
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestEnhancedRule:
 
     def test_rule_g_branch(self):
         for y in Observation:
-            state = dict(critical=True, g_mode=True, g_observation=y)
+            state = dict(critical=True, g_mode=True, last=y)
             assert probability(params(), self.CFG, **state) == g(y)
 
     def test_disabled_config_gives_base_rule(self):
@@ -142,6 +143,15 @@ class TestEnhancedRule:
         for y in Observation:
             state = dict(prev=S, last=y, failures=9, prev_critical=True, yield_after_idle=True)
             assert probability(params(), BASE, **state) == f(params(), y, NORMAL)
+
+
+class TestUserArrays:
+    def test_a_user_remembers_each_cell_once(self):
+        # rule g reads `last`: there is no separate rule-g memory
+        assert [f.name for f in fields(UserArrays)] == [
+            "last", "prev", "failures", "critical", "prev_critical",
+            "remaining", "g_mode", "yield_after_idle",
+        ]
 
 
 class TestRuleG:
